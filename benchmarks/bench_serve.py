@@ -210,14 +210,11 @@ def main(argv=None):
     assert base_results == expected, "unbatched baseline diverged"
 
     # -- throughput: micro-batched service ------------------------------
-    # Cache off so the comparison isolates batching itself.
-    # max_batch == n_clients: in a closed loop at most n_clients
-    # requests can ever be outstanding, so a larger bound would just
-    # make every batch wait out the full deadline for followers that
-    # cannot arrive.
+    # Cache off so the comparison isolates batching itself.  In a
+    # closed loop at most n_clients requests are ever outstanding, so
+    # max_batch == n_clients never splits what is queued.
     config = ServeConfig(
         max_batch=n_clients,
-        max_wait_ms=2.0,
         queue_limit=8_192,
         cache_size=0,
     )
@@ -237,8 +234,7 @@ def main(argv=None):
 
     # -- throughput: cache on (repeat-heavy traffic) --------------------
     cache_config = ServeConfig(
-        max_batch=n_clients, max_wait_ms=2.0,
-        queue_limit=8_192, cache_size=65_536,
+        max_batch=n_clients, queue_limit=8_192, cache_size=65_536,
     )
     with RecognitionService(csd=csd, config=cache_config) as service:
         warm_results, _ = closed_loop(

@@ -274,7 +274,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
         query_dtype=args.query_dtype,
@@ -475,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0 picks an ephemeral port (printed on startup)")
     p.add_argument("--max-batch", type=int, default=64,
                    help="largest micro-batch one kernel call may serve")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="how long a batch waits for followers after the "
-                        "first request arrives")
     p.add_argument("--queue-limit", type=int, default=1024,
                    help="admission-queue bound; beyond it requests get 503")
     p.add_argument("--cache-size", type=int, default=65536,

@@ -50,10 +50,11 @@ def monotonic_s() -> float:
     """Monotonic seconds from the one sanctioned clock.
 
     Long-lived callers (the ``repro serve`` micro-batcher) need raw
-    monotonic readings for deadline arithmetic, not just aggregated
-    ``Timer`` blocks.  Exposing the clock here keeps every timing call
-    inside ``repro.obs`` (reprolint RPL006 bans direct ``time.*`` calls
-    elsewhere under ``src/repro/``).
+    monotonic readings to time a span that starts on one thread and
+    ends on another, which a ``Timer`` block cannot.  Exposing the
+    clock here keeps every timing call inside ``repro.obs`` (reprolint
+    RPL006 bans direct ``time.*`` calls elsewhere under
+    ``src/repro/``).
     """
     return time.perf_counter()
 

@@ -6,9 +6,14 @@ scalar path per point on the standard workload (``BENCH_kernel.json``).
 A naive threaded server would throw that away: every concurrent request
 would run its own one-point batch.  The :class:`MicroBatcher` instead
 funnels all single-point requests through one bounded queue; a single
-dispatch thread drains up to ``max_batch`` of them (waiting at most
-``max_wait_ms`` after the first arrival) and answers the whole group
-with **one** kernel call.
+dispatch thread takes the first waiting request plus whatever else is
+already queued, up to ``max_batch``, and answers the whole group with
+**one** kernel call.
+
+The batcher is self-clocking: it never waits for followers.  A lone
+request goes to the kernel at once, and requests that arrive while a
+kernel call runs queue up and form the next batch, so batches grow
+exactly as fast as load does.
 
 Correctness leans on per-stay vote independence (the same property that
 makes chunked and parallel recognition bit-identical, see
@@ -46,10 +51,11 @@ class BatcherClosed(RuntimeError):
 class _Pending:
     """One queued request and its completion signal."""
 
-    __slots__ = ("stay", "event", "result", "error")
+    __slots__ = ("stay", "submitted_s", "event", "result", "error")
 
     def __init__(self, stay: StayPoint) -> None:
         self.stay = stay
+        self.submitted_s = monotonic_s()
         # reprolint: allow-thread -- request/dispatcher rendezvous in
         # the threaded serve daemon (never worker-reachable).
         self.event = threading.Event()
@@ -69,10 +75,6 @@ class MicroBatcher:
     max_batch:
         Largest batch one dispatch may collect; ``1`` degenerates to
         per-request scalar recognition (the bench's baseline mode).
-    max_wait_ms:
-        How long the dispatcher waits for followers after the first
-        request of a batch arrives.  The p50-latency/throughput knob:
-        0 never delays a lone request, a few ms lets a burst coalesce.
     queue_limit:
         Admission-queue bound; submissions beyond it shed with
         :class:`ServerOverloaded`.
@@ -86,19 +88,15 @@ class MicroBatcher:
         self,
         recognize_batch: Callable[[Sequence[StayPoint]], List[SemanticProperty]],
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 1024,
         result_timeout_s: float = 60.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self._recognize_batch = recognize_batch
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.result_timeout_s = float(result_timeout_s)
         self._queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=int(queue_limit))
         self._closed = False
@@ -147,34 +145,28 @@ class MicroBatcher:
     # -- dispatch thread -----------------------------------------------
 
     def _collect(self, first: _Pending) -> List[_Pending]:
-        """One batch: ``first`` plus followers until size or deadline."""
+        """One batch: ``first`` plus whatever is already queued."""
         batch = [first]
-        deadline = monotonic_s() + self.max_wait_s
-        while len(batch) < self.max_batch:
-            remaining = deadline - monotonic_s()
-            if remaining <= 0.0:
-                # Deadline passed; drain whatever is already queued
-                # without waiting, then dispatch.
-                try:
-                    while len(batch) < self.max_batch:
-                        batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    pass
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
+        try:
+            while len(batch) < self.max_batch:
+                batch.append(self._queue.get_nowait())
+        except queue.Empty:
+            pass
         return batch
 
-    def _dispatch(self, batch: List[_Pending], waited_s: float) -> None:
+    def _dispatch(self, batch: List[_Pending]) -> None:
         reg = get_registry()
         if reg.enabled:
             reg.counter("serve.batches").inc()
             reg.histogram(
                 "serve.batch_size", buckets=DEFAULT_SIZE_BUCKETS
             ).observe(float(len(batch)))
-            reg.histogram("serve.batch_wait_s").observe(waited_s)
+            # Admission-queue wait: each request's submit -> the start
+            # of the kernel call that answers it.
+            wait = reg.histogram("serve.batch_wait_s")
+            start_s = monotonic_s()
+            for pending in batch:
+                wait.observe(start_s - pending.submitted_s)
             reg.gauge("serve.queue.depth").set(float(self._queue.qsize()))
         try:
             results = self._recognize_batch([p.stay for p in batch])
@@ -200,11 +192,10 @@ class MicroBatcher:
                 if self._closed:
                     return
                 continue
-            t0 = monotonic_s()
             batch = self._collect(first)
             self.batches_dispatched += 1
             self.points_dispatched += len(batch)
-            self._dispatch(batch, monotonic_s() - t0)
+            self._dispatch(batch)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -231,7 +222,6 @@ class MicroBatcher:
     def stats(self) -> dict[str, object]:
         return {
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_s * 1000.0,
             "queue_limit": self._queue.maxsize,
             "queue_depth": self._queue.qsize(),
             "batches_dispatched": self.batches_dispatched,

@@ -20,6 +20,10 @@ Keys are ``(linearised grid-cell code, exact lon/lat, query_dtype)``:
 * the **query dtype** is part of the key because float32 and float64
   voting are distinct kernels.
 
+Cached answers are interned: entries with equal tag sets share one
+frozenset.  A diagram yields few distinct answers, and a private
+frozenset per entry would be half of the cache's memory.
+
 The cache is invalidated wholesale on CSD reload (:meth:`CellCache.
 clear`); entries never expire otherwise because the CSD is immutable
 between reloads.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.csd import CitySemanticDiagram
 from repro.data.trajectory import SemanticProperty
@@ -50,6 +54,8 @@ class CellCache:
     def __init__(self, csd: CitySemanticDiagram, max_entries: int = 65536) -> None:
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[CacheKey, SemanticProperty]" = OrderedDict()
+        #: One shared object per distinct answer (see module docstring).
+        self._answers: Dict[SemanticProperty, SemanticProperty] = {}
         # Guards the OrderedDict against concurrent request handlers;
         # held only for dict operations, never across recognition.
         # reprolint: allow-thread -- serve is a threaded daemon by
@@ -103,7 +109,7 @@ class CellCache:
         if self.max_entries <= 0:
             return
         with self._lock:
-            self._entries[key] = prop
+            self._entries[key] = self._answers.setdefault(prop, prop)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -121,6 +127,7 @@ class CellCache:
         """
         with self._lock:
             self._entries.clear()
+            self._answers.clear()
             if csd is not None:
                 self._bind_grid(csd)
         reg = get_registry()

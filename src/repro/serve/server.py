@@ -22,10 +22,15 @@ Endpoints (``docs/SERVING.md`` has request/response examples):
 ``/admin/reload``     POST    re-read the CSD artifact, invalidate cache
 ====================  ======  =============================================
 
-Error mapping: malformed JSON/fields → 400, unknown route/unit → 404,
-payload too large → 413, admission queue full → **503** with a
+Error mapping: malformed JSON/fields or a bad ``Content-Length`` →
+400, unknown route/unit → 404, admission queue full → **503** with a
 ``Retry-After`` hint (the backpressure contract), anything unexpected →
-500 with the ``serve.errors`` counter bumped.
+500 with the ``serve.errors`` counter bumped.  A client that hangs up
+is not an error: its request ends quietly, uncounted.
+
+Every response leaves in one send with Nagle off.  Headers and body are
+buffered and flushed together; two small writes on a Nagle socket would
+hold the body until the client's delayed ACK, ~40 ms per request.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import BatcherClosed, ServerOverloaded
 from repro.serve.service import RecognitionService
 
@@ -81,6 +86,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Keep-alive lets bench clients reuse connections.
     protocol_version = "HTTP/1.1"
+    # Buffer each response so headers and body go out in one send
+    # (flushed in _send_json), and set TCP_NODELAY on the socket.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -95,12 +104,25 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", "1")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # The body's extent is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}"
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise _BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
@@ -113,10 +135,39 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BadRequest("request body must be a JSON object")
         return doc
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client hung up (closed pipe or reset) while we read a
+            # request or wrote a response: nothing left to answer, and
+            # not a server error.
+            pass
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except ConnectionError:
+            # Closing flushes the unsent tail of a response to a client
+            # that hung up; the socket is closed either way.
+            self.rfile.close()
+
     def _dispatch(self, method: str) -> None:
         reg = get_registry()
         if reg.enabled:
             reg.counter("serve.requests").inc()
+        error = self._answer(method, reg)
+        if error is not None:
+            self._send_json(*error)
+
+    def _answer(
+        self, method: str, reg: MetricsRegistry
+    ) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """Route one request; return the error response to send, if any.
+
+        A :class:`ConnectionError` (the client hung up) propagates to
+        :meth:`handle` without counting in ``serve.errors``.
+        """
         parsed = urlparse(self.path)
         try:
             with reg.timer("serve.request") as timing:
@@ -124,22 +175,20 @@ class _Handler(BaseHTTPRequestHandler):
             if reg.enabled:
                 reg.histogram("serve.request_latency_s").observe(timing.elapsed)
             if not handled:
-                self._send_json(404, {"error": f"no route {method} {parsed.path}"})
+                return 404, {"error": f"no route {method} {parsed.path}"}
+        except ConnectionError:
+            raise
         except _BadRequest as exc:
-            self._send_json(400, {"error": str(exc)})
+            return 400, {"error": str(exc)}
         except KeyError as exc:
-            self._send_json(404, {"error": str(exc.args[0]) if exc.args else "not found"})
-        except ServerOverloaded as exc:
-            self._send_json(503, {"error": str(exc)})
-        except BatcherClosed as exc:
-            self._send_json(503, {"error": str(exc)})
-        except BrokenPipeError:
-            # Client went away mid-response; nothing to answer.
-            pass
+            return 404, {"error": str(exc.args[0]) if exc.args else "not found"}
+        except (ServerOverloaded, BatcherClosed) as exc:
+            return 503, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 -- daemon must not die
             if reg.enabled:
                 reg.counter("serve.errors").inc()
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+        return None
 
     # -- routing -------------------------------------------------------
 

@@ -49,7 +49,6 @@ class ServeConfig:
     """Tunables of the serving engine (CLI flags map 1:1 onto these)."""
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     queue_limit: int = 1024
     cache_size: int = 65536
     query_dtype: str = "float64"
@@ -92,7 +91,6 @@ class RecognitionService:
         self.batcher = MicroBatcher(
             self._recognize_batch,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             queue_limit=self.config.queue_limit,
         )
         self.reloads = 0

@@ -8,8 +8,12 @@ invalidation, and the repeat-scrape ``/metrics`` contract are the other
 pillars.
 """
 
+import http.client
 import json
+import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -59,7 +63,7 @@ def _sequential_oracle(csd, stays, query_dtype="float64"):
 class TestMicroBatcher:
     def test_single_submit_round_trips(self, small_csd):
         recognizer = CSDRecognizer(small_csd)
-        with MicroBatcher(recognizer.recognize_points, max_wait_ms=0.0) as mb:
+        with MicroBatcher(recognizer.recognize_points) as mb:
             sp = StayPoint(lon=small_csd.pois[0].lon,
                            lat=small_csd.pois[0].lat, t=0.0)
             assert mb.submit(sp) == recognizer.recognize_point(sp)
@@ -74,9 +78,7 @@ class TestMicroBatcher:
         expected = _sequential_oracle(small_csd, stays, query_dtype)
         results = [None] * len(stays)
         errors = []
-        with MicroBatcher(
-            recognizer.recognize_points, max_batch=32, max_wait_ms=2.0
-        ) as mb:
+        with MicroBatcher(recognizer.recognize_points, max_batch=32) as mb:
             barrier = threading.Barrier(64)
 
             def worker(worker_id):
@@ -110,9 +112,7 @@ class TestMicroBatcher:
             return [frozenset() for _ in batch]
 
         sp = StayPoint(lon=0.0, lat=0.0, t=0.0)
-        mb = MicroBatcher(
-            slow_kernel, max_batch=1, max_wait_ms=0.0, queue_limit=2
-        )
+        mb = MicroBatcher(slow_kernel, max_batch=1, queue_limit=2)
         try:
             started = threading.Event()
 
@@ -154,12 +154,44 @@ class TestMicroBatcher:
             release.set()
             mb.close()
 
+    def test_batch_wait_counts_time_queued_behind_kernel(self, registry):
+        """``serve.batch_wait_s`` is each request's submit -> kernel
+        start, so a request stuck behind a slow kernel call records the
+        time it was blocked."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def slow_kernel(batch):
+            entered.set()
+            release.wait(timeout=30)
+            return [frozenset() for _ in batch]
+
+        sp = StayPoint(lon=0.0, lat=0.0, t=0.0)
+        blocked_s = 0.2
+        with MicroBatcher(slow_kernel, max_batch=1) as mb:
+            first = threading.Thread(target=mb.submit, args=(sp,))
+            first.start()
+            assert entered.wait(timeout=10)
+            second = threading.Thread(target=mb.submit, args=(sp,))
+            second.start()
+            for _ in range(1000):
+                if mb.stats()["queue_depth"] >= 1:
+                    break
+                time.sleep(0.005)
+            time.sleep(blocked_s)
+            release.set()
+            first.join(timeout=10)
+            second.join(timeout=10)
+        wait = registry.histogram("serve.batch_wait_s").to_dict()
+        assert wait["count"] == 2  # once per request, not per batch
+        assert wait["max"] >= blocked_s
+
     def test_kernel_error_reaches_every_waiter(self, small_csd):
         def broken(batch):
             raise RuntimeError("kernel exploded")
 
         sp = StayPoint(lon=0.0, lat=0.0, t=0.0)
-        with MicroBatcher(broken, max_wait_ms=0.0) as mb:
+        with MicroBatcher(broken) as mb:
             with pytest.raises(RuntimeError, match="kernel exploded"):
                 mb.submit(sp)
             # The dispatch thread survived the error.
@@ -183,8 +215,6 @@ class TestMicroBatcher:
         kernel = lambda b: []  # noqa: E731
         with pytest.raises(ValueError):
             MicroBatcher(kernel, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(kernel, max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(kernel, queue_limit=0)
 
@@ -225,6 +255,14 @@ class TestCellCache:
         assert cache.get(keys[1]) is None
         assert len(cache) == 2
 
+    def test_equal_answers_share_one_object(self, small_csd):
+        cache = CellCache(small_csd, max_entries=8)
+        k1 = cache.key_for(121.0, 31.0, "float64")
+        k2 = cache.key_for(121.01, 31.0, "float64")
+        cache.put(k1, frozenset({"a", "b"}))
+        cache.put(k2, frozenset({"b", "a"}))
+        assert cache.get(k1) is cache.get(k2)
+
     def test_zero_entries_disables(self, small_csd):
         cache = CellCache(small_csd, max_entries=0)
         key = cache.key_for(121.0, 31.0, "float64")
@@ -253,9 +291,7 @@ class TestRecognitionService:
         """The full service path (cache × dtype grid) equals the
         sequential oracle — the ISSUE's acceptance matrix."""
         expected = _sequential_oracle(small_csd, stays, query_dtype)
-        config = ServeConfig(
-            query_dtype=query_dtype, cache_size=cache_size, max_wait_ms=1.0
-        )
+        config = ServeConfig(query_dtype=query_dtype, cache_size=cache_size)
         with RecognitionService(csd=small_csd, config=config) as service:
             got = [service.recognize_one(sp.lon, sp.lat) for sp in stays]
             # Second pass: with the cache on this is all hits; either
@@ -267,9 +303,7 @@ class TestRecognitionService:
     def test_concurrent_service_calls_bit_identical(self, small_csd, stays):
         expected = _sequential_oracle(small_csd, stays)
         results = [None] * len(stays)
-        with RecognitionService(
-            csd=small_csd, config=ServeConfig(max_wait_ms=2.0)
-        ) as service:
+        with RecognitionService(csd=small_csd) as service:
             def worker(worker_id):
                 for i in range(worker_id, len(stays), 16):
                     results[i] = service.recognize_one(
@@ -320,8 +354,7 @@ class TestRecognitionService:
     def test_reload_invalidates_cache(self, small_csd, stays, tmp_path):
         path = tmp_path / "csd.json"
         save_csd(path, small_csd)
-        config = ServeConfig(max_wait_ms=0.0)
-        with RecognitionService(csd_path=path, config=config) as service:
+        with RecognitionService(csd_path=path) as service:
             sp = stays[0]
             expected = service.recognize_one(sp.lon, sp.lat)
             assert len(service.cache) == 1
@@ -354,9 +387,7 @@ class TestRecognitionService:
 @pytest.fixture()
 def http_server(small_csd):
     """A live daemon on an ephemeral port; yields its base URL."""
-    service = RecognitionService(
-        csd=small_csd, config=ServeConfig(max_wait_ms=1.0)
-    )
+    service = RecognitionService(csd=small_csd)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -512,6 +543,89 @@ class TestHTTPEndpoints:
         assert results == [sorted(e) for e in expected]
 
 
+def _port(base):
+    return int(base.rsplit(":", 1)[1])
+
+
+def _recognize_body(sp):
+    return json.dumps({"lon": sp.lon, "lat": sp.lat}).encode("utf-8")
+
+
+class TestHTTPTransport:
+    def test_keepalive_requests_do_not_stall(self, http_server, stays):
+        """Sequential requests on one keep-alive connection must not
+        wait out the client's delayed ACK (~40 ms each): the response
+        leaves in one send, so Nagle has nothing to hold back."""
+        base, _ = http_server
+        conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for sp in stays[:20]:
+                conn.request(
+                    "POST", "/v1/recognize", body=_recognize_body(sp),
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                assert resp.status == 200
+                json.loads(resp.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, http_server, registry, length):
+        base, _ = http_server
+        conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/recognize")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "Content-Length" in body["error"]
+        # The body's extent is unknown: the daemon drops the connection.
+        assert resp.getheader("Connection") == "close"
+        assert registry.counter("serve.errors").value == 0
+
+    def test_client_reset_is_quiet(self, http_server, registry, stays, capsys):
+        """A client that sends a request and hangs up with RST gets no
+        traceback logged and no ``serve.errors`` count, and the daemon
+        keeps answering."""
+        base, _ = http_server
+        before = set(threading.enumerate())
+        for sp in stays[:5]:
+            body = _recognize_body(sp)
+            sock = socket.create_connection(("127.0.0.1", _port(base)), timeout=10)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.sendall(
+                b"POST /v1/recognize HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                + body
+            )
+            sock.close()
+        status, doc = _post(
+            base, "/v1/recognize", {"lon": stays[5].lon, "lat": stays[5].lat}
+        )
+        assert status == 200 and "semantics" in doc
+        # Let every handler thread of the reset connections finish.
+        deadline = time.monotonic() + 10
+        while any(
+            t.is_alive() and "process_request" in t.name
+            for t in set(threading.enumerate()) - before
+        ):
+            assert time.monotonic() < deadline, "handler thread hung"
+            time.sleep(0.01)
+        assert capsys.readouterr().err == ""
+        assert registry.counter("serve.errors").value == 0
+
+
 class TestServeCLI:
     def test_parser_wires_serve_defaults(self):
         from repro.cli import build_parser
@@ -521,3 +635,5 @@ class TestServeCLI:
         assert args.max_batch == 64
         assert args.queue_limit == 1024
         assert args.query_dtype == "float64"
+        # Batching is self-clocking: there is no follower-wait knob.
+        assert not hasattr(args, "max_wait_ms")

@@ -40,7 +40,7 @@ from repro.data.city import CityModel
 from repro.data.persistence import save_csd
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
-from repro.serve import RecognitionService, ServeConfig, make_server
+from repro.serve import RecognitionService, make_server
 
 N_CLIENTS = 8
 ROUNDS_PER_CLIENT = 5
@@ -94,9 +94,7 @@ def main(argv: List[str] | None = None) -> int:
     from repro import obs
 
     obs.enable()
-    service = RecognitionService(
-        csd_path=csd_path, config=ServeConfig(max_wait_ms=1.0)
-    )
+    service = RecognitionService(csd_path=csd_path)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
