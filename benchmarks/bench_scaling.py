@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""POI scaling curve: constructor + recognition, serial vs shared-memory.
+"""POI scaling curve: constructor + recognition, serial vs forked workers.
 
 Sweeps ``n_pois`` x ``n_jobs`` at constant POI density (the city extent
 grows with ``sqrt(n_pois)``) and writes ``BENCH_scaling.json``:
@@ -7,8 +7,8 @@ grows with ``sqrt(n_pois)``) and writes ``BENCH_scaling.json``:
 * ``build_s`` — full CSD construction (popularity, vectorised
   Algorithm 1 clustering, purification, merging);
 * ``recognize`` — batched Algorithm 3 over a synthetic stay corpus,
-  serially (``n_jobs=1``) and fanned out over the ``repro.parallel``
-  shared-memory pool; every parallel result is verified equal to the
+  serially (``n_jobs=1``) and fanned out over ``repro.parallel``'s
+  per-call fork pool; every parallel result is verified equal to the
   serial one before its time is reported.
 
 The stay corpus is synthesised directly (POI positions + GPS-like
@@ -43,7 +43,7 @@ from repro.data.city import CityModel
 from repro.data.poi import POIGenerator
 from repro.data.trajectory import StayPoint
 from repro.eval.reporting import format_table, write_report_json
-from repro.parallel import recognize_parallel, shutdown_pools
+from repro.parallel import recognize_parallel
 
 #: Base workload: 12k POIs in a 6 km downtown slice (DESIGN.md §3).
 BASE_POIS = 12_000
@@ -164,7 +164,6 @@ def main(argv=None):
             f"   build {r['build_s']:.3f}s  units {r['n_units']}  "
             f"stays {r['n_stays']}  {row}"
         )
-    shutdown_pools()
 
     report = {
         "mode": "fast" if args.fast else "full",

@@ -30,17 +30,6 @@ Spec dtypes are canonical numpy dtype *names* (``"float64"``,
 ``"int64"``, ``"bool"``) — strings, so reprolint can read them straight
 from the AST, and canonical, so a platform-dependent spec like
 ``dtype="int"`` is rejected at decoration time.
-
-A second, independent switch — ``REPRO_PAR_SANITIZE=1``, read by
-:func:`par_sanitize_enabled` — arms the *parallel* runtime sanitizer in
-``repro.parallel``: worker-side attach asserts every shared-memory view
-is ``writeable=False``, exported blocks carry a checksum canary that
-workers re-verify after every chunk (a mismatch means a torn write into
-shared memory and raises :class:`CanaryViolation`), and the pool's
-submit watchdog turns a silent hang into a diagnosable
-``repro.parallel.PoolStall``.  Like ``REPRO_SANITIZE`` it is strictly
-opt-in: unset, the parallel path takes no checksum passes and no extra
-branches beyond one cached env read.
 """
 
 from __future__ import annotations
@@ -62,10 +51,8 @@ __all__ = [
     "Spec",
     "Contract",
     "ContractViolation",
-    "CanaryViolation",
     "array_contract",
     "sanitize_enabled",
-    "par_sanitize_enabled",
 ]
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -75,32 +62,9 @@ class ContractViolation(ValueError):
     """A value crossed a decorated boundary in breach of its contract."""
 
 
-class CanaryViolation(ContractViolation):
-    """A shared-memory checksum canary no longer matches its export.
-
-    Raised only under ``REPRO_PAR_SANITIZE=1``, by
-    ``repro.parallel.shm.verify_attached``.  It means some process
-    wrote into a segment that every attached view holds read-only — a
-    torn write the static pass (RPL013) could not see, e.g. through
-    ``ctypes``, a re-enabled ``writeable`` flag, or a second exporter
-    reusing a segment name.
-    """
-
-
 def sanitize_enabled() -> bool:
     """True when ``REPRO_SANITIZE`` requests runtime enforcement."""
     return os.environ.get("REPRO_SANITIZE", "").strip() not in ("", "0")
-
-
-def par_sanitize_enabled() -> bool:
-    """True when ``REPRO_PAR_SANITIZE`` arms the parallel sanitizer.
-
-    Read from the environment on every call (no module-level snapshot):
-    forked workers therefore agree with whatever the parent had at
-    submit time, and tests can flip the switch per-case via
-    ``monkeypatch.setenv``.
-    """
-    return os.environ.get("REPRO_PAR_SANITIZE", "").strip() not in ("", "0")
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,8 @@ class CitySemanticDiagram:
     def grid_index(self) -> GridIndex:
         """The CSD's POI grid index (read-only; built at construction).
 
-        Exposed so ``repro.parallel`` can export the index's CSR state
-        into shared memory without rebuilding it per worker.
+        Exposed so ``repro.serve``'s cell cache can read the index's
+        CSR state without rebuilding it.
         """
         return self._index
 

@@ -15,18 +15,16 @@ single CSR range query over the POI grid, and resolves every vote with
 the same kernel, so both paths are exactly equivalent.
 
 The voting kernel itself is split out as :func:`vote_stays`, a pure
-array function over any :class:`VoteSource` (the CSD, or the
-shared-memory :class:`repro.parallel.CSDArrayView` a worker process
-attaches).  Votes for different stay points never interact, so a chunk
-of the corpus voted in a worker is bit-identical to the same slice of
-one big serial batch — that per-stay independence is what lets
-``recognize(..., n_jobs=N)`` fan out over ``repro.parallel`` without
-any tolerance games.
+array function over the CSD.  Votes for different stay points never
+interact, so a chunk of the corpus voted in a forked worker is
+bit-identical to the same slice of one big serial batch — that
+per-stay independence is what lets ``recognize(..., n_jobs=N)`` fan out
+over ``repro.parallel`` without any tolerance games.
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,33 +38,12 @@ from repro.data.trajectory import (
 )
 from repro.geo.distance import gaussian_coefficients, gaussian_coefficients32
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
-from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
+from repro.types import Float64Array, IndexArray, MetersArray
 
 #: Below this many stays per worker the fork/dispatch overhead of the
 #: process pool outweighs the recognition work itself; ``n_jobs`` is
 #: silently reduced (possibly to serial) so no chunk falls under it.
 _MIN_STAYS_PER_JOB = 512
-
-
-class VoteSource(Protocol):
-    """What :func:`vote_stays` needs from a CSD-shaped object.
-
-    Satisfied by :class:`~repro.core.csd.CitySemanticDiagram` and by the
-    zero-copy :class:`repro.parallel.CSDArrayView` worker processes
-    build over shared memory.
-    """
-
-    poi_xy: MetersArray
-    popularity: Float64Array
-    unit_of: IndexArray
-
-    @property
-    def n_units(self) -> int: ...
-
-    # reprolint: allow-contract -- Protocol stub; the implementations
-    # (CitySemanticDiagram.range_query_many, CSDArrayView) carry the
-    # runtime contract.
-    def range_query_many(self, xy: MetersArray, radius: float) -> CSRQuery: ...
 
 
 @array_contract(
@@ -105,7 +82,7 @@ def _vote_scores_f32(
     ),
 )
 def vote_stays(
-    source: VoteSource,
+    source: CitySemanticDiagram,
     xy: MetersArray,
     r3sigma_m: float,
     use_float32: bool = False,
@@ -126,7 +103,7 @@ def vote_stays(
     the vote scores in single precision (:func:`_vote_scores_f32`);
     winners are unchanged whenever the vote margin exceeds float32
     noise (asserted on the standard workload by
-    ``tests/test_parallel.py``).
+    ``tests/test_kernel_equivalence.py``).
     """
     pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
@@ -370,10 +347,9 @@ class CSDRecognizer:
         semantics filled in (inputs are not mutated).
 
         ``n_jobs > 1`` fans the flattened stay-point corpus out over
-        the shared-memory worker pool of :mod:`repro.parallel`: the CSD
-        arrays are exported once into ``multiprocessing.shared_memory``
-        (workers map them, nothing is pickled per chunk) and each
-        worker votes one contiguous chunk.  Per-stay vote independence
+        a per-call pool of forked workers (:mod:`repro.parallel`):
+        each worker reads the CSD copy-on-write and votes one
+        contiguous chunk.  Per-stay vote independence
         makes the reassembled output bit-identical to the serial path.
         Corpora too small to give every worker ``_MIN_STAYS_PER_JOB``
         stays run with fewer workers, or serially.

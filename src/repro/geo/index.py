@@ -36,10 +36,9 @@ _CHUNK_BUDGET = 4_194_304
 class GridCSRState:
     """The complete post-construction state of a :class:`GridIndex`.
 
-    ``repro.parallel`` exports these arrays into shared memory so worker
-    processes can rebuild the index with :meth:`GridIndex.from_csr_state`
-    without re-sorting (or even copying) anything.  The arrays are the
-    index's *live* internals — treat them as read-only.
+    ``repro.serve``'s cell cache reads the cell size and grid origin
+    from it.  The arrays are the index's *live* internals — treat
+    them as read-only.
     """
 
     xy: MetersArray
@@ -106,13 +105,10 @@ class GridIndex:
         return len(self._xy)
 
     def csr_state(self) -> GridCSRState:
-        """Snapshot of the built index for zero-copy reconstruction.
+        """Snapshot of the built index's CSR layout.
 
         The returned arrays are the index's own internals (no copies);
-        callers must not mutate them.  Feed the state — e.g. after
-        round-tripping the arrays through ``multiprocessing.
-        shared_memory`` — to :meth:`from_csr_state` to rebuild an
-        identical index without paying the ``O(n log n)`` sort again.
+        callers must not mutate them.
         """
         return GridCSRState(
             xy=self._xy,
@@ -128,30 +124,6 @@ class GridIndex:
             ny=self._ny,
             n_cells=self._n_cells,
         )
-
-    @classmethod
-    def from_csr_state(cls, state: GridCSRState) -> "GridIndex":
-        """Rebuild an index from :meth:`csr_state` output, zero-copy.
-
-        The constructor's argsort and per-axis gathers are skipped
-        entirely; the provided arrays are adopted as-is (views over
-        shared-memory buffers are fine).  Queries on the rebuilt index
-        are bit-identical to the original.
-        """
-        obj = cls.__new__(cls)
-        obj._xy = np.asarray(state.xy, dtype=np.float64).reshape(-1, 2)
-        obj._cell = float(state.cell)
-        obj._order = np.asarray(state.order, dtype=np.int64)
-        obj._codes = np.asarray(state.codes, dtype=np.int64)
-        obj._xs = np.asarray(state.xs, dtype=np.float64)
-        obj._ys = np.asarray(state.ys, dtype=np.float64)
-        obj._gx_lo = int(state.gx_lo)
-        obj._gx_hi = int(state.gx_hi)
-        obj._gy_lo = int(state.gy_lo)
-        obj._gy_hi = int(state.gy_hi)
-        obj._ny = int(state.ny)
-        obj._n_cells = int(state.n_cells)
-        return obj
 
     @property
     def points(self) -> MetersArray:

@@ -5,7 +5,7 @@ stream epoch commits, the ``csd-latest.json`` alias a live ``repro
 serve`` daemon hot-reloads — and at serving scale a torn artifact is an
 outage, not a test failure.  Three durability idioms used to be
 hand-rolled at ~12 scattered call sites; this module is their single
-implementation, and reprolint pass 4 (RPL017–RPL021,
+implementation, and reprolint pass 3 (RPL017–RPL021,
 ``docs/STATIC_ANALYSIS.md``) statically forbids new call sites from
 bypassing it:
 

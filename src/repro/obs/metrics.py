@@ -312,18 +312,16 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = bool(enabled)
-        # Vetted RPL016 sites: repro.obs spawns no threads of its own,
-        # so this lock is only ever held by the thread that forked —
-        # never copied locked into a worker.  It guards short
-        # pure-Python sections for callers that *do* run threaded
-        # (e.g. a future `repro serve` request handler).
-        self._lock = threading.Lock()  # reprolint: allow-thread
+        # Guards short pure-Python sections for callers that run
+        # threaded (the `repro serve` request handlers); repro.obs
+        # spawns no threads of its own.
+        self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         #: name -> [count, total_s, min_s, max_s]
         self._timings: Dict[str, List[float]] = {}
-        self._local = threading.local()  # reprolint: allow-thread
+        self._local = threading.local()
 
     # -- lifecycle -----------------------------------------------------
 

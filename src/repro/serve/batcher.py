@@ -16,11 +16,12 @@ kernel call runs queue up and form the next batch, so batches grow
 exactly as fast as load does.
 
 Correctness leans on per-stay vote independence (the same property that
-makes chunked and parallel recognition bit-identical, see
-``core/recognition.py``): recognising N queued points as one batch and
-handing each requester its slice is bit-for-bit the same as N
-sequential ``recognize_point`` calls — asserted under concurrency by
-``tests/test_serve.py`` and the serve bench.
+lets ``recognize(..., n_jobs=N)`` vote chunks in forked workers
+bit-identically, see ``core/recognition.py``): recognising N queued
+points as one batch and handing each requester its slice is
+bit-for-bit the same as N sequential ``recognize_point`` calls —
+asserted under concurrency by ``tests/test_serve.py`` and the serve
+bench.
 
 Backpressure is explicit: a full queue rejects immediately with
 :class:`ServerOverloaded` (the HTTP layer maps it to 503) instead of
@@ -56,8 +57,6 @@ class _Pending:
     def __init__(self, stay: StayPoint) -> None:
         self.stay = stay
         self.submitted_s = monotonic_s()
-        # reprolint: allow-thread -- request/dispatcher rendezvous in
-        # the threaded serve daemon (never worker-reachable).
         self.event = threading.Event()
         self.result: Optional[SemanticProperty] = None
         self.error: Optional[BaseException] = None
@@ -102,9 +101,6 @@ class MicroBatcher:
         self._closed = False
         self.batches_dispatched = 0
         self.points_dispatched = 0
-        # reprolint: allow-thread allow-worker-callable -- the serve
-        # daemon's dispatch thread: same-process, nothing pickles, and
-        # repro.serve is never dispatched across a process boundary.
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )

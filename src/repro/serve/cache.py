@@ -58,8 +58,6 @@ class CellCache:
         self._answers: Dict[SemanticProperty, SemanticProperty] = {}
         # Guards the OrderedDict against concurrent request handlers;
         # held only for dict operations, never across recognition.
-        # reprolint: allow-thread -- serve is a threaded daemon by
-        # design and is never dispatched to a worker process.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

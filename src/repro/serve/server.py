@@ -318,9 +318,6 @@ def run_server(
     if not in_thread:
         server.serve_forever()
         return None
-    # reprolint: allow-thread allow-worker-callable -- serve daemon
-    # accept loop: a same-process thread (nothing pickles), never
-    # dispatched to a worker process.
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve-http", daemon=True
     )

@@ -72,8 +72,6 @@ class RecognitionService:
         # Guards the csd/recognizer swap on reload; request handlers
         # read both through one attribute load so in-flight batches
         # stay internally consistent.
-        # reprolint: allow-thread -- serve-side reload latch; repro.serve
-        # never crosses a process boundary.
         self._reload_lock = threading.Lock()
         self.csd = csd if csd is not None else load_csd(self.csd_path)  # type: ignore[arg-type]
         #: SHA-256 of the artifact bytes behind the loaded diagram;

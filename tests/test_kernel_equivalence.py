@@ -16,7 +16,7 @@ from repro.core.config import CSDConfig
 from repro.core.constructor import build_csd
 from repro.core.csd import UNASSIGNED
 from repro.core.popularity import compute_popularity
-from repro.core.recognition import CSDRecognizer
+from repro.core.recognition import CSDRecognizer, vote_stays
 from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
 from repro.geo.distance import gaussian_coefficients
@@ -216,3 +216,33 @@ class TestRecognitionEquivalence:
         recognizer = CSDRecognizer(random_csd, 100.0)
         with pytest.raises(ValueError):
             recognizer.recognize([], n_jobs=0)
+
+
+class TestFloat32Voting:
+    def test_float32_identical_unit_assignments(
+        self, small_csd, small_csd_config, flat_stays
+    ):
+        """The standard workload's vote margins dwarf float32 noise, so
+        the fast path must pick the same winning unit for every stay."""
+        recognizer = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
+        xy = recognizer.project_stays(flat_stays)
+        w64, _, _ = vote_stays(small_csd, xy, recognizer.r3sigma_m)
+        w32, _, _ = vote_stays(
+            small_csd, xy, recognizer.r3sigma_m, use_float32=True
+        )
+        np.testing.assert_array_equal(w32, w64)
+
+    def test_float32_recognizer_matches_float64(
+        self, small_csd, small_csd_config, flat_stays
+    ):
+        base = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
+        fast = CSDRecognizer(
+            small_csd, small_csd_config.r3sigma_m, query_dtype="float32"
+        )
+        assert fast.recognize_points(flat_stays) == base.recognize_points(
+            flat_stays
+        )
+
+    def test_rejects_unknown_query_dtype(self, small_csd):
+        with pytest.raises(ValueError, match="query_dtype"):
+            CSDRecognizer(small_csd, 100.0, query_dtype="float16")

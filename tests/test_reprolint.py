@@ -542,8 +542,8 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
                      "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",
-                     "RPL011", "RPL012", "RPL013", "RPL014", "RPL015",
-                     "RPL016"):
+                     "RPL011", "RPL017", "RPL018", "RPL019", "RPL020",
+                     "RPL021"):
             assert rule in out
 
     def test_module_invocation_from_repo_root(self):

@@ -1,4 +1,4 @@
-"""Unit tests for reprolint pass 4 (artifact durability, RPL017–021)
+"""Unit tests for reprolint pass 3 (artifact durability, RPL017–021)
 and the SARIF emitter.
 
 Same conventions as ``test_reprolint.py``: each rule gets a bad fixture
@@ -354,7 +354,7 @@ class TestRPL021ExceptSwallow:
 
 class TestPassMechanics:
     def test_syntax_error_returns_no_findings(self):
-        """Pass 1 owns RPL000; pass 4 must not crash on bad syntax."""
+        """Pass 1 owns RPL000; pass 3 must not crash on bad syntax."""
         assert check_durability_source("def f(:\n", path=DATA) == []
 
     def test_select_excluding_durability_short_circuits(self):
@@ -369,33 +369,30 @@ class TestPassMechanics:
         assert rules_of(found) == ["RPL017"]
 
     def test_repo_is_clean(self):
-        """The gate the CI job enforces: pass 4 over the real tree."""
+        """The gate the CI job enforces: pass 3 over the real tree."""
         findings = check_durability_paths([str(REPO_ROOT / "src")])
         assert findings == [], [str(f) for f in findings]
 
-    def test_cli_runs_all_four_passes_clean(self, capsys):
+    def test_cli_runs_all_three_passes_clean(self, capsys):
         root = str(REPO_ROOT / "src")
         assert reprolint_main([root, "--fail-on", "error"]) == 0
 
-    def test_cli_no_durability_skips_pass_4(self, tmp_path):
+    def test_cli_no_durability_skips_pass_3(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "data" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("def f(p):\n    open(p, 'w')\n", encoding="utf-8")
+        assert reprolint_main([str(tmp_path), "--no-crossmod"]) == 1
         assert reprolint_main([str(tmp_path), "--no-crossmod",
-                               "--no-concurrency"]) == 1
-        assert reprolint_main([str(tmp_path), "--no-crossmod",
-                               "--no-concurrency", "--no-durability"]) == 0
+                               "--no-durability"]) == 0
 
 
 class TestSarifOutput:
     def _findings(self):
-        """One finding from each of the four passes' rule families."""
+        """One finding from each of the three passes' rule families."""
         return [
             Finding("src/repro/core/a.py", 3, 5, "RPL002",
                     "loop in hot kernel"),
             Finding("src/repro/obs/b.py", 10, 1, "RPL008", "bad metric"),
-            Finding("src/repro/parallel/c.py", 7, 2, "RPL012",
-                    "lambda dispatched"),
             Finding("src/repro/data/d.py", 1, 9, "RPL017", "raw open"),
         ]
 
@@ -419,11 +416,11 @@ class TestSarifOutput:
                 "error", "warning",
             )
 
-    def test_results_from_all_four_passes(self):
+    def test_results_from_all_three_passes(self):
         doc = to_sarif(self._findings())
         results = doc["runs"][0]["results"]
         assert [r["ruleId"] for r in results] == [
-            "RPL002", "RPL008", "RPL012", "RPL017",
+            "RPL002", "RPL008", "RPL017",
         ]
         rules = doc["runs"][0]["tool"]["driver"]["rules"]
         for result in results:
@@ -456,8 +453,7 @@ class TestSarifOutput:
         bad.parent.mkdir(parents=True)
         bad.write_text("def f(p):\n    open(p, 'w')\n", encoding="utf-8")
         rc = reprolint_main(
-            [str(tmp_path), "--format", "sarif", "--no-crossmod",
-             "--no-concurrency"]
+            [str(tmp_path), "--format", "sarif", "--no-crossmod"]
         )
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)

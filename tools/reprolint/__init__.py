@@ -2,13 +2,11 @@
 
 A deliberately small, stdlib-only (``ast``) linter that machine-checks
 the invariants the CSR kernel rewrite (PR 1) rests on and that generic
-linters cannot know about.  It runs in four passes: pass 1 checks
+linters cannot know about.  It runs in three passes: pass 1 checks
 each file in isolation, pass 2 (:mod:`tools.reprolint.crossmod`)
 builds a repo-wide symbol table over ``src/repro`` and checks
-contracts between modules, pass 3
-(:mod:`tools.reprolint.concurrency`) builds a worker-reachability call
-graph over that symbol table and checks fork/pickle/shared-memory
-safety, and pass 4 (:mod:`tools.reprolint.durability`) checks the
+contracts between modules, and pass 3
+(:mod:`tools.reprolint.durability`) checks the
 artifact-durability contract — every artifact write in ``src/repro``
 routes through the atomic I/O layer :mod:`repro.ioutil`.
 
@@ -54,32 +52,10 @@ RPL009    Public array-typed functions in the contract-bearing modules
 RPL010    ``docs/OBSERVABILITY.md`` and ``repro.obs.names`` list the
           same names — the metric catalogue cannot silently rot.
 RPL011    Worker pools are constructed only in ``repro.parallel`` —
-          the sanctioned shared-memory fan-out layer.
+          the sanctioned fan-out layer.
 ========  ==============================================================
 
-Pass 3 (concurrency safety, over the worker-reachability call graph
-rooted at every callable dispatched across a process boundary):
-
-========  ==============================================================
-RPL012    Worker-dispatched callables are importable module-level
-          functions — no lambdas, closures, or bound methods
-          (fork+pickle hazard).
-RPL013    No writes to arrays derived from ``attach_pack`` /
-          ``attach_csd`` in worker-reachable code — attached
-          shared-memory views are read-only by contract.
-RPL014    ``shared_memory.SharedMemory`` construction and
-          ``resource_tracker`` bookkeeping confined to
-          ``repro/parallel/shm.py``; every ``create=True`` site there
-          is structurally paired with an unlink path.
-RPL015    No module-level mutable state mutated from worker-reachable
-          code — ``fork`` snapshots globals, so parent and worker
-          silently diverge (``shm.py``'s per-process attach cache is
-          the sanctioned exception).
-RPL016    No ``threading`` primitives or ``ThreadPoolExecutor`` in
-          worker-reachable modules (threads + fork deadlock hazard).
-========  ==============================================================
-
-Pass 4 (artifact durability, per file in ``src/repro``):
+Pass 3 (artifact durability, per file in ``src/repro``):
 
 ========  ==============================================================
 RPL017    No raw ``open(..., "w"/"wb")`` or ``Path.write_text``/
@@ -111,9 +87,8 @@ block directly above it — for decorated functions, above the first
 decorator (``allow-lonlat``, ``allow-loop``, ``allow-unordered``,
 ``allow-legacy-random``, ``allow-mutable-default``,
 ``allow-direct-timing``, ``allow-dtype``, ``allow-metric-name``,
-``allow-contract``, ``allow-pool``, ``allow-worker-callable``,
-``allow-attached-write``, ``allow-shm``, ``allow-worker-global``,
-``allow-thread``, ``allow-raw-open``, ``allow-open-encoding``,
+``allow-contract``, ``allow-pool``, ``allow-raw-open``,
+``allow-open-encoding``,
 ``allow-lax-json``, ``allow-replace``, ``allow-swallow``).  RPL010
 anchors in the markdown doc, which has no pragma channel — fix the
 drift instead.
@@ -122,7 +97,6 @@ Run ``python -m tools.reprolint src/`` from the repository root; see
 ``docs/STATIC_ANALYSIS.md`` for the full rationale of each rule.
 """
 
-from tools.reprolint.concurrency import check_concurrency
 from tools.reprolint.durability import (
     DURABILITY_RULES,
     check_durability_file,
@@ -160,7 +134,6 @@ __all__ = [
     "SARIF_TOOL_VERSION",
     "SARIF_VERSION",
     "build_project",
-    "check_concurrency",
     "check_durability_file",
     "check_durability_paths",
     "check_durability_source",

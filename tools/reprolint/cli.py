@@ -1,12 +1,10 @@
 """Command-line entry point: ``python -m tools.reprolint [paths...]``.
 
-Runs all four analysis passes: pass 1 lints each file in isolation,
+Runs all three analysis passes: pass 1 lints each file in isolation,
 pass 2 builds a repo-wide symbol table over the ``repro`` package files
 in the lint set and checks cross-module contracts (RPL008–RPL010,
 including the ``docs/OBSERVABILITY.md`` drift gate when the doc is
-present), pass 3 builds a worker-reachability call graph over the
-same symbol table and checks the concurrency-safety rules
-(RPL012–RPL016), and pass 4 checks the artifact-durability rules
+present), and pass 3 checks the artifact-durability rules
 (RPL017–RPL021) per file.
 
 Exit status (documented in ``docs/STATIC_ANALYSIS.md``):
@@ -41,7 +39,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from tools.reprolint.concurrency import check_concurrency
 from tools.reprolint.crossmod import check_project, load_project
 from tools.reprolint.durability import check_durability_paths
 from tools.reprolint.rules import ALL_RULES, RULE_SEVERITY, check_paths
@@ -94,14 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip pass 2 (cross-module rules RPL008-RPL010)",
     )
     parser.add_argument(
-        "--no-concurrency",
-        action="store_true",
-        help="skip pass 3 (concurrency-safety rules RPL012-RPL016)",
-    )
-    parser.add_argument(
         "--no-durability",
         action="store_true",
-        help="skip pass 4 (artifact-durability rules RPL017-RPL021)",
+        help="skip pass 3 (artifact-durability rules RPL017-RPL021)",
     )
     parser.add_argument(
         "--obs-docs",
@@ -133,10 +125,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
     findings = check_paths(args.paths, select=select)
-    project = None
-    if not args.no_crossmod or not args.no_concurrency:
-        project = load_project(args.paths)
-    if not args.no_crossmod and project is not None and project.modules:
+    project = None if args.no_crossmod else load_project(args.paths)
+    if project is not None and project.modules:
         obs_doc = None
         doc_path = args.obs_docs
         if doc_path is None and Path("docs/OBSERVABILITY.md").is_file():
@@ -148,8 +138,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"cannot read --obs-docs {doc_path}: {exc}", file=sys.stderr)
                 return 2
         findings.extend(check_project(project, select=select, obs_doc=obs_doc))
-    if not args.no_concurrency and project is not None and project.modules:
-        findings.extend(check_concurrency(project, select=select))
     if not args.no_durability:
         findings.extend(check_durability_paths(args.paths, select=select))
     threshold = _SEVERITY_RANK[args.fail_on]

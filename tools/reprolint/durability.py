@@ -1,4 +1,4 @@
-"""Pass 4: artifact-durability rules (RPL017–RPL021).
+"""Pass 3: artifact-durability rules (RPL017–RPL021).
 
 The repo persists artifacts other processes depend on — runner
 manifests, stream epoch commits, the ``csd-latest.json`` alias a live
@@ -384,7 +384,7 @@ def check_durability_source(
     path: str = "<string>",
     select: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Run pass 4 over one source string; ``path`` drives scoping."""
+    """Run pass 3 over one source string; ``path`` drives scoping."""
     chosen = frozenset(select) if select is not None else None
     if chosen is not None and not (chosen & DURABILITY_RULES):
         return []
@@ -409,7 +409,7 @@ def check_durability_source(
 def check_durability_file(
     path: str, select: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Run pass 4 over one file from disk."""
+    """Run pass 3 over one file from disk."""
     text = Path(path).read_text(encoding="utf-8")
     return check_durability_source(text, path=str(path), select=select)
 
@@ -417,7 +417,7 @@ def check_durability_file(
 def check_durability_paths(
     paths: Sequence[str], select: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Run pass 4 over every ``.py`` file under ``paths``."""
+    """Run pass 3 over every ``.py`` file under ``paths``."""
     findings: List[Finding] = []
     chosen = frozenset(select) if select is not None else None
     for path in iter_python_files(paths):

@@ -71,38 +71,8 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "RPL011": (
         "allow-pool",
         "worker-pool construction in src/repro outside repro.parallel "
-        "(fan out through repro.parallel so shared-memory lifecycle "
-        "and pool reuse stay centralised)",
-    ),
-    "RPL012": (
-        "allow-worker-callable",
-        "worker-dispatched callable is not an importable module-level "
-        "function (lambdas/closures/bound methods are fork+pickle "
-        "hazards; concurrency pass)",
-    ),
-    "RPL013": (
-        "allow-attached-write",
-        "write to an attach_pack/attach_csd shared-memory view in "
-        "worker-reachable code (attached views are read-only by "
-        "contract; concurrency pass)",
-    ),
-    "RPL014": (
-        "allow-shm",
-        "shared_memory segment construction or resource-tracker "
-        "bookkeeping outside repro/parallel/shm.py, or a create=True "
-        "site with no structural unlink pairing (concurrency pass)",
-    ),
-    "RPL015": (
-        "allow-worker-global",
-        "module-level mutable state mutated from worker-reachable "
-        "code (fork snapshots globals — parent and worker silently "
-        "diverge; concurrency pass)",
-    ),
-    "RPL016": (
-        "allow-thread",
-        "threading primitive or ThreadPoolExecutor in a "
-        "worker-reachable module (threads + fork deadlock hazard; "
-        "concurrency pass)",
+        "(fan out through repro.parallel so worker start-up, crash "
+        "handling and reaping stay centralised)",
     ),
     "RPL017": (
         "allow-raw-open",
@@ -603,9 +573,9 @@ class _Checker(ast.NodeVisitor):
                 node,
                 "RPL011",
                 f"{name}() in src/repro outside repro.parallel; use "
-                "repro.parallel (shared-memory handles, persistent "
-                "pools, guaranteed segment cleanup) instead of an "
-                "ad-hoc worker pool",
+                "repro.parallel (fork start-up, WorkerCrash/PoolStall "
+                "handling, every worker reaped) instead of an ad-hoc "
+                "worker pool",
             )
         self.generic_visit(node)
 

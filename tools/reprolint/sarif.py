@@ -29,8 +29,8 @@ SARIF_SCHEMA_URI = (
 )
 
 #: Version reported in ``tool.driver.version``.  Major = JSON envelope
-#: schema generation, minor = analysis passes available.
-SARIF_TOOL_VERSION = "2.4.0"
+#: schema generation, minor = bumped on every rule-catalogue change.
+SARIF_TOOL_VERSION = "2.5.0"
 
 #: reprolint severity -> SARIF result level.  Both reprolint tiers map
 #: onto SARIF's standard ladder (``error`` > ``warning`` > ``note``).
