@@ -42,7 +42,7 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
     (serialise in memory → ``*.tmp`` sibling → :func:`os.replace`), so
     a crash at any point leaves either the previous artifact or the new
     one — never a truncated ``csd.json``.  That matters beyond the
-    runner (whose :class:`~repro.runner.fs.FileSystem` wraps
+    runner (whose :func:`~repro.runner.fs.write_checkpoint` wraps
     checkpoints in its own tmp+replace): ``repro serve`` loads whatever
     path it is handed, including artifacts written by a bare
     ``save_csd`` call from ``repro build-csd --save``.

@@ -24,13 +24,14 @@ bypassing it:
   of the damage instead of a bare ``json.JSONDecodeError``, so an
   operator staring at a crashed resume knows which file to recover.
 
-Fault injection composes with the :mod:`repro.runner.fs` machinery:
-every atomic write announces the :data:`IO_FAULT_POINTS` to an
-installable hook (:func:`fault_hook`), so a test — or the exhaustive
-``tools/crash_sweep.py`` harness — can kill the process at *every*
-write boundary in turn and prove crash/resume holds at each one.
-Wiring the hook to ``FlakyFileSystem.fault`` reuses the existing
-``crash_points`` vocabulary unchanged.
+Fault injection has exactly one mechanism: every atomic write
+announces the :data:`IO_FAULT_POINTS` to an installable hook
+(:func:`fault_hook`).  A hook that raises
+:class:`repro.runner.fs.SimulatedCrash` kills the process at that
+write boundary, so a test — or the exhaustive ``tools/crash_sweep.py``
+harness — can crash at *every* boundary in turn and prove
+crash/resume holds at each one; a hook that raises ``OSError`` is a
+transient failure the runners' checkpoint write retries.
 
 Setting ``REPRO_IO_SANITIZE=1`` additionally verifies, after every
 atomic write, that the target landed, is non-empty, and left no tmp
@@ -203,17 +204,24 @@ def atomic_write(
     return target
 
 
-def atomic_write_bytes(
-    path: PathLike, data: bytes, *, fsync: bool = False
-) -> None:
-    """Atomic whole-file byte write (see :func:`atomic_write`)."""
+def bytes_writer(data: bytes) -> Callable[[Path], None]:
+    """An :func:`atomic_write` ``writer`` that stages ``data`` verbatim
+    (for callers that wrap :func:`atomic_write` themselves, such as the
+    runners' retrying checkpoint write)."""
 
     def _write(tmp: Path) -> None:
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
 
-    atomic_write(path, _write, fsync=fsync)
+    return _write
+
+
+def atomic_write_bytes(
+    path: PathLike, data: bytes, *, fsync: bool = False
+) -> None:
+    """Atomic whole-file byte write (see :func:`atomic_write`)."""
+    atomic_write(path, bytes_writer(data), fsync=fsync)
 
 
 def atomic_write_text(

@@ -4,8 +4,9 @@ The robustness layer over the Pervasive Miner stages: streaming
 validated ingestion with record quarantine (``repro.data.io.iter_*`` +
 :class:`Quarantine`), stage checkpointing with a strict-JSON manifest,
 crash/resume with bit-identical results, bounded-memory chunked
-recognition, and retry-with-backoff checkpoint I/O with an injectable
-flaky-filesystem fault hook.  See ``docs/RUNNER.md``.
+recognition, and retry-with-backoff checkpoint writes.  Faults are
+injected through :func:`repro.ioutil.fault_hook`.  See
+``docs/RUNNER.md``.
 
 >>> from repro.runner import PipelineRunner                # doctest: +SKIP
 >>> runner = PipelineRunner("runs/april", resume=True)     # doctest: +SKIP
@@ -13,10 +14,9 @@ flaky-filesystem fault hook.  See ``docs/RUNNER.md``.
 """
 
 from repro.runner.fs import (
-    FileSystem,
-    FlakyFileSystem,
     SimulatedCrash,
     retry_with_backoff,
+    write_checkpoint,
 )
 from repro.runner.manifest import (
     Manifest,
@@ -29,13 +29,11 @@ from repro.runner.manifest import (
 from repro.runner.quarantine import Quarantine
 from repro.runner.runner import (
     CSD_ARTIFACT,
-    FAULT_POINTS,
     MANIFEST_NAME,
     RECOGNIZED_ARTIFACT,
     PipelineRunner,
 )
 from repro.runner.stream import (
-    STREAM_FAULT_POINTS,
     STREAM_MANIFEST_NAME,
     StreamManifest,
     StreamRunner,
@@ -46,16 +44,12 @@ from repro.runner.stream import (
 
 __all__ = [
     "CSD_ARTIFACT",
-    "FAULT_POINTS",
-    "STREAM_FAULT_POINTS",
     "STREAM_MANIFEST_NAME",
     "StreamManifest",
     "StreamRunner",
     "StreamRunReport",
     "parse_stream_manifest",
     "stream_config_hash",
-    "FileSystem",
-    "FlakyFileSystem",
     "MANIFEST_NAME",
     "Manifest",
     "PipelineRunner",
@@ -68,4 +62,5 @@ __all__ = [
     "input_digest",
     "parse_manifest",
     "retry_with_backoff",
+    "write_checkpoint",
 ]

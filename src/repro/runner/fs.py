@@ -1,7 +1,7 @@
-"""Checkpoint filesystem abstraction, retries, and fault injection.
+"""Checkpoint writes, retries, and the crash signal for fault injection.
 
-The runner never touches the filesystem directly: every checkpoint
-mutation flows through a :class:`FileSystem` so that
+Both checkpointed drivers write every artifact through
+:func:`write_checkpoint`, so
 
 - **atomicity** is uniform — artifacts are written to a ``*.tmp``
   sibling and :func:`os.replace`-d into place (via
@@ -10,20 +10,20 @@ mutation flows through a :class:`FileSystem` so that
   resume would trust;
 - **transient failures** (NFS hiccups, antivirus locks) are retried
   with exponential backoff in exactly one place
-  (:func:`retry_with_backoff`);
-- **tests can inject faults**: :class:`FlakyFileSystem` wraps any
-  filesystem and (a) fails the first N mutating operations with
-  ``OSError`` to exercise the retry path, and (b) raises
-  :class:`SimulatedCrash` at named fault points to kill a run at a
-  precise pipeline location so crash/resume is actually tested
-  (``docs/RUNNER.md``).
+  (:func:`retry_with_backoff`).
+
+Faults are injected through :mod:`repro.ioutil`'s write hook
+(:func:`repro.ioutil.fault_hook`), the one fault-injection mechanism:
+a hook that raises :class:`SimulatedCrash` kills the run at that write
+boundary, and a hook that raises ``OSError`` is a transient failure
+the retry absorbs (``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Set, TypeVar
+from typing import Callable, TypeVar
 
 from repro import ioutil
 from repro.obs import get_registry
@@ -37,121 +37,6 @@ class SimulatedCrash(RuntimeError):
     Deliberately **not** an ``OSError``: the retry machinery must let
     it propagate (a killed process does not get retried).
     """
-
-
-class FileSystem:
-    """Real local-disk checkpoint I/O (the default)."""
-
-    def write_artifact(
-        self, path: Path, writer: Callable[[Path], None]
-    ) -> None:
-        """Atomically produce ``path`` via ``writer(tmp_path)``.
-
-        ``writer`` receives a temporary sibling path; only after it
-        returns is the file renamed into place, so readers never see a
-        partial artifact.  Delegates to :func:`repro.ioutil.atomic_write`,
-        which also unlinks the tmp sibling on any failure and announces
-        the per-write fault points (``tools/crash_sweep.py``).
-        """
-        ioutil.atomic_write(path, writer)
-
-    def write_text(self, path: Path, text: str) -> None:
-        """Atomic UTF-8 text write (used for the manifest)."""
-        ioutil.atomic_write_text(path, text)
-
-    def read_text(self, path: Path) -> str:
-        return path.read_text(encoding="utf-8")
-
-    def exists(self, path: Path) -> bool:
-        return path.exists()
-
-    def mkdir(self, path: Path) -> None:
-        path.mkdir(parents=True, exist_ok=True)
-
-    def remove(self, path: Path) -> None:
-        """Best-effort delete (retired artifacts); missing files are
-        fine — a crash may have interrupted an earlier cleanup."""
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass
-
-    def fault(self, point: str) -> None:
-        """Fault-injection hook; a no-op on the real filesystem.
-
-        The runner calls this at named pipeline points (e.g.
-        ``after-constructor-checkpoint``); :class:`FlakyFileSystem`
-        overrides it to simulate crashes there.
-        """
-
-
-class FlakyFileSystem(FileSystem):
-    """Fault-injecting wrapper around another :class:`FileSystem`.
-
-    Parameters
-    ----------
-    inner:
-        The filesystem that performs the real I/O.
-    fail_writes:
-        Number of *mutating* operations (artifact or text writes) that
-        raise ``OSError`` before succeeding — exercises the runner's
-        retry-with-backoff path.  Each failed attempt consumes one.
-    crash_points:
-        Fault-point names at which :meth:`fault` raises
-        :class:`SimulatedCrash` — emulates the process being killed at
-        that exact pipeline location.  The crash fires every time the
-        point is hit, so a resumed run must pass a clean filesystem (or
-        a wrapper without that point), exactly like restarting a dead
-        job.
-    """
-
-    def __init__(
-        self,
-        inner: Optional[FileSystem] = None,
-        fail_writes: int = 0,
-        crash_points: Iterable[str] = (),
-    ) -> None:
-        self.inner = inner or FileSystem()
-        self.fail_writes = int(fail_writes)
-        self.crash_points: Set[str] = set(crash_points)
-        self.write_attempts = 0
-        self.faults_hit: list[str] = []
-
-    def _maybe_fail(self, path: Path) -> None:
-        self.write_attempts += 1
-        if self.fail_writes > 0:
-            self.fail_writes -= 1
-            raise OSError(
-                f"injected transient failure writing {path.name} "
-                f"({self.fail_writes} more to come)"
-            )
-
-    def write_artifact(
-        self, path: Path, writer: Callable[[Path], None]
-    ) -> None:
-        self._maybe_fail(path)
-        self.inner.write_artifact(path, writer)
-
-    def write_text(self, path: Path, text: str) -> None:
-        self._maybe_fail(path)
-        self.inner.write_text(path, text)
-
-    def read_text(self, path: Path) -> str:
-        return self.inner.read_text(path)
-
-    def exists(self, path: Path) -> bool:
-        return self.inner.exists(path)
-
-    def mkdir(self, path: Path) -> None:
-        self.inner.mkdir(path)
-
-    def remove(self, path: Path) -> None:
-        self.inner.remove(path)
-
-    def fault(self, point: str) -> None:
-        self.faults_hit.append(point)
-        if point in self.crash_points:
-            raise SimulatedCrash(f"injected crash at fault point {point!r}")
 
 
 def retry_with_backoff(
@@ -182,3 +67,16 @@ def retry_with_backoff(
             get_registry().counter("pipeline.runner.checkpoint.retries").inc()
             sleep(backoff_s * (2.0 ** attempt))
             attempt += 1
+
+
+def write_checkpoint(path: Path, writer: Callable[[Path], None]) -> Path:
+    """Atomically produce ``path`` via ``writer(tmp_path)``; returns it.
+
+    The one checkpoint write of both runners: :func:`ioutil.atomic_write`
+    (which announces the per-write fault points and unlinks the tmp
+    sibling on any failure) under :func:`retry_with_backoff`, timed as
+    ``pipeline.runner.checkpoint``.
+    """
+    with get_registry().timer("pipeline.runner.checkpoint"):
+        retry_with_backoff(lambda: ioutil.atomic_write(path, writer))
+    return path

@@ -18,13 +18,16 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from types import TracebackType
-from typing import IO, Any, Optional, Type, Union
+from typing import IO, Any, Optional, Set, Tuple, Type, Union
 
 from repro.data.io import BadRowSink, QuarantinedRow
 
 PathLike = Union[str, Path]
 
 QUARANTINE_FIELDS = ["source", "row_number", "reason", "raw"]
+
+#: What identifies a quarantined row: ``(source, row_number, raw)``.
+RowKey = Tuple[str, str, str]
 
 
 class Quarantine:
@@ -42,7 +45,12 @@ class Quarantine:
       failure mode ``__exit__`` cannot catch — loses no recorded rows;
     * reopening after :meth:`close` appends instead of truncating.  The
       old ``"w"``-mode reopen silently destroyed every previously
-      quarantined row the first time a sink was used again.
+      quarantined row the first time a sink was used again;
+    * a row the file already holds is not written again, so a resumed
+      run that re-reads input rows (the batch CLI re-ingests
+      everything; a stream replays its uncommitted epoch) records each
+      bad row exactly once.  :attr:`count` still counts every row
+      reported to this object.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -51,6 +59,7 @@ class Quarantine:
         self._file: Optional[IO[str]] = None
         self._writer: Optional[Any] = None  # csv writer object
         self._header_written = False
+        self._held: Set[RowKey] = set()
 
     def sink(self, source: str) -> BadRowSink:
         """A :data:`BadRowSink` recording rows under ``source``."""
@@ -63,6 +72,12 @@ class Quarantine:
     def add(self, source: str, row: QuarantinedRow) -> None:
         if self._writer is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                with open(self.path, newline="", encoding="utf-8") as f:
+                    self._held.update(
+                        (r["source"], r["row_number"], r["raw"])
+                        for r in csv.DictReader(f)
+                    )
             # "a" keeps rows from a previous open of this same
             # quarantine; the header is only emitted once per file.
             self._file = open(
@@ -72,11 +87,15 @@ class Quarantine:
             if not self._header_written and self._file.tell() == 0:
                 self._writer.writerow(QUARANTINE_FIELDS)
             self._header_written = True
+        self.count += 1
+        key = (source, str(row.row_number), row.raw)
+        if key in self._held:
+            return
+        self._held.add(key)
         self._writer.writerow(
             [source, row.row_number, row.reason, row.raw]
         )
         self._file.flush()  # type: ignore[union-attr]
-        self.count += 1
 
     def flush(self) -> None:
         """Push any buffered rows to the OS (no-op when never opened)."""

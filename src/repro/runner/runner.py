@@ -22,18 +22,17 @@ after every stage.
 
 Recognition runs in configurable chunks through the batched
 ``recognize_points`` kernel, so peak memory is bounded by
-``chunk_size`` rather than the corpus size.  Checkpoint I/O goes
-through an injectable :class:`~repro.runner.fs.FileSystem` with
-retry-with-backoff on transient ``OSError``; tests inject
-:class:`~repro.runner.fs.FlakyFileSystem` to exercise both the retry
-and the crash/resume paths (``docs/RUNNER.md``).
+``chunk_size`` rather than the corpus size.  Every checkpoint write
+goes through :func:`~repro.runner.fs.write_checkpoint`, which retries
+transient ``OSError`` with backoff; tests install a
+:func:`repro.ioutil.fault_hook` to exercise both the retry and the
+crash/resume paths (``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.contracts import ArraySpec, array_contract
 from repro.core.config import CSDConfig, MiningConfig
@@ -51,8 +50,9 @@ from repro.data.trajectory import (
     StayPoint,
     validate_database,
 )
+from repro.ioutil import bytes_writer
 from repro.obs import get_registry
-from repro.runner.fs import FileSystem, retry_with_backoff
+from repro.runner.fs import write_checkpoint
 from repro.runner.manifest import (
     Manifest,
     config_hash,
@@ -66,17 +66,6 @@ PathLike = Union[str, Path]
 MANIFEST_NAME = "manifest.json"
 CSD_ARTIFACT = "csd.json"
 RECOGNIZED_ARTIFACT = "recognized.csv"
-
-#: Fault points the runner announces to the filesystem's
-#: :meth:`~repro.runner.fs.FileSystem.fault` hook, in execution order.
-FAULT_POINTS = (
-    "before-constructor",
-    "after-constructor-checkpoint",
-    "before-recognition",
-    "after-recognition-checkpoint",
-    "before-extraction",
-    "after-extraction",
-)
 
 
 class PipelineRunner:
@@ -99,12 +88,6 @@ class PipelineRunner:
     chunk_size:
         Stay points per recognition batch; bounds peak memory on large
         corpora.
-    fs:
-        Checkpoint I/O backend; tests inject
-        :class:`~repro.runner.fs.FlakyFileSystem`.
-    max_retries, backoff_s, sleep:
-        Transient-``OSError`` retry policy for checkpoint writes (see
-        :func:`~repro.runner.fs.retry_with_backoff`).
     """
 
     def __init__(
@@ -115,10 +98,6 @@ class PipelineRunner:
         *,
         resume: bool = False,
         chunk_size: int = 8192,
-        fs: Optional[FileSystem] = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -127,35 +106,14 @@ class PipelineRunner:
         self.mining_config = mining_config or MiningConfig()
         self.resume = bool(resume)
         self.chunk_size = int(chunk_size)
-        self.fs = fs or FileSystem()
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self._sleep = sleep
         self._miner = PervasiveMiner(self.csd_config, self.mining_config)
 
     # -- checkpoint plumbing -------------------------------------------
 
-    def _checkpoint(self, name: str, writer: Callable[[Path], None]) -> str:
-        """Atomically write artifact ``name``; returns its SHA-256."""
-        path = self.run_dir / name
-        reg = get_registry()
-        with reg.timer("pipeline.runner.checkpoint"):
-            retry_with_backoff(
-                lambda: self.fs.write_artifact(path, writer),
-                max_retries=self.max_retries,
-                backoff_s=self.backoff_s,
-                sleep=self._sleep,
-            )
-        return file_sha256(path)
-
     def _save_manifest(self, manifest: Manifest) -> None:
-        retry_with_backoff(
-            lambda: self.fs.write_text(
-                self.run_dir / MANIFEST_NAME, manifest.to_json() + "\n"
-            ),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
+        write_checkpoint(
+            self.run_dir / MANIFEST_NAME,
+            bytes_writer((manifest.to_json() + "\n").encode("utf-8")),
         )
 
     def _load_manifest(
@@ -168,11 +126,11 @@ class PipelineRunner:
         corrupt results.
         """
         path = self.run_dir / MANIFEST_NAME
-        if not self.fs.exists(path):
+        if not self.resume or not path.exists():
             return None
-        if not self.resume:
-            return None
-        manifest = parse_manifest(self.fs.read_text(path), source=str(path))
+        manifest = parse_manifest(
+            path.read_text(encoding="utf-8"), source=str(path)
+        )
         if not manifest.matches(cfg_hash, in_digest):
             raise ValueError(
                 f"run directory {self.run_dir} holds checkpoints for a "
@@ -192,7 +150,7 @@ class PipelineRunner:
         if record.status != "complete" or record.artifact is None:
             return False
         path = self.run_dir / record.artifact
-        if not self.fs.exists(path):
+        if not path.exists():
             return False
         if record.artifact_sha256 != file_sha256(path):
             return False
@@ -272,7 +230,7 @@ class PipelineRunner:
                 "corpus order on resume"
             )
         with reg.span("pipeline.runner"):
-            self.fs.mkdir(self.run_dir)
+            self.run_dir.mkdir(parents=True, exist_ok=True)
             cfg_hash = config_hash(
                 self.csd_config, self.mining_config, self.chunk_size
             )
@@ -287,7 +245,6 @@ class PipelineRunner:
                 self._save_manifest(manifest)
 
             # Stage 1: constructor -> csd.json
-            self.fs.fault("before-constructor")
             if self._stage_checkpoint_valid(manifest, "constructor"):
                 csd = load_csd(self.run_dir / CSD_ARTIFACT)
                 reg.counter("pipeline.runner.stages.skipped").inc()
@@ -297,16 +254,17 @@ class PipelineRunner:
                         sp for st in trajectories for sp in st.stay_points
                     ]
                     csd = self._miner.build_diagram(pois, stay_points)
-                sha = self._checkpoint(
-                    CSD_ARTIFACT, lambda tmp: save_csd(tmp, csd)
+                sha = file_sha256(
+                    write_checkpoint(
+                        self.run_dir / CSD_ARTIFACT,
+                        lambda tmp: save_csd(tmp, csd),
+                    )
                 )
                 manifest.mark_complete("constructor", CSD_ARTIFACT, sha)
                 self._save_manifest(manifest)
                 reg.counter("pipeline.runner.stages.run").inc()
-            self.fs.fault("after-constructor-checkpoint")
 
             # Stage 2: chunked recognition -> recognized.csv
-            self.fs.fault("before-recognition")
             if self._stage_checkpoint_valid(manifest, "recognition"):
                 recognized = read_semantic_trajectories(
                     self.run_dir / RECOGNIZED_ARTIFACT
@@ -315,25 +273,26 @@ class PipelineRunner:
             else:
                 with reg.span("recognition"):
                     recognized = self._recognize_chunked(csd, trajectories)
-                sha = self._checkpoint(
-                    RECOGNIZED_ARTIFACT,
-                    lambda tmp: write_semantic_trajectories(tmp, recognized),
+                sha = file_sha256(
+                    write_checkpoint(
+                        self.run_dir / RECOGNIZED_ARTIFACT,
+                        lambda tmp: write_semantic_trajectories(
+                            tmp, recognized
+                        ),
+                    )
                 )
                 manifest.mark_complete(
                     "recognition", RECOGNIZED_ARTIFACT, sha
                 )
                 self._save_manifest(manifest)
                 reg.counter("pipeline.runner.stages.run").inc()
-            self.fs.fault("after-recognition-checkpoint")
 
             # Stage 3: extraction (cheap relative to 1-2; recomputed on
             # resume rather than checkpointed).
-            self.fs.fault("before-extraction")
             with reg.span("extraction"):
                 patterns = self._miner.extract(csd, recognized)
             manifest.mark_complete("extraction", None, None)
             self._save_manifest(manifest)
             reg.counter("pipeline.runner.stages.run").inc()
-            self.fs.fault("after-extraction")
 
         return MiningResult(csd, recognized, patterns)

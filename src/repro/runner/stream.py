@@ -28,8 +28,8 @@ state, re-registers the live epochs into the windowed miner (exact by
 the miner's maintenance invariant), and skips the consumed input rows.
 Epoch processing is deterministic, so a replayed half-finished epoch
 rewrites byte-identical artifacts and the final patterns equal an
-uninterrupted run's — the crash/resume test asserts this at every
-fault point in :data:`STREAM_FAULT_POINTS`.
+uninterrupted run's — ``tools/crash_sweep.py`` asserts this at every
+write boundary of a multi-epoch run.
 
 The input trips file is treated as append-only: the first
 ``trips_consumed`` *valid* rows must be unchanged between runs (the
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import time
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -61,10 +60,10 @@ from repro.data.io import (
 from repro.data.persistence import load_csd, save_csd
 from repro.data.poi import POI
 from repro.data.taxi import TaxiTrip
-from repro.ioutil import file_sha256, strict_json_loads
+from repro.ioutil import bytes_writer, file_sha256, strict_json_loads
 from repro.mining.prefixspan import FrequentSequence
 from repro.obs import get_registry
-from repro.runner.fs import FileSystem, retry_with_backoff
+from repro.runner.fs import write_checkpoint
 from repro.stream.engine import EpochResult, StreamEngine
 
 PathLike = Union[str, Path]
@@ -78,15 +77,6 @@ EPOCH_DIR = "epochs"
 #: fixed path to hot-reload from while the epoch-numbered artifacts
 #: rotate underneath.
 LATEST_CSD_NAME = "csd-latest.json"
-
-#: Fault points announced to the filesystem's ``fault`` hook, in
-#: per-epoch execution order (see :mod:`repro.runner.fs`).
-STREAM_FAULT_POINTS = (
-    "before-epoch",
-    "after-epoch-recognition",
-    "after-epoch-artifacts",
-    "after-epoch-commit",
-)
 
 
 @dataclass
@@ -241,10 +231,6 @@ class StreamRunner:
         window_epochs: int = 4,
         staleness_threshold: float = 0.05,
         resume: bool = False,
-        fs: Optional[FileSystem] = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
         on_bad_row: Optional[BadRowSink] = None,
         on_epoch: Optional[Callable[[EpochResult], None]] = None,
     ) -> None:
@@ -265,10 +251,6 @@ class StreamRunner:
         self.window_epochs = int(window_epochs)
         self.staleness_threshold = float(staleness_threshold)
         self.resume = bool(resume)
-        self.fs = fs or FileSystem()
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
-        self._sleep = sleep
         self.on_bad_row = on_bad_row
         self.on_epoch = on_epoch
         self.engine: Optional[StreamEngine] = None
@@ -276,29 +258,15 @@ class StreamRunner:
 
     # -- checkpoint plumbing -------------------------------------------
 
-    def _checkpoint(self, name: str, writer: Callable[[Path], None]) -> str:
-        path = self.run_dir / name
-        retry_with_backoff(
-            lambda: self.fs.write_artifact(path, writer),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
-        )
-        return file_sha256(path)
-
     def _save_manifest(self, manifest: StreamManifest) -> None:
-        retry_with_backoff(
-            lambda: self.fs.write_text(
-                self.run_dir / STREAM_MANIFEST_NAME, manifest.to_json() + "\n"
-            ),
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            sleep=self._sleep,
+        write_checkpoint(
+            self.run_dir / STREAM_MANIFEST_NAME,
+            bytes_writer((manifest.to_json() + "\n").encode("utf-8")),
         )
 
     def _verified_artifact(self, record_name: str, sha: str) -> Path:
         path = self.run_dir / record_name
-        if not self.fs.exists(path):
+        if not path.exists():
             raise ValueError(
                 f"committed artifact {record_name} is missing from "
                 f"{self.run_dir}"
@@ -328,8 +296,10 @@ class StreamRunner:
             staleness_threshold=self.staleness_threshold,
         )
         csd_artifact = self._csd_artifact_name(0)
-        base_sha = self._checkpoint(
-            csd_artifact, lambda tmp: save_csd(tmp, base)
+        base_sha = file_sha256(
+            write_checkpoint(
+                self.run_dir / csd_artifact, lambda tmp: save_csd(tmp, base)
+            )
         )
         manifest = StreamManifest(
             config_hash=cfg_hash,
@@ -343,7 +313,8 @@ class StreamRunner:
     def _resumed_state(self, cfg_hash: str) -> StreamManifest:
         manifest_path = self.run_dir / STREAM_MANIFEST_NAME
         manifest = parse_stream_manifest(
-            self.fs.read_text(manifest_path), source=str(manifest_path)
+            manifest_path.read_text(encoding="utf-8"),
+            source=str(manifest_path),
         )
         if manifest.config_hash != cfg_hash:
             raise ValueError(
@@ -379,14 +350,16 @@ class StreamRunner:
         """Refresh the :data:`LATEST_CSD_NAME` alias (atomic copy).
 
         Runs outside the commit protocol: the alias is a convenience
-        for hot-reloading daemons, never consulted on resume.
+        for hot-reloading daemons, never consulted on resume.  It still
+        goes through the retrying checkpoint write, so a transient
+        failure cannot abort a run whose epoch already committed.
         """
         source = self.run_dir / csd_artifact
 
         def _copy(tmp: Path) -> None:
             shutil.copyfile(source, tmp)
 
-        self.fs.write_artifact(self.run_dir / LATEST_CSD_NAME, _copy)
+        write_checkpoint(self.run_dir / LATEST_CSD_NAME, _copy)
 
     def _csd_artifact_name(self, committed_epochs: int) -> str:
         return f"csd-{committed_epochs:06d}.json"
@@ -430,8 +403,7 @@ class StreamRunner:
         """Process (or resume) the stream until input runs dry or
         ``max_epochs`` epochs have been committed this invocation."""
         reg = get_registry()
-        self.fs.mkdir(self.run_dir)
-        self.fs.mkdir(self.run_dir / EPOCH_DIR)
+        (self.run_dir / EPOCH_DIR).mkdir(parents=True, exist_ok=True)
         cfg_hash = stream_config_hash(
             self.csd_config,
             self.mining_config,
@@ -440,8 +412,8 @@ class StreamRunner:
             self.epoch_trips,
             self.poi_batch,
         )
-        resuming = self.resume and self.fs.exists(
-            self.run_dir / STREAM_MANIFEST_NAME
+        resuming = (
+            self.resume and (self.run_dir / STREAM_MANIFEST_NAME).exists()
         )
         manifest = (
             self._resumed_state(cfg_hash)
@@ -463,7 +435,6 @@ class StreamRunner:
         }
         epochs_run = 0
         while max_epochs is None or epochs_run < max_epochs:
-            self.fs.fault("before-epoch")
             batch = list(islice(trips, self.epoch_trips))
             poi_stop = (
                 len(pois)
@@ -474,22 +445,25 @@ class StreamRunner:
             if not batch and not poi_batch:
                 break
             result = engine.process_epoch(batch, poi_batch)
-            self.fs.fault("after-epoch-recognition")
 
             with reg.timer("stream.commit"):
                 epoch_artifact = self._epoch_artifact_name(result.epoch_index)
-                epoch_sha = self._checkpoint(
-                    epoch_artifact,
-                    lambda tmp: write_semantic_trajectories(
-                        tmp, result.recognized
-                    ),
+                epoch_sha = file_sha256(
+                    write_checkpoint(
+                        self.run_dir / epoch_artifact,
+                        lambda tmp: write_semantic_trajectories(
+                            tmp, result.recognized
+                        ),
+                    )
                 )
                 superseded_csd = manifest.csd_artifact
                 csd_artifact = self._csd_artifact_name(result.epoch_index + 1)
-                csd_sha = self._checkpoint(
-                    csd_artifact, lambda tmp: save_csd(tmp, engine.csd)
+                csd_sha = file_sha256(
+                    write_checkpoint(
+                        self.run_dir / csd_artifact,
+                        lambda tmp: save_csd(tmp, engine.csd),
+                    )
                 )
-                self.fs.fault("after-epoch-artifacts")
 
                 records[result.epoch_index] = EpochRecord(
                     index=result.epoch_index,
@@ -522,14 +496,13 @@ class StreamRunner:
                 # The commit point: everything above is provisional
                 # until this atomic write lands.
                 self._save_manifest(manifest)
-            self.fs.fault("after-epoch-commit")
 
             # Post-commit cleanup (best-effort; a crash here only
             # leaks files the next cleanup cannot see).
             if superseded_csd != csd_artifact:
-                self.fs.remove(self.run_dir / superseded_csd)
+                (self.run_dir / superseded_csd).unlink(missing_ok=True)
             for record in retired_records:
-                self.fs.remove(self.run_dir / record.artifact)
+                (self.run_dir / record.artifact).unlink(missing_ok=True)
             self._publish_latest(csd_artifact)
 
             epochs_run += 1

@@ -13,6 +13,36 @@ from repro.core.config import CSDConfig, MiningConfig
 from repro.data.city import CityModel
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
+from repro.runner.fs import SimulatedCrash
+
+
+class CrashAt:
+    """:func:`repro.ioutil.fault_hook` that fails one write boundary.
+
+    Raises ``error`` at the ``nth`` announcement of ``point`` (one of
+    :data:`repro.ioutil.IO_FAULT_POINTS`) for a target named ``name``,
+    and at the ``times - 1`` matching announcements after it.  The
+    default error is :class:`SimulatedCrash` (the process dies there);
+    ``error=OSError`` is a transient failure the runners' checkpoint
+    write retries.
+    """
+
+    def __init__(self, point, name, nth=1, *, error=SimulatedCrash, times=1):
+        self.point = point
+        self.name = name
+        self.nth = nth
+        self.error = error
+        self.times = times
+        self.hits = 0
+
+    def __call__(self, point, target):
+        if point != self.point or target.name != self.name:
+            return
+        self.hits += 1
+        if self.nth <= self.hits < self.nth + self.times:
+            raise self.error(
+                f"injected at {point} of {target.name} (hit {self.hits})"
+            )
 
 
 @pytest.fixture(scope="session")

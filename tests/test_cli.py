@@ -166,6 +166,31 @@ class TestRun:
         resumed = capsys.readouterr().out
         assert resumed[resumed.index("route"):] == first_patterns
 
+    def test_resume_quarantines_each_row_once(
+        self, data_dir, tmp_path, capsys
+    ):
+        """``--resume`` re-ingests the whole trips file; the bad row it
+        reads again must not be appended to the quarantine twice."""
+        trips = tmp_path / "trips.csv"
+        lines = (data_dir / "trips.csv").read_text(
+            encoding="utf-8"
+        ).splitlines()
+        lines.insert(20, "9999,,121.0,31.0,0.0,121.0")
+        trips.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_dir = tmp_path / "run"
+        argv = [
+            "run", "--pois", str(data_dir / "pois.csv"),
+            "--trips", str(trips), "--run-dir", str(run_dir),
+            "--support", "10", "--chunk-size", "500",
+        ]
+        assert main(argv) == 0
+        first = (run_dir / "quarantine.csv").read_bytes()
+        assert main(argv + ["--resume"]) == 0
+        # The summary line still counts the row this invocation saw.
+        assert "1 rows quarantined" in capsys.readouterr().out
+        assert (run_dir / "quarantine.csv").read_bytes() == first
+        assert first.count(b"\n") == 2  # header + one row
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(
             ["run", "--pois", "p.csv", "--trips", "t.csv",

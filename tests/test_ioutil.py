@@ -5,8 +5,7 @@ Four contract families (docs/DATA_FORMATS.md "Durability"):
 - **atomicity** — a write that fails at any point leaves the previous
   artifact untouched and no ``*.tmp`` debris;
 - **fault hooks** — every atomic write announces ``IO_FAULT_POINTS``
-  in order, and the hook composes with ``FlakyFileSystem.fault``'s
-  existing crash-point vocabulary;
+  in order, and a hook that raises at any of them upholds atomicity;
 - **strict JSON** — ``allow_nan=False`` serialisation, canonical key
   order, and :class:`TornArtifactError` diagnostics that name the
   artifact and the byte offset of the damage (swept here by truncating
@@ -34,7 +33,7 @@ from repro.ioutil import (
     strict_json_load,
     strict_json_loads,
 )
-from repro.runner.fs import FlakyFileSystem, SimulatedCrash
+from repro.runner.fs import SimulatedCrash
 
 
 @pytest.fixture(autouse=True)
@@ -155,19 +154,6 @@ class TestFaultHook:
         # The context manager restored the previous (None) hook even
         # though the body raised; this write must not crash.
         atomic_write_text(tmp_path / "a.txt", "x")
-
-    def test_composes_with_flaky_filesystem_crash_points(self, tmp_path):
-        """The documented wiring: forward announcements to
-        ``FlakyFileSystem.fault`` so its ``crash_points`` vocabulary
-        drives io-level crashes unchanged."""
-        flaky = FlakyFileSystem(crash_points=("tmp-written",))
-        target = tmp_path / "a.txt"
-        atomic_write_text(target, "old")
-        with pytest.raises(SimulatedCrash):
-            with fault_hook(lambda point, path: flaky.fault(point)):
-                atomic_write_text(target, "new")
-        assert target.read_text(encoding="utf-8") == "old"
-        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestStrictJson:

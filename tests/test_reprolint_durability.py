@@ -93,22 +93,27 @@ class TestRPL017RawOpen:
             check_durability_source(code, path=DATA)
         )
 
-    def test_silent_on_fs_handle(self):
-        """``self.fs.write_text`` is the injectable FileSystem — its
-        write is already atomic (it delegates to ioutil)."""
+    def test_fires_on_fs_handle(self):
+        """No receiver name is exempt: an ``fs``/``filesystem`` handle
+        gets no pass for an in-place rewrite."""
         code = (
             "def f(self, p, s):\n"
             "    self.fs.write_text(p, s)\n"
-            "    self.fs.write_bytes(p, b'')\n"
+            "    filesystem.write_bytes(p, b'')\n"
         )
-        assert check_durability_source(code, path=RUNNER) == []
+        assert rules_of(check_durability_source(code, path=RUNNER)) == [
+            "RPL017",
+            "RPL017",
+        ]
 
     def test_silent_in_sanctioned_writers(self):
         code = "def f(p):\n    open(p, 'wb')\n"
         assert "RPL017" not in rules_of(
             check_durability_source(code, path=IOUTIL)
         )
-        assert "RPL017" not in rules_of(
+        # ioutil is the only sanctioned writer; the runners' checkpoint
+        # module goes through it like every other caller.
+        assert "RPL017" in rules_of(
             check_durability_source(code, path=RUNNER_FS)
         )
 
@@ -243,7 +248,9 @@ class TestRPL020RenameConfinement:
     def test_silent_in_sanctioned_writers(self):
         code = "import os\ndef f(a, b):\n    os.replace(a, b)\n"
         assert check_durability_source(code, path=IOUTIL) == []
-        assert check_durability_source(code, path=RUNNER_FS) == []
+        assert "RPL020" in rules_of(
+            check_durability_source(code, path=RUNNER_FS)
+        )
 
     def test_silent_on_os_remove(self):
         code = "import os\ndef f(a):\n    os.remove(a)\n"

@@ -6,6 +6,10 @@ and resumed produces bit-identical patterns to an uninterrupted run,
 and counted instead of aborting, (3) transient checkpoint I/O failures
 are retried with backoff, (4) stale checkpoints (different config or
 input) are refused, never silently reused.
+
+Faults are injected through :func:`repro.ioutil.fault_hook` with
+:class:`tests.conftest.CrashAt`, which fails one ``(point, artifact,
+nth)`` write boundary.
 """
 
 import csv
@@ -13,7 +17,7 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import ioutil, obs
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
@@ -22,8 +26,6 @@ from repro.data.trajectory import SemanticTrajectory, StayPoint
 from repro.obs import MetricsRegistry
 from repro.runner import (
     CSD_ARTIFACT,
-    FAULT_POINTS,
-    FlakyFileSystem,
     MANIFEST_NAME,
     PipelineRunner,
     Quarantine,
@@ -34,8 +36,19 @@ from repro.runner import (
     parse_manifest,
     retry_with_backoff,
 )
+from tests.conftest import CrashAt
 
 CHUNK = 500
+
+#: Crash sites of the batch run, named for the pipeline moment they
+#: hit.  Manifest writes: #1 fresh, #2 constructor done, #3 recognition
+#: done, #4 extraction done.
+CRASH_SITES = {
+    "after-constructor-checkpoint": ("replaced", MANIFEST_NAME, 2),
+    "before-recognition": ("tmp-open", RECOGNIZED_ARTIFACT, 1),
+    "after-recognition-checkpoint": ("replaced", MANIFEST_NAME, 3),
+    "before-extraction": ("tmp-open", MANIFEST_NAME, 4),
+}
 
 
 def pattern_key(patterns):
@@ -98,25 +111,17 @@ class TestRunnerEquivalence:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize(
-        "crash_point",
-        [
-            "after-constructor-checkpoint",
-            "before-recognition",
-            "after-recognition-checkpoint",
-            "before-extraction",
-        ],
-    )
+    @pytest.mark.parametrize("crash_point", list(CRASH_SITES))
     def test_resume_after_crash_is_bit_identical(
         self, tmp_path, small_pois, small_trajectories, workload, crash_point
     ):
         cc, mc, reference = workload
         run_dir = tmp_path / "crashed"
-        flaky = FlakyFileSystem(crash_points={crash_point})
         with pytest.raises(SimulatedCrash):
-            PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, fs=flaky
-            ).run(small_pois, small_trajectories)
+            with ioutil.fault_hook(CrashAt(*CRASH_SITES[crash_point])):
+                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                    small_pois, small_trajectories
+                )
         result = PipelineRunner(
             run_dir, cc, mc, chunk_size=CHUNK, resume=True
         ).run(small_pois, small_trajectories)
@@ -132,13 +137,12 @@ class TestCrashResume:
     ):
         cc, mc, _ = workload
         run_dir = tmp_path / "skip"
-        flaky = FlakyFileSystem(
-            crash_points={"after-recognition-checkpoint"}
-        )
+        crash = CrashAt(*CRASH_SITES["after-recognition-checkpoint"])
         with pytest.raises(SimulatedCrash):
-            PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, fs=flaky
-            ).run(small_pois, small_trajectories)
+            with ioutil.fault_hook(crash):
+                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                    small_pois, small_trajectories
+                )
 
         reg = MetricsRegistry(enabled=True)
         old = obs.set_registry(reg)
@@ -268,52 +272,63 @@ class TestRetry:
     def test_transient_write_failures_are_retried(
         self, tmp_path, small_pois, small_trajectories, workload
     ):
+        """Three transient failures of one checkpoint write fit the
+        default budget of three retries; the run completes unchanged."""
         cc, mc, reference = workload
-        naps = []
-        flaky = FlakyFileSystem(fail_writes=3)
-        result = PipelineRunner(
-            tmp_path / "flaky",
-            cc,
-            mc,
-            chunk_size=CHUNK,
-            fs=flaky,
-            max_retries=3,
-            backoff_s=0.01,
-            sleep=naps.append,
-        ).run(small_pois, small_trajectories)
+        flaky = CrashAt("tmp-open", CSD_ARTIFACT, error=OSError, times=3)
+        reg = MetricsRegistry(enabled=True)
+        old = obs.set_registry(reg)
+        try:
+            with ioutil.fault_hook(flaky):
+                result = PipelineRunner(
+                    tmp_path / "flaky", cc, mc, chunk_size=CHUNK
+                ).run(small_pois, small_trajectories)
+        finally:
+            obs.set_registry(old)
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
         )
-        # Exponential backoff: 0.01, 0.02, 0.04 for the three failures.
+        assert flaky.hits == 4  # 3 failed attempts + the one that landed
+        counters = reg.snapshot()["counters"]
+        assert counters["pipeline.runner.checkpoint.retries"] == 3
+
+    def test_backoff_is_exponential(self, tmp_path):
+        naps = []
+        failures = [OSError("injected")] * 3
+
+        def op():
+            if failures:
+                raise failures.pop()
+            return "done"
+
+        assert retry_with_backoff(
+            op, max_retries=3, backoff_s=0.01, sleep=naps.append
+        ) == "done"
         assert naps == [0.01, 0.02, 0.04]
 
     def test_persistent_failure_raises_after_budget(self, tmp_path):
-        flaky = FlakyFileSystem(fail_writes=100)
-        with pytest.raises(OSError, match="injected"):
-            retry_with_backoff(
-                lambda: flaky.write_text(tmp_path / "x", "payload"),
-                max_retries=2,
-                backoff_s=0.0,
-                sleep=lambda s: None,
-            )
-        assert flaky.write_attempts == 3  # 1 try + 2 retries
-
-    def test_simulated_crash_is_not_retried(self, tmp_path):
-        flaky = FlakyFileSystem(crash_points={"p"})
         attempts = []
 
         def op():
             attempts.append(1)
-            flaky.fault("p")
+            raise OSError("injected persistent failure")
+
+        with pytest.raises(OSError, match="injected"):
+            retry_with_backoff(
+                op, max_retries=2, backoff_s=0.0, sleep=lambda s: None
+            )
+        assert len(attempts) == 3  # 1 try + 2 retries
+
+    def test_simulated_crash_is_not_retried(self, tmp_path):
+        attempts = []
+
+        def op():
+            attempts.append(1)
+            raise SimulatedCrash("p")
 
         with pytest.raises(SimulatedCrash):
             retry_with_backoff(op, max_retries=5, sleep=lambda s: None)
         assert len(attempts) == 1
-
-    def test_fault_points_cover_every_stage(self):
-        assert [p for p in FAULT_POINTS if "constructor" in p]
-        assert [p for p in FAULT_POINTS if "recognition" in p]
-        assert [p for p in FAULT_POINTS if "extraction" in p]
 
 
 class TestQuarantinedRun:

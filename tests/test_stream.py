@@ -9,15 +9,17 @@ Four layers, each pinned to an offline oracle:
   recognised window after every epoch;
 - :meth:`IncrementalCSD.repair` vs an offline ``purify`` +
   ``merge_units`` run on the captured dirty scope (the repair oracle);
-- :class:`StreamRunner` crash/resume bit-identity at every fault point
-  in :data:`STREAM_FAULT_POINTS`, plus quarantine-cursor and
-  append-only guarantees.
+- :class:`StreamRunner` crash/resume bit-identity at one write
+  boundary per moment of the epoch commit (``STREAM_CRASH_SITES``,
+  injected through :func:`repro.ioutil.fault_hook`), plus
+  quarantine-cursor, retry and append-only guarantees.
 """
 
 import random
 
 import pytest
 
+from repro import ioutil, obs
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
 from repro.core.incremental import IncrementalCSD
@@ -27,15 +29,13 @@ from repro.data.io import read_pois, write_pois, write_trips
 from repro.data.persistence import load_csd, save_csd
 from repro.data.trajectory import as_tag_sequence
 from repro.mining.prefixspan import WindowedPrefixSpan, prefixspan
-from repro.runner import (
-    STREAM_FAULT_POINTS,
-    StreamRunner,
-    parse_stream_manifest,
-)
-from repro.runner.fs import FileSystem, SimulatedCrash
+from repro.obs import MetricsRegistry
+from repro.runner import Quarantine, StreamRunner, parse_stream_manifest
+from repro.runner.fs import SimulatedCrash
 from repro.runner.stream import LATEST_CSD_NAME, STREAM_MANIFEST_NAME
 from repro.serve import RecognitionService
 from repro.stream import StreamEngine
+from tests.conftest import CrashAt
 
 
 def window_key(miner):
@@ -249,24 +249,14 @@ class TestStreamEngine:
             engine.restore_epoch(0, [])
 
 
-class CrashOnNthHit(FileSystem):
-    """Crash the Nth time a named fault point is reached.
-
-    :class:`~repro.runner.fs.FlakyFileSystem` fires on *every* hit of a
-    crash point, which kills a stream on its first epoch; streaming
-    crash tests need to die mid-run instead.
-    """
-
-    def __init__(self, point, nth):
-        self.point = point
-        self.nth = nth
-        self.hits = 0
-
-    def fault(self, point):
-        if point == self.point:
-            self.hits += 1
-            if self.hits == self.nth:
-                raise SimulatedCrash(f"injected crash #{self.nth} at {point!r}")
+#: Mid-stream crash sites, named for the moment of the third epoch
+#: (index 2) they hit.  Manifest writes: #1 fresh, then one per epoch.
+STREAM_CRASH_SITES = {
+    "before-epoch": ("replaced", LATEST_CSD_NAME, 2),
+    "after-epoch-recognition": ("tmp-open", "epoch-000002.csv", 1),
+    "after-epoch-artifacts": ("replaced", "csd-000003.json", 1),
+    "after-epoch-commit": ("replaced", STREAM_MANIFEST_NAME, 4),
+}
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +280,7 @@ RUNNER_KW = dict(
 )
 
 
-def make_runner(run_dir, files, resume=False, fs=None, **overrides):
+def make_runner(run_dir, files, resume=False, **overrides):
     trips_path, pois_path, csd_path = files
     kw = dict(RUNNER_KW)
     kw.update(overrides)
@@ -302,7 +292,6 @@ def make_runner(run_dir, files, resume=False, fs=None, **overrides):
         csd_config=CSDConfig(alpha=0.7),
         mining_config=MiningConfig(support=8, rho=0.001),
         resume=resume,
-        fs=fs,
         **kw,
     )
 
@@ -356,19 +345,16 @@ class TestStreamRunner:
         _, patterns = final_state(run_dir, report)
         assert patterns == reference_run[1]
 
-    @pytest.mark.parametrize("crash_point", STREAM_FAULT_POINTS)
+    @pytest.mark.parametrize("crash_point", list(STREAM_CRASH_SITES))
     def test_crash_resume_is_bit_identical(
         self, tmp_path, stream_run_files, reference_run, crash_point
     ):
-        """Kill the run mid-stream at each fault point; the resumed run
+        """Kill the run mid-stream at each crash site; the resumed run
         must land on the exact reference patterns and diagram."""
         run_dir = tmp_path / "run"
         with pytest.raises(SimulatedCrash):
-            make_runner(
-                run_dir,
-                stream_run_files,
-                fs=CrashOnNthHit(crash_point, nth=3),
-            ).run()
+            with ioutil.fault_hook(CrashAt(*STREAM_CRASH_SITES[crash_point])):
+                make_runner(run_dir, stream_run_files).run()
         report = make_runner(run_dir, stream_run_files, resume=True).run()
         assert report.resumed
         manifest, patterns = final_state(run_dir, report)
@@ -447,6 +433,67 @@ class TestStreamRunner:
             **kw,
         ).run()
         assert len(seen) == 2  # early row NOT re-reported, late row once
+
+    def test_crash_resume_quarantines_each_row_once(
+        self, tmp_path, stream_inputs, small_taxi
+    ):
+        """A bad row read by an epoch that crashed before committing is
+        read again on resume; the quarantine file must still hold it
+        once, byte-identical to an uninterrupted run's."""
+        base_csd, _ = stream_inputs
+        trips_path = tmp_path / "trips.csv"
+        write_trips(trips_path, small_taxi.trips[:1200])
+        lines = trips_path.read_text().splitlines()
+        lines.insert(5, "not,a,valid,trip,row")  # epoch 0 (committed)
+        lines.insert(450, "broken,in,epoch,one")  # epoch 1 (replayed)
+        lines.append("also,broken")  # after the last valid row
+        trips_path.write_text("\n".join(lines) + "\n")
+        csd_path = tmp_path / "base.json"
+        save_csd(csd_path, base_csd)
+
+        def run(run_dir, resume=False):
+            with Quarantine(run_dir / "quarantine.csv") as quarantine:
+                StreamRunner(
+                    run_dir,
+                    trips_path,
+                    base_csd_path=csd_path,
+                    mining_config=MiningConfig(support=8, rho=0.001),
+                    resume=resume,
+                    on_bad_row=quarantine.sink("trips"),
+                    **dict(RUNNER_KW, epoch_trips=400),
+                ).run()
+            return (run_dir / "quarantine.csv").read_bytes()
+
+        reference = run(tmp_path / "reference")
+        assert reference.count(b"\n") == 4  # header + three rows
+        crashed = tmp_path / "crashed"
+        with pytest.raises(SimulatedCrash):
+            with ioutil.fault_hook(CrashAt("tmp-open", "epoch-000001.csv")):
+                run(crashed)
+        assert run(crashed, resume=True) == reference
+
+    def test_transient_publish_failure_is_retried(
+        self, tmp_path, stream_run_files, reference_run
+    ):
+        """The csd-latest.json alias goes through the retrying
+        checkpoint write: one transient failure there must neither
+        abort the run nor skip the epoch's notify callback."""
+        notified = []
+        reg = MetricsRegistry(enabled=True)
+        old = obs.set_registry(reg)
+        try:
+            flaky = CrashAt("tmp-open", LATEST_CSD_NAME, error=OSError)
+            with ioutil.fault_hook(flaky):
+                report = make_runner(
+                    tmp_path / "run", stream_run_files, on_epoch=notified.append
+                ).run()
+        finally:
+            obs.set_registry(old)
+        assert flaky.hits == report.epochs_run + 1  # one retried write
+        assert len(notified) == report.epochs_run
+        counters = reg.snapshot()["counters"]
+        assert counters["pipeline.runner.checkpoint.retries"] == 1
+        assert final_state(tmp_path / "run", report)[1] == reference_run[1]
 
 
 class TestServeConditionalReload:

@@ -19,10 +19,12 @@ and asserts the durability contract (``docs/DATA_FORMATS.md``):
 
 Both checkpointed drivers are swept: the batch
 :class:`~repro.runner.PipelineRunner` and the epoch-at-a-time
-:class:`~repro.runner.StreamRunner`.  This is finer-grained than the
-stage-level ``FAULT_POINTS`` crash tests (``tests/test_runner.py``,
-``tests/test_stream.py``): those kill the run *between* artifacts,
-this harness kills it *inside* every artifact write.
+:class:`~repro.runner.StreamRunner`.  The stream input carries
+malformed trip rows into a :class:`~repro.runner.Quarantine` in the
+run directory, and (c) also requires its ``quarantine.csv`` to equal
+the reference run's byte for byte: every bad row recorded exactly once
+however the run was killed.  The quarantine appends outside
+:mod:`repro.ioutil`, so it adds no write ordinals.
 
 Exit code 0 means every swept ordinal upheld all three invariants.
 ``--report`` writes a strict-JSON sweep report (CI uploads it as the
@@ -52,7 +54,7 @@ from repro.data.io import write_pois, write_trips
 from repro.data.persistence import save_csd
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
-from repro.runner import PipelineRunner, StreamRunner
+from repro.runner import PipelineRunner, Quarantine, StreamRunner
 from repro.runner.fs import SimulatedCrash
 from repro.runner.stream import STREAM_MANIFEST_NAME, parse_stream_manifest
 
@@ -64,6 +66,19 @@ STREAM_KW = dict(
     poi_batch=80,
     window_epochs=2,
     staleness_threshold=0.01,
+)
+
+QUARANTINE_NAME = "quarantine.csv"
+
+#: Malformed trip rows spliced into the stream input, each with the
+#: line index it is inserted at (0 is the header; None appends): one
+#: inside each of the first four epochs, one after the last valid row.
+BAD_TRIP_ROWS = (
+    (5, "90001,,bogus,31.0,10.0,121.0,31.0,20.0,Residence,Residence"),
+    (141, "90002,,121.0,31.0,500.0,121.0,31.0,100.0,Residence,Residence"),
+    (262, "90003,,121.0,31.0,10.0,121.0,31.0,20.0,Residence"),
+    (383, "90004,,121.0,nan,10.0,121.0,31.0,20.0,Residence,Residence"),
+    (None, "90005,,121.0,31.0,10.0,121.0"),
 )
 
 
@@ -199,6 +214,10 @@ def build_workload(root: Path) -> Workload:
     pois_path = root / "pois.csv"
     base_csd_path = root / "base_csd.json"
     write_trips(trips_path, corpus.trips)
+    lines = trips_path.read_text(encoding="utf-8").splitlines()
+    for index, row in BAD_TRIP_ROWS:
+        lines.insert(len(lines) if index is None else index, row)
+    trips_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_pois(pois_path, pois[n_base:])
     save_csd(base_csd_path, base_csd)
     return Workload(pois, trajectories, trips_path, pois_path, base_csd_path)
@@ -273,16 +292,18 @@ def sweep_batch(
 
 
 def _stream_run(work: Workload, run_dir: Path, resume: bool = False):
-    return StreamRunner(
-        run_dir,
-        work.trips_path,
-        base_csd_path=work.base_csd_path,
-        pois_path=work.pois_path,
-        csd_config=CSD_CFG,
-        mining_config=MINING_CFG,
-        resume=resume,
-        **STREAM_KW,
-    ).run()
+    with Quarantine(run_dir / QUARANTINE_NAME) as quarantine:
+        return StreamRunner(
+            run_dir,
+            work.trips_path,
+            base_csd_path=work.base_csd_path,
+            pois_path=work.pois_path,
+            csd_config=CSD_CFG,
+            mining_config=MINING_CFG,
+            resume=resume,
+            on_bad_row=quarantine.sink("trips"),
+            **STREAM_KW,
+        ).run()
 
 
 def stream_state(run_dir: Path, report):
@@ -332,6 +353,12 @@ def sweep_stream(
             "epoch(s); sweep needs a multi-epoch run"
         )
     ref_state = stream_state(ref_dir, reference)
+    ref_quarantine = (ref_dir / QUARANTINE_NAME).read_bytes()
+    if ref_quarantine.count(b"\n") != 1 + len(BAD_TRIP_ROWS):
+        raise SweepFailure(
+            f"reference run did not quarantine the {len(BAD_TRIP_ROWS)} "
+            "malformed trip rows exactly once"
+        )
     result = SweepResult("stream", ordinals=len(recorder.events))
     for k in _subsample(len(recorder.events), fast):
         run_dir = root / f"stream-crash-{k:04d}"
@@ -348,7 +375,12 @@ def sweep_stream(
                 f"ordinal {k}: resumed stream state differs from the "
                 "reference run"
             )
-        result.checks += 1
+        if (run_dir / QUARANTINE_NAME).read_bytes() != ref_quarantine:
+            raise SweepFailure(
+                f"ordinal {k}: {QUARANTINE_NAME} differs from the "
+                "reference run's (a bad row was lost or recorded twice)"
+            )
+        result.checks += 2
         result.swept.append(k)
         log(
             f"stream ordinal {k}/{result.ordinals - 1}: "

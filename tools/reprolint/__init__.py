@@ -59,11 +59,10 @@ Pass 3 (artifact durability, per file in ``src/repro``):
 
 ========  ==============================================================
 RPL017    No raw ``open(..., "w"/"wb")`` or ``Path.write_text``/
-          ``write_bytes`` outside the sanctioned writers
-          (``repro/ioutil.py``, ``repro/runner/fs.py``) — an in-place
-          rewrite torn by a crash corrupts the artifact; route through
-          ``repro.ioutil.atomic_write_*`` (append mode and the
-          injectable ``fs`` handle are exempt).
+          ``write_bytes`` outside the sanctioned writer
+          (``repro/ioutil.py``) — an in-place rewrite torn by a crash
+          corrupts the artifact; route through
+          ``repro.ioutil.atomic_write_*`` (append mode is exempt).
 RPL018    Every text-mode ``open()`` pins ``encoding=`` (platform
           default encoding varies), and csv-using modules also pin
           ``newline=""``.
@@ -72,7 +71,7 @@ RPL019    Every ``json.dump``/``json.dumps`` passes
           ``json.load`` accepts but external consumers reject; use
           ``repro.ioutil.strict_json_dump``.
 RPL020    ``os.replace``/``os.rename``/``shutil.move``/``tempfile``
-          confined to the sanctioned writers — ad-hoc tmp-and-rename
+          confined to the sanctioned writer — ad-hoc tmp-and-rename
           dances belong in one audited place.
 RPL021    No broad except-and-swallow (``except Exception: pass`` or
           ``contextlib.suppress(Exception)``) in the

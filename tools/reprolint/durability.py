@@ -8,7 +8,7 @@ JSON); this pass statically forbids new call sites from bypassing it:
 
 * **RPL017** — no raw ``open(..., "w"/"wb"/"x"/"+")`` (or
   ``Path.write_text``/``write_bytes``) in ``src/repro`` outside the
-  sanctioned writers (``repro/ioutil.py``, ``repro/runner/fs.py``).  A
+  sanctioned writer (``repro/ioutil.py``).  A
   raw overwrite is torn by a crash mid-write; append mode (``"a"``) is
   exempt — the quarantine log is append-by-design and atomicity would
   lose earlier rows.  Pragma ``allow-raw-open``.
@@ -23,7 +23,7 @@ JSON); this pass statically forbids new call sites from bypassing it:
   ``NaN``/``Infinity`` tokens, which other parsers reject), or uses
   ``ioutil.strict_json_dump``.  Pragma ``allow-lax-json``.
 * **RPL020** — ``os.replace``/``os.rename``/``shutil.move`` and the
-  ``tempfile`` module are confined to the sanctioned writers: the
+  ``tempfile`` module are confined to the sanctioned writer: the
   atomic-rename protocol (tmp naming, cleanup-on-failure, fault-point
   announcements) lives in exactly one place.  Pragma ``allow-replace``.
 * **RPL021** — no broad except-and-swallow (``except Exception:`` /
@@ -65,11 +65,9 @@ DURABILITY_RULES: FrozenSet[str] = frozenset(
 )
 
 #: ``(subpackage, filename)`` pairs allowed to hand-roll writes and the
-#: rename protocol: ``repro/ioutil.py`` IS the sanctioned layer, and
-#: ``repro/runner/fs.py`` is the injectable filesystem boundary that
-#: wraps it (fault injection needs the raw hooks).
+#: rename protocol: ``repro/ioutil.py`` IS the sanctioned layer.
 _SANCTIONED_WRITERS: FrozenSet[Tuple[str, str]] = frozenset(
-    {("", "ioutil.py"), ("runner", "fs.py")}
+    {("", "ioutil.py")}
 )
 
 #: Subsystems whose swallowed exceptions can hide torn artifacts
@@ -197,7 +195,7 @@ class _DurabilityChecker(ast.NodeVisitor):
         if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
             return
         mode = _open_mode(node)
-        # RPL017: writing modes outside the sanctioned writers.  "a" is
+        # RPL017: writing modes outside the sanctioned writer.  "a" is
         # exempt (append-by-design logs); a dynamic mode expression is
         # not flagged.
         if (
@@ -237,19 +235,13 @@ class _DurabilityChecker(ast.NodeVisitor):
 
     def _check_write_method(self, node: ast.Call) -> None:
         # RPL017 also covers Path.write_text/write_bytes — the same
-        # torn-write hazard with a different spelling.  A receiver
-        # named ``fs``/``filesystem`` is the injectable
-        # :class:`repro.runner.fs.FileSystem` handle, whose write_text
-        # is already atomic (it delegates to ioutil).
+        # torn-write hazard with a different spelling.
         if self.sanctioned_writer:
             return
         name = _call_name(node.func)
         if name not in ("write_text", "write_bytes"):
             return
         if not isinstance(node.func, ast.Attribute):
-            return
-        receiver = _call_name(node.func.value)
-        if receiver in ("fs", "filesystem"):
             return
         self._report(
             node,

@@ -76,9 +76,9 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     ),
     "RPL017": (
         "allow-raw-open",
-        "raw open() for writing in src/repro outside repro.ioutil / "
-        "runner/fs.py (a torn write becomes a torn artifact; route "
-        "through ioutil.atomic_write_*; durability pass)",
+        "raw open() for writing in src/repro outside repro.ioutil "
+        "(a torn write becomes a torn artifact; route through "
+        "ioutil.atomic_write_*; durability pass)",
     ),
     "RPL018": (
         "allow-open-encoding",
@@ -95,8 +95,8 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     "RPL020": (
         "allow-replace",
         "os.replace/os.rename/shutil.move or tempfile use in src/repro "
-        "outside repro.ioutil / runner/fs.py (atomic-rename protocol "
-        "is centralised in ioutil; durability pass)",
+        "outside repro.ioutil (atomic-rename protocol is centralised "
+        "in ioutil; durability pass)",
     ),
     "RPL021": (
         "allow-swallow",
