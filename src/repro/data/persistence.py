@@ -41,11 +41,10 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
     The document is written via :func:`repro.ioutil.strict_json_dump`
     (serialise in memory → ``*.tmp`` sibling → :func:`os.replace`), so
     a crash at any point leaves either the previous artifact or the new
-    one — never a truncated ``csd.json``.  That matters beyond the
-    runner (whose :func:`~repro.runner.fs.write_checkpoint` wraps
-    checkpoints in its own tmp+replace): ``repro serve`` loads whatever
-    path it is handed, including artifacts written by a bare
-    ``save_csd`` call from ``repro build-csd --save``.
+    one — never a truncated ``csd.json``.  The runners' diagram
+    checkpoints are exactly this write (retried, not re-wrapped), and
+    ``repro serve`` loads whatever path it is handed, including
+    artifacts written by ``repro build-csd --save``.
     """
     popularity = np.asarray(csd.popularity, dtype=float)
     bad = np.flatnonzero(~np.isfinite(popularity))

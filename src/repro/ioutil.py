@@ -26,12 +26,12 @@ bypassing it:
 
 Fault injection has exactly one mechanism: every atomic write
 announces the :data:`IO_FAULT_POINTS` to an installable hook
-(:func:`fault_hook`).  A hook that raises
-:class:`repro.runner.fs.SimulatedCrash` kills the process at that
-write boundary, so a test — or the exhaustive ``tools/crash_sweep.py``
-harness — can crash at *every* boundary in turn and prove
-crash/resume holds at each one; a hook that raises ``OSError`` is a
-transient failure the runners' checkpoint write retries.
+(:func:`fault_hook`).  A hook that raises :class:`SimulatedCrash`
+kills the process at that write boundary, so a test — or the
+exhaustive ``tools/crash_sweep.py`` harness — can crash at *every*
+boundary in turn and prove crash/resume holds at each one; a hook that
+raises ``OSError`` is a transient failure the runners' checkpoint
+write retries (:func:`repro.runner.commit.checkpoint`).
 
 Setting ``REPRO_IO_SANITIZE=1`` additionally verifies, after every
 atomic write, that the target landed, is non-empty, and left no tmp
@@ -68,7 +68,7 @@ TMP_SUFFIX = ".tmp"
 IO_FAULT_POINTS = ("tmp-open", "tmp-written", "replaced")
 
 #: Hook signature: ``hook(point, target_path)``; raise to simulate a
-#: crash at that boundary (see :class:`repro.runner.fs.SimulatedCrash`).
+#: crash at that boundary (see :class:`SimulatedCrash`).
 FaultHook = Callable[[str, Path], None]
 
 _fault_hook: Optional[FaultHook] = None
@@ -98,6 +98,15 @@ def fault_hook(hook: Optional[FaultHook]) -> Iterator[None]:
         yield
     finally:
         set_fault_hook(previous)
+
+
+class SimulatedCrash(RuntimeError):
+    """Raised by a fault hook to emulate the process dying at a write
+    boundary.
+
+    Deliberately **not** an ``OSError``: the runners' retry must let it
+    propagate (a killed process does not get retried).
+    """
 
 
 def _announce(point: str, target: Path) -> None:
@@ -179,10 +188,6 @@ def atomic_write(
     flushes the payload and the rename to stable storage before
     returning (off by default: tests and benches value speed, a
     serving deployment can opt in).
-
-    Nesting is safe: a ``writer`` that itself calls this function
-    (e.g. ``save_csd`` inside a runner checkpoint) stages into
-    ``*.tmp.tmp`` and announces its own fault points.
     """
     target = Path(path)
     tmp = target.with_name(target.name + TMP_SUFFIX)
@@ -204,24 +209,16 @@ def atomic_write(
     return target
 
 
-def bytes_writer(data: bytes) -> Callable[[Path], None]:
-    """An :func:`atomic_write` ``writer`` that stages ``data`` verbatim
-    (for callers that wrap :func:`atomic_write` themselves, such as the
-    runners' retrying checkpoint write)."""
-
-    def _write(tmp: Path) -> None:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-
-    return _write
-
-
 def atomic_write_bytes(
     path: PathLike, data: bytes, *, fsync: bool = False
 ) -> None:
     """Atomic whole-file byte write (see :func:`atomic_write`)."""
-    atomic_write(path, bytes_writer(data), fsync=fsync)
+
+    def _write(tmp: Path) -> None:
+        with open(tmp, "wb") as f:
+            f.write(data)
+
+    atomic_write(path, _write, fsync=fsync)
 
 
 def atomic_write_text(

@@ -4,7 +4,8 @@ The robustness layer over the Pervasive Miner stages: streaming
 validated ingestion with record quarantine (``repro.data.io.iter_*`` +
 :class:`Quarantine`), stage checkpointing with a strict-JSON manifest,
 crash/resume with bit-identical results, bounded-memory chunked
-recognition, and retry-with-backoff checkpoint writes.  Faults are
+recognition, and retry-with-backoff checkpoint writes.  Both runners
+commit through one module, :mod:`repro.runner.commit`.  Faults are
 injected through :func:`repro.ioutil.fault_hook`.  See
 ``docs/RUNNER.md``.
 
@@ -13,25 +14,21 @@ injected through :func:`repro.ioutil.fault_hook`.  See
 >>> result = runner.run(pois, trajectories)                # doctest: +SKIP
 """
 
-from repro.runner.fs import (
-    SimulatedCrash,
-    retry_with_backoff,
-    write_checkpoint,
-)
-from repro.runner.manifest import (
-    Manifest,
-    StageRecord,
+from repro.runner.commit import (
+    checkpoint,
     config_hash,
-    file_sha256,
-    input_digest,
-    parse_manifest,
+    retry_with_backoff,
 )
 from repro.runner.quarantine import Quarantine
 from repro.runner.runner import (
     CSD_ARTIFACT,
     MANIFEST_NAME,
     RECOGNIZED_ARTIFACT,
+    Manifest,
     PipelineRunner,
+    StageRecord,
+    input_digest,
+    parse_manifest,
 )
 from repro.runner.stream import (
     STREAM_MANIFEST_NAME,
@@ -39,7 +36,6 @@ from repro.runner.stream import (
     StreamRunner,
     StreamRunReport,
     parse_stream_manifest,
-    stream_config_hash,
 )
 
 __all__ = [
@@ -49,18 +45,15 @@ __all__ = [
     "StreamRunner",
     "StreamRunReport",
     "parse_stream_manifest",
-    "stream_config_hash",
     "MANIFEST_NAME",
     "Manifest",
     "PipelineRunner",
     "Quarantine",
     "RECOGNIZED_ARTIFACT",
-    "SimulatedCrash",
     "StageRecord",
+    "checkpoint",
     "config_hash",
-    "file_sha256",
     "input_digest",
     "parse_manifest",
     "retry_with_backoff",
-    "write_checkpoint",
 ]

@@ -22,17 +22,19 @@ after every stage.
 
 Recognition runs in configurable chunks through the batched
 ``recognize_points`` kernel, so peak memory is bounded by
-``chunk_size`` rather than the corpus size.  Every checkpoint write
-goes through :func:`~repro.runner.fs.write_checkpoint`, which retries
-transient ``OSError`` with backoff; tests install a
+``chunk_size`` rather than the corpus size.  Every checkpoint is
+written once, atomically, under :func:`~repro.runner.commit.checkpoint`,
+which retries transient ``OSError`` with backoff; tests install a
 :func:`repro.ioutil.fault_hook` to exercise both the retry and the
 crash/resume paths (``docs/RUNNER.md``).
 """
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.contracts import ArraySpec, array_contract
 from repro.core.config import CSDConfig, MiningConfig
@@ -50,15 +52,15 @@ from repro.data.trajectory import (
     StayPoint,
     validate_database,
 )
-from repro.ioutil import bytes_writer
+from repro.ioutil import file_sha256
 from repro.obs import get_registry
-from repro.runner.fs import write_checkpoint
-from repro.runner.manifest import (
-    Manifest,
+from repro.runner.commit import (
+    artifact_intact,
+    checkpoint,
     config_hash,
-    file_sha256,
-    input_digest,
-    parse_manifest,
+    parse_manifest_document,
+    read_manifest,
+    write_manifest,
 )
 
 PathLike = Union[str, Path]
@@ -66,6 +68,138 @@ PathLike = Union[str, Path]
 MANIFEST_NAME = "manifest.json"
 CSD_ARTIFACT = "csd.json"
 RECOGNIZED_ARTIFACT = "recognized.csv"
+
+#: Format marker so later revisions can migrate old run directories.
+MANIFEST_VERSION = 1
+
+#: Stage names in execution order.
+STAGES = ("constructor", "recognition", "extraction")
+
+STATUS_PENDING = "pending"
+STATUS_COMPLETE = "complete"
+
+
+@dataclass
+class StageRecord:
+    """Checkpoint state of one pipeline stage."""
+
+    status: str = STATUS_PENDING
+    artifact: Optional[str] = None
+    artifact_sha256: Optional[str] = None
+
+    def to_dict(self) -> Dict[str, object]:
+        out: Dict[str, object] = {"status": self.status}
+        if self.artifact is not None:
+            out["artifact"] = self.artifact
+            out["artifact_sha256"] = self.artifact_sha256
+        return out
+
+
+@dataclass
+class Manifest:
+    """The ``manifest.json`` document of one run directory.
+
+    Besides the per-stage records it holds the run's identity: a
+    :func:`~repro.runner.commit.config_hash` over both parameter
+    dataclasses plus the chunk size, and an :func:`input_digest` over
+    the POI set and the trajectory corpus.  Resuming with a different
+    ``alpha`` or a regenerated corpus is refused instead of silently
+    mixing results.
+    """
+
+    config_hash: str
+    input_digest: str
+    stages: Dict[str, StageRecord] = field(
+        default_factory=lambda: {name: StageRecord() for name in STAGES}
+    )
+
+    def stage(self, name: str) -> StageRecord:
+        if name not in self.stages:
+            raise KeyError(f"unknown stage {name!r}")
+        return self.stages[name]
+
+    def mark_complete(
+        self, name: str, artifact: Optional[str], artifact_sha256: Optional[str]
+    ) -> None:
+        record = self.stage(name)
+        record.status = STATUS_COMPLETE
+        record.artifact = artifact
+        record.artifact_sha256 = artifact_sha256
+
+    def to_document(self) -> Dict[str, object]:
+        return {
+            "format_version": MANIFEST_VERSION,
+            "config_hash": self.config_hash,
+            "input_digest": self.input_digest,
+            "stages": {
+                name: record.to_dict()
+                for name, record in self.stages.items()
+            },
+        }
+
+    @classmethod
+    def from_document(cls, document: Mapping[str, Any]) -> "Manifest":
+        stages: Dict[str, StageRecord] = {}
+        for name in STAGES:
+            raw = document.get("stages", {}).get(name)
+            if raw is None:
+                stages[name] = StageRecord()
+                continue
+            status = str(raw.get("status", STATUS_PENDING))
+            if status not in (STATUS_PENDING, STATUS_COMPLETE):
+                raise ValueError(
+                    f"stage {name!r} has unknown status {status!r}"
+                )
+            artifact = raw.get("artifact")
+            sha = raw.get("artifact_sha256")
+            stages[name] = StageRecord(
+                status=status,
+                artifact=None if artifact is None else str(artifact),
+                artifact_sha256=None if sha is None else str(sha),
+            )
+        return cls(
+            config_hash=str(document["config_hash"]),
+            input_digest=str(document["input_digest"]),
+            stages=stages,
+        )
+
+
+def parse_manifest(text: str, *, source: str = MANIFEST_NAME) -> Manifest:
+    """Parse a ``manifest.json`` document (see
+    :func:`~repro.runner.commit.parse_manifest_document` for the
+    errors it raises)."""
+    return Manifest.from_document(
+        parse_manifest_document(text, MANIFEST_VERSION, source=source)
+    )
+
+
+def input_digest(
+    pois: Sequence[POI],
+    trajectories: Sequence[SemanticTrajectory],
+) -> str:
+    """Streaming SHA-256 over the full input corpus.
+
+    Floats are hashed via ``repr`` (shortest round-tripping form), so
+    the digest is stable across platforms and process restarts but
+    changes on any value change.  Cost is one pass over the data —
+    negligible next to construction and recognition.
+    """
+    h = hashlib.sha256()
+    h.update(f"pois:{len(pois)}\n".encode("utf-8"))
+    for p in pois:
+        h.update(
+            f"{p.poi_id},{p.lon!r},{p.lat!r},{p.major},{p.minor},{p.name}\n"
+            .encode("utf-8")
+        )
+    h.update(f"trajectories:{len(trajectories)}\n".encode("utf-8"))
+    for st in trajectories:
+        h.update(f"t{st.traj_id}:{len(st.stay_points)}\n".encode("utf-8"))
+        for sp in st.stay_points:
+            tags = ",".join(sorted(sp.semantics))
+            h.update(
+                f"{sp.lon!r},{sp.lat!r},{sp.t!r},{tags}\n".encode("utf-8")
+            )
+    return h.hexdigest()
 
 
 class PipelineRunner:
@@ -110,11 +244,21 @@ class PipelineRunner:
 
     # -- checkpoint plumbing -------------------------------------------
 
-    def _save_manifest(self, manifest: Manifest) -> None:
-        write_checkpoint(
-            self.run_dir / MANIFEST_NAME,
-            bytes_writer((manifest.to_json() + "\n").encode("utf-8")),
+    def _config_hash(self) -> str:
+        """``chunk_size`` is included defensively: chunked recognition
+        is bit-identical by construction (each stay point votes
+        independently), but hashing it means a future chunk-sensitive
+        stage cannot silently reuse a stale checkpoint."""
+        return config_hash(
+            {
+                "csd_config": asdict(self.csd_config),
+                "mining_config": asdict(self.mining_config),
+                "chunk_size": self.chunk_size,
+            }
         )
+
+    def _save_manifest(self, manifest: Manifest) -> None:
+        write_manifest(self.run_dir / MANIFEST_NAME, manifest.to_document())
 
     def _load_manifest(
         self, cfg_hash: str, in_digest: str
@@ -128,33 +272,24 @@ class PipelineRunner:
         path = self.run_dir / MANIFEST_NAME
         if not self.resume or not path.exists():
             return None
-        manifest = parse_manifest(
-            path.read_text(encoding="utf-8"), source=str(path)
-        )
-        if not manifest.matches(cfg_hash, in_digest):
-            raise ValueError(
-                f"run directory {self.run_dir} holds checkpoints for a "
-                "different computation (config hash or input digest "
-                "mismatch); pass resume=False to overwrite, or use a "
-                "fresh --run-dir"
+        return Manifest.from_document(
+            read_manifest(
+                path,
+                MANIFEST_VERSION,
+                {"config_hash": cfg_hash, "input_digest": in_digest},
             )
-        return manifest
+        )
 
-    def _stage_checkpoint_valid(
-        self, manifest: Optional[Manifest], stage: str
-    ) -> bool:
+    def _stage_loadable(self, manifest: Manifest, stage: str) -> bool:
         """True when ``stage`` can be loaded instead of recomputed."""
-        if manifest is None:
-            return False
         record = manifest.stage(stage)
-        if record.status != "complete" or record.artifact is None:
-            return False
-        path = self.run_dir / record.artifact
-        if not path.exists():
-            return False
-        if record.artifact_sha256 != file_sha256(path):
-            return False
-        return True
+        return (
+            record.status == STATUS_COMPLETE
+            and record.artifact is not None
+            and artifact_intact(
+                self.run_dir / record.artifact, record.artifact_sha256
+            )
+        )
 
     # -- stages --------------------------------------------------------
 
@@ -231,9 +366,7 @@ class PipelineRunner:
             )
         with reg.span("pipeline.runner"):
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            cfg_hash = config_hash(
-                self.csd_config, self.mining_config, self.chunk_size
-            )
+            cfg_hash = self._config_hash()
             in_digest = input_digest(pois, trajectories)
             manifest = self._load_manifest(cfg_hash, in_digest)
             resumed_any = manifest is not None
@@ -245,8 +378,9 @@ class PipelineRunner:
                 self._save_manifest(manifest)
 
             # Stage 1: constructor -> csd.json
-            if self._stage_checkpoint_valid(manifest, "constructor"):
-                csd = load_csd(self.run_dir / CSD_ARTIFACT)
+            csd_path = self.run_dir / CSD_ARTIFACT
+            if self._stage_loadable(manifest, "constructor"):
+                csd = load_csd(csd_path)
                 reg.counter("pipeline.runner.stages.skipped").inc()
             else:
                 with reg.span("constructor"):
@@ -254,35 +388,30 @@ class PipelineRunner:
                         sp for st in trajectories for sp in st.stay_points
                     ]
                     csd = self._miner.build_diagram(pois, stay_points)
-                sha = file_sha256(
-                    write_checkpoint(
-                        self.run_dir / CSD_ARTIFACT,
-                        lambda tmp: save_csd(tmp, csd),
-                    )
+                checkpoint(lambda: save_csd(csd_path, csd))
+                manifest.mark_complete(
+                    "constructor", CSD_ARTIFACT, file_sha256(csd_path)
                 )
-                manifest.mark_complete("constructor", CSD_ARTIFACT, sha)
                 self._save_manifest(manifest)
                 reg.counter("pipeline.runner.stages.run").inc()
 
             # Stage 2: chunked recognition -> recognized.csv
-            if self._stage_checkpoint_valid(manifest, "recognition"):
-                recognized = read_semantic_trajectories(
-                    self.run_dir / RECOGNIZED_ARTIFACT
-                )
+            recognized_path = self.run_dir / RECOGNIZED_ARTIFACT
+            if self._stage_loadable(manifest, "recognition"):
+                recognized = read_semantic_trajectories(recognized_path)
                 reg.counter("pipeline.runner.stages.skipped").inc()
             else:
                 with reg.span("recognition"):
                     recognized = self._recognize_chunked(csd, trajectories)
-                sha = file_sha256(
-                    write_checkpoint(
-                        self.run_dir / RECOGNIZED_ARTIFACT,
-                        lambda tmp: write_semantic_trajectories(
-                            tmp, recognized
-                        ),
+                checkpoint(
+                    lambda: write_semantic_trajectories(
+                        recognized_path, recognized
                     )
                 )
                 manifest.mark_complete(
-                    "recognition", RECOGNIZED_ARTIFACT, sha
+                    "recognition",
+                    RECOGNIZED_ARTIFACT,
+                    file_sha256(recognized_path),
                 )
                 self._save_manifest(manifest)
                 reg.counter("pipeline.runner.stages.run").inc()

@@ -20,12 +20,16 @@ Commit protocol, per epoch:
 3. atomically write the manifest referencing the new artifacts, with
    SHA-256 digests, consumed-input cursors, and the updater's online
    state (pending POIs, dirty units) — **this write is the commit**;
-4. best-effort cleanup of the superseded diagram and retired epochs.
+4. best-effort cleanup of the superseded diagram and retired epochs,
+   then refresh the ``csd-latest.json`` alias.
 
 A run killed at any point resumes from the last committed epoch:
 ``resume=True`` reloads the diagram, restores the updater's online
 state, re-registers the live epochs into the windowed miner (exact by
 the miner's maintenance invariant), and skips the consumed input rows.
+Every start, fresh or resumed, also republishes the alias when it is
+missing or does not match the committed diagram, so a crash between a
+commit and its alias copy never leaves a daemon on a stale diagram.
 Epoch processing is deterministic, so a replayed half-finished epoch
 rewrites byte-identical artifacts and the final patterns equal an
 uninterrupted run's — ``tools/crash_sweep.py`` asserts this at every
@@ -39,14 +43,22 @@ a log).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import shutil
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Union,
+)
 
+from repro import ioutil
 from repro.core.config import CSDConfig, MiningConfig
 from repro.data.io import (
     BadRowSink,
@@ -60,10 +72,17 @@ from repro.data.io import (
 from repro.data.persistence import load_csd, save_csd
 from repro.data.poi import POI
 from repro.data.taxi import TaxiTrip
-from repro.ioutil import bytes_writer, file_sha256, strict_json_loads
+from repro.ioutil import file_sha256
 from repro.mining.prefixspan import FrequentSequence
 from repro.obs import get_registry
-from repro.runner.fs import write_checkpoint
+from repro.runner.commit import (
+    artifact_intact,
+    checkpoint,
+    config_hash,
+    parse_manifest_document,
+    read_manifest,
+    write_manifest,
+)
 from repro.stream.engine import EpochResult, StreamEngine
 
 PathLike = Union[str, Path]
@@ -106,76 +125,43 @@ class StreamManifest:
     epochs: List[EpochRecord] = field(default_factory=list)
     format_version: int = STREAM_MANIFEST_VERSION
 
-    def to_json(self) -> str:
-        document = asdict(self)
-        return json.dumps(
-            document, indent=2, sort_keys=True, allow_nan=False
+    def to_document(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_document(cls, document: Mapping[str, Any]) -> "StreamManifest":
+        return cls(
+            config_hash=str(document["config_hash"]),
+            base_csd_sha256=str(document["base_csd_sha256"]),
+            trips_consumed=int(document["trips_consumed"]),
+            pois_consumed=int(document["pois_consumed"]),
+            next_seq_id=int(document["next_seq_id"]),
+            epoch_index=int(document["epoch_index"]),
+            csd_artifact=str(document["csd_artifact"]),
+            csd_sha256=str(document["csd_sha256"]),
+            pending=[int(i) for i in document["pending"]],
+            dirty=[int(i) for i in document["dirty"]],
+            n_added=int(document["n_added"]),
+            epochs=[
+                EpochRecord(
+                    index=int(raw["index"]),
+                    artifact=str(raw["artifact"]),
+                    sha256=str(raw["sha256"]),
+                )
+                for raw in document["epochs"]
+            ],
         )
 
 
 def parse_stream_manifest(
     text: str, *, source: str = STREAM_MANIFEST_NAME
 ) -> StreamManifest:
-    """Parse :meth:`StreamManifest.to_json` output.
-
-    Raises :class:`repro.ioutil.TornArtifactError` naming ``source`` on
-    truncated/invalid JSON and ``ValueError`` on unknown versions.
-    """
-    document = strict_json_loads(text, name=source)
-    version = document.get("format_version")
-    if version != STREAM_MANIFEST_VERSION:
-        raise ValueError(
-            f"unsupported stream manifest version {version!r} "
-            f"(this build reads version {STREAM_MANIFEST_VERSION})"
-        )
-    return StreamManifest(
-        config_hash=str(document["config_hash"]),
-        base_csd_sha256=str(document["base_csd_sha256"]),
-        trips_consumed=int(document["trips_consumed"]),
-        pois_consumed=int(document["pois_consumed"]),
-        next_seq_id=int(document["next_seq_id"]),
-        epoch_index=int(document["epoch_index"]),
-        csd_artifact=str(document["csd_artifact"]),
-        csd_sha256=str(document["csd_sha256"]),
-        pending=[int(i) for i in document["pending"]],
-        dirty=[int(i) for i in document["dirty"]],
-        n_added=int(document["n_added"]),
-        epochs=[
-            EpochRecord(
-                index=int(raw["index"]),
-                artifact=str(raw["artifact"]),
-                sha256=str(raw["sha256"]),
-            )
-            for raw in document["epochs"]
-        ],
+    """Parse a ``stream_manifest.json`` document (see
+    :func:`~repro.runner.commit.parse_manifest_document` for the
+    errors it raises)."""
+    return StreamManifest.from_document(
+        parse_manifest_document(text, STREAM_MANIFEST_VERSION, source=source)
     )
-
-
-def stream_config_hash(
-    csd_config: CSDConfig,
-    mining_config: MiningConfig,
-    window_epochs: int,
-    staleness_threshold: float,
-    epoch_trips: int,
-    poi_batch: Optional[int],
-) -> str:
-    """SHA-256 over every knob that shapes the stream's results.
-
-    ``epoch_trips`` and ``poi_batch`` are included because they change
-    epoch boundaries, hence day-chain grouping and window contents.
-    """
-    payload = {
-        "csd_config": asdict(csd_config),
-        "mining_config": asdict(mining_config),
-        "window_epochs": int(window_epochs),
-        "staleness_threshold": float(staleness_threshold),
-        "epoch_trips": int(epoch_trips),
-        "poi_batch": None if poi_batch is None else int(poi_batch),
-    }
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -247,7 +233,7 @@ class StreamRunner:
         self.csd_config = csd_config or CSDConfig()
         self.mining_config = mining_config or MiningConfig()
         self.epoch_trips = int(epoch_trips)
-        self.poi_batch = poi_batch
+        self.poi_batch = None if poi_batch is None else int(poi_batch)
         self.window_epochs = int(window_epochs)
         self.staleness_threshold = float(staleness_threshold)
         self.resume = bool(resume)
@@ -258,24 +244,32 @@ class StreamRunner:
 
     # -- checkpoint plumbing -------------------------------------------
 
-    def _save_manifest(self, manifest: StreamManifest) -> None:
-        write_checkpoint(
-            self.run_dir / STREAM_MANIFEST_NAME,
-            bytes_writer((manifest.to_json() + "\n").encode("utf-8")),
+    def _config_hash(self) -> str:
+        """``epoch_trips`` and ``poi_batch`` are included because they
+        change epoch boundaries, hence day-chain grouping and window
+        contents."""
+        return config_hash(
+            {
+                "csd_config": asdict(self.csd_config),
+                "mining_config": asdict(self.mining_config),
+                "window_epochs": self.window_epochs,
+                "staleness_threshold": self.staleness_threshold,
+                "epoch_trips": self.epoch_trips,
+                "poi_batch": self.poi_batch,
+            }
         )
 
-    def _verified_artifact(self, record_name: str, sha: str) -> Path:
-        path = self.run_dir / record_name
-        if not path.exists():
+    def _save_manifest(self, manifest: StreamManifest) -> None:
+        write_manifest(
+            self.run_dir / STREAM_MANIFEST_NAME, manifest.to_document()
+        )
+
+    def _committed_artifact(self, name: str, sha: str) -> Path:
+        path = self.run_dir / name
+        if not artifact_intact(path, sha):
             raise ValueError(
-                f"committed artifact {record_name} is missing from "
-                f"{self.run_dir}"
-            )
-        actual = file_sha256(path)
-        if actual != sha:
-            raise ValueError(
-                f"committed artifact {record_name} fails its integrity "
-                f"check (manifest {sha[:12]}…, file {actual[:12]}…)"
+                f"committed artifact {name} in {self.run_dir} is missing "
+                f"or fails its integrity check (manifest {sha[:12]}…)"
             )
         return path
 
@@ -296,11 +290,9 @@ class StreamRunner:
             staleness_threshold=self.staleness_threshold,
         )
         csd_artifact = self._csd_artifact_name(0)
-        base_sha = file_sha256(
-            write_checkpoint(
-                self.run_dir / csd_artifact, lambda tmp: save_csd(tmp, base)
-            )
-        )
+        csd_path = self.run_dir / csd_artifact
+        checkpoint(lambda: save_csd(csd_path, base))
+        base_sha = file_sha256(csd_path)
         manifest = StreamManifest(
             config_hash=cfg_hash,
             base_csd_sha256=base_sha,
@@ -311,21 +303,18 @@ class StreamRunner:
         return manifest
 
     def _resumed_state(self, cfg_hash: str) -> StreamManifest:
-        manifest_path = self.run_dir / STREAM_MANIFEST_NAME
-        manifest = parse_stream_manifest(
-            manifest_path.read_text(encoding="utf-8"),
-            source=str(manifest_path),
-        )
-        if manifest.config_hash != cfg_hash:
-            raise ValueError(
-                f"run directory {self.run_dir} holds a stream for a "
-                "different configuration (config hash mismatch); pass "
-                "resume=False to start over, or use a fresh --run-dir"
+        manifest = StreamManifest.from_document(
+            read_manifest(
+                self.run_dir / STREAM_MANIFEST_NAME,
+                STREAM_MANIFEST_VERSION,
+                {"config_hash": cfg_hash},
             )
-        csd_path = self._verified_artifact(
-            manifest.csd_artifact, manifest.csd_sha256
         )
-        csd = load_csd(csd_path)
+        csd = load_csd(
+            self._committed_artifact(
+                manifest.csd_artifact, manifest.csd_sha256
+            )
+        )
         engine = StreamEngine(
             csd,
             self.csd_config,
@@ -337,7 +326,7 @@ class StreamRunner:
             manifest.pending, manifest.dirty, manifest.n_added
         )
         for record in sorted(manifest.epochs, key=lambda r: r.index):
-            path = self._verified_artifact(record.artifact, record.sha256)
+            path = self._committed_artifact(record.artifact, record.sha256)
             engine.restore_epoch(
                 record.index, read_semantic_trajectories(path)
             )
@@ -359,7 +348,9 @@ class StreamRunner:
         def _copy(tmp: Path) -> None:
             shutil.copyfile(source, tmp)
 
-        write_checkpoint(self.run_dir / LATEST_CSD_NAME, _copy)
+        checkpoint(
+            lambda: ioutil.atomic_write(self.run_dir / LATEST_CSD_NAME, _copy)
+        )
 
     def _csd_artifact_name(self, committed_epochs: int) -> str:
         return f"csd-{committed_epochs:06d}.json"
@@ -404,14 +395,7 @@ class StreamRunner:
         ``max_epochs`` epochs have been committed this invocation."""
         reg = get_registry()
         (self.run_dir / EPOCH_DIR).mkdir(parents=True, exist_ok=True)
-        cfg_hash = stream_config_hash(
-            self.csd_config,
-            self.mining_config,
-            self.window_epochs,
-            self.staleness_threshold,
-            self.epoch_trips,
-            self.poi_batch,
-        )
+        cfg_hash = self._config_hash()
         resuming = (
             self.resume and (self.run_dir / STREAM_MANIFEST_NAME).exists()
         )
@@ -423,6 +407,13 @@ class StreamRunner:
         self._manifest = manifest
         engine = self.engine
         assert engine is not None
+        # A crash between a commit and its alias copy (or a fresh run
+        # that has not committed an epoch yet) leaves the alias missing
+        # or stale; repair it before streaming on.
+        if not artifact_intact(
+            self.run_dir / LATEST_CSD_NAME, manifest.csd_sha256
+        ):
+            self._publish_latest(manifest.csd_artifact)
         if reg.enabled:
             reg.gauge("stream.runner.resumed").set(1.0 if resuming else 0.0)
 
@@ -448,22 +439,18 @@ class StreamRunner:
 
             with reg.timer("stream.commit"):
                 epoch_artifact = self._epoch_artifact_name(result.epoch_index)
-                epoch_sha = file_sha256(
-                    write_checkpoint(
-                        self.run_dir / epoch_artifact,
-                        lambda tmp: write_semantic_trajectories(
-                            tmp, result.recognized
-                        ),
+                epoch_path = self.run_dir / epoch_artifact
+                checkpoint(
+                    lambda: write_semantic_trajectories(
+                        epoch_path, result.recognized
                     )
                 )
+                epoch_sha = file_sha256(epoch_path)
                 superseded_csd = manifest.csd_artifact
                 csd_artifact = self._csd_artifact_name(result.epoch_index + 1)
-                csd_sha = file_sha256(
-                    write_checkpoint(
-                        self.run_dir / csd_artifact,
-                        lambda tmp: save_csd(tmp, engine.csd),
-                    )
-                )
+                csd_path = self.run_dir / csd_artifact
+                checkpoint(lambda: save_csd(csd_path, engine.csd))
+                csd_sha = file_sha256(csd_path)
 
                 records[result.epoch_index] = EpochRecord(
                     index=result.epoch_index,

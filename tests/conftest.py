@@ -13,7 +13,7 @@ from repro.core.config import CSDConfig, MiningConfig
 from repro.data.city import CityModel
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
-from repro.runner.fs import SimulatedCrash
+from repro.ioutil import SimulatedCrash
 
 
 class CrashAt:

@@ -21,6 +21,7 @@ import pytest
 from repro import ioutil
 from repro.ioutil import (
     IO_FAULT_POINTS,
+    SimulatedCrash,
     TornArtifactError,
     atomic_write,
     atomic_write_bytes,
@@ -33,7 +34,6 @@ from repro.ioutil import (
     strict_json_load,
     strict_json_loads,
 )
-from repro.runner.fs import SimulatedCrash
 
 
 @pytest.fixture(autouse=True)
@@ -231,10 +231,14 @@ class TestTornArtifactSweep:
             assert "torn or corrupt" in str(err.value)
 
     def test_truncated_manifest(self, tmp_path):
-        from repro.runner.manifest import Manifest
+        from repro.runner import Manifest
 
         manifest = Manifest(config_hash="c" * 64, input_digest="d" * 64)
-        self._sweep(tmp_path, "manifest.json", manifest.to_json() + "\n")
+        self._sweep(
+            tmp_path,
+            "manifest.json",
+            strict_json_dumps(manifest.to_document(), indent=2) + "\n",
+        )
 
     def test_truncated_stream_manifest(self, tmp_path):
         from repro.runner.stream import StreamManifest
@@ -243,7 +247,9 @@ class TestTornArtifactSweep:
             config_hash="c" * 64, base_csd_sha256="b" * 64
         )
         self._sweep(
-            tmp_path, "stream_manifest.json", manifest.to_json() + "\n"
+            tmp_path,
+            "stream_manifest.json",
+            strict_json_dumps(manifest.to_document(), indent=2) + "\n",
         )
 
     def test_truncated_csd(self, tmp_path, small_csd):
@@ -316,11 +322,6 @@ class TestFileSha256:
         payload = bytes(range(256)) * 100
         target.write_bytes(payload)
         assert file_sha256(target) == hashlib.sha256(payload).hexdigest()
-
-    def test_reexported_from_runner_manifest(self):
-        from repro.runner.manifest import file_sha256 as reexported
-
-        assert reexported is file_sha256
 
 
 class TestProducersAreStrict:

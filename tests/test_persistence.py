@@ -153,7 +153,7 @@ class TestAtomicSave:
         """A save that dies at the final rename must leave the previous
         artifact untouched and no tmp debris — the old non-atomic write
         truncated the target before writing, so a crash destroyed it."""
-        from repro.runner.fs import SimulatedCrash
+        from repro.ioutil import SimulatedCrash
 
         path = tmp_path / "csd.json"
         save_csd(path, small_csd)
@@ -178,7 +178,7 @@ class TestAtomicSave:
         the published artifact either."""
         import builtins
 
-        from repro.runner.fs import SimulatedCrash
+        from repro.ioutil import SimulatedCrash
 
         path = tmp_path / "csd.json"
         save_csd(path, small_csd)

@@ -34,7 +34,7 @@ DATA = "src/repro/data/example.py"
 RUNNER = "src/repro/runner/example.py"
 SERVE = "src/repro/serve/example.py"
 IOUTIL = "src/repro/ioutil.py"
-RUNNER_FS = "src/repro/runner/fs.py"
+RUNNER_COMMIT = "src/repro/runner/commit.py"
 TOOLS = "tools/example.py"
 
 
@@ -114,7 +114,7 @@ class TestRPL017RawOpen:
         # ioutil is the only sanctioned writer; the runners' checkpoint
         # module goes through it like every other caller.
         assert "RPL017" in rules_of(
-            check_durability_source(code, path=RUNNER_FS)
+            check_durability_source(code, path=RUNNER_COMMIT)
         )
 
     def test_silent_outside_repro(self):
@@ -249,7 +249,7 @@ class TestRPL020RenameConfinement:
         code = "import os\ndef f(a, b):\n    os.replace(a, b)\n"
         assert check_durability_source(code, path=IOUTIL) == []
         assert "RPL020" in rules_of(
-            check_durability_source(code, path=RUNNER_FS)
+            check_durability_source(code, path=RUNNER_COMMIT)
         )
 
     def test_silent_on_os_remove(self):

@@ -14,6 +14,7 @@ nth)`` write boundary.
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
 from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import SemanticTrajectory, StayPoint
+from repro.ioutil import SimulatedCrash
 from repro.obs import MetricsRegistry
 from repro.runner import (
     CSD_ARTIFACT,
@@ -30,7 +32,6 @@ from repro.runner import (
     PipelineRunner,
     Quarantine,
     RECOGNIZED_ARTIFACT,
-    SimulatedCrash,
     config_hash,
     input_digest,
     parse_manifest,
@@ -235,7 +236,14 @@ class TestManifestGuards:
         )
         text = (run_dir / MANIFEST_NAME).read_text(encoding="utf-8")
         document = json.loads(text)
-        assert document["config_hash"] == config_hash(cc, mc, CHUNK)
+        cfg_hash = config_hash(
+            {
+                "csd_config": asdict(cc),
+                "mining_config": asdict(mc),
+                "chunk_size": CHUNK,
+            }
+        )
+        assert document["config_hash"] == cfg_hash
         assert document["input_digest"] == input_digest(
             small_pois, small_trajectories
         )
@@ -246,10 +254,9 @@ class TestManifestGuards:
         assert stages["extraction"]["status"] == "complete"
         # Round-trips through the parser.
         manifest = parse_manifest(text)
-        assert manifest.matches(
-            config_hash(cc, mc, CHUNK),
-            input_digest(small_pois, small_trajectories),
-        )
+        assert manifest.config_hash == cfg_hash
+        assert manifest.input_digest == document["input_digest"]
+        assert manifest.to_document() == document
 
     def test_duplicate_traj_ids_rejected(self, tmp_path, small_pois):
         sts = [

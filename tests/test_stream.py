@@ -31,7 +31,7 @@ from repro.data.trajectory import as_tag_sequence
 from repro.mining.prefixspan import WindowedPrefixSpan, prefixspan
 from repro.obs import MetricsRegistry
 from repro.runner import Quarantine, StreamRunner, parse_stream_manifest
-from repro.runner.fs import SimulatedCrash
+from repro.ioutil import SimulatedCrash
 from repro.runner.stream import LATEST_CSD_NAME, STREAM_MANIFEST_NAME
 from repro.serve import RecognitionService
 from repro.stream import StreamEngine
@@ -250,9 +250,10 @@ class TestStreamEngine:
 
 
 #: Mid-stream crash sites, named for the moment of the third epoch
-#: (index 2) they hit.  Manifest writes: #1 fresh, then one per epoch.
+#: (index 2) they hit.  Manifest writes and alias publishes: #1 fresh,
+#: then one per epoch.
 STREAM_CRASH_SITES = {
-    "before-epoch": ("replaced", LATEST_CSD_NAME, 2),
+    "before-epoch": ("replaced", LATEST_CSD_NAME, 3),
     "after-epoch-recognition": ("tmp-open", "epoch-000002.csv", 1),
     "after-epoch-artifacts": ("replaced", "csd-000003.json", 1),
     "after-epoch-commit": ("replaced", STREAM_MANIFEST_NAME, 4),
@@ -367,6 +368,36 @@ class TestStreamRunner:
         assert [r.sha256 for r in manifest.epochs] == [
             r.sha256 for r in ref_manifest.epochs
         ]
+
+    def test_fresh_start_publishes_alias(self, tmp_path, stream_run_files):
+        """A daemon watching the alias has a diagram to load before the
+        first epoch commits."""
+        run_dir = tmp_path / "run"
+        report = make_runner(run_dir, stream_run_files).run(max_epochs=0)
+        manifest, _ = final_state(run_dir, report)
+        assert manifest.epoch_index == 0
+        assert (run_dir / LATEST_CSD_NAME).read_bytes() == (
+            run_dir / manifest.csd_artifact
+        ).read_bytes()
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_resume_repairs_alias_after_crash_at_publish(
+        self, tmp_path, stream_run_files, nth
+    ):
+        """A crash at an alias copy leaves the alias missing (the
+        start-up publish, nth=1) or one epoch behind the commit (nth=2);
+        the next start must republish it even when no epoch runs."""
+        run_dir = tmp_path / "run"
+        with pytest.raises(SimulatedCrash):
+            with ioutil.fault_hook(CrashAt("tmp-open", LATEST_CSD_NAME, nth)):
+                make_runner(run_dir, stream_run_files).run()
+        report = make_runner(run_dir, stream_run_files, resume=True).run(
+            max_epochs=0
+        )
+        assert report.epochs_run == 0
+        manifest, _ = final_state(run_dir, report)
+        alias = run_dir / LATEST_CSD_NAME
+        assert ioutil.file_sha256(alias) == manifest.csd_sha256
 
     def test_resume_rejects_config_change(self, tmp_path, stream_run_files):
         run_dir = tmp_path / "run"
@@ -489,7 +520,8 @@ class TestStreamRunner:
                 ).run()
         finally:
             obs.set_registry(old)
-        assert flaky.hits == report.epochs_run + 1  # one retried write
+        # One publish at start-up, one per epoch, plus the retried one.
+        assert flaky.hits == report.epochs_run + 2
         assert len(notified) == report.epochs_run
         counters = reg.snapshot()["counters"]
         assert counters["pipeline.runner.checkpoint.retries"] == 1

@@ -6,7 +6,7 @@ write (``tmp-open``, ``tmp-written``, ``replaced`` — see
 announcement a deterministic reference run makes — the run's **write
 ordinals** — then, for each ordinal, repeats the run in a fresh
 directory with a hook that raises
-:class:`~repro.runner.fs.SimulatedCrash` at exactly that announcement,
+:class:`~repro.ioutil.SimulatedCrash` at exactly that announcement,
 and asserts the durability contract (``docs/DATA_FORMATS.md``):
 
 (a) **no debris** — no ``*.tmp`` file anywhere under the run directory;
@@ -15,7 +15,12 @@ and asserts the durability contract (``docs/DATA_FORMATS.md``):
     ``*.csv`` decodes as UTF-8;
 (c) **resume is bit-identical** — a plain ``resume=True`` run lands on
     the reference patterns and the reference artifact bytes
-    (SHA-256-compared).
+    (SHA-256-compared).  A resumed stream must also leave its
+    ``csd-latest.json`` alias equal to the committed diagram.
+
+Each reference run must also write every artifact exactly once: no
+announced write target may be a ``*.tmp`` sibling (an atomic write
+nested inside another).
 
 Both checkpointed drivers are swept: the batch
 :class:`~repro.runner.PipelineRunner` and the epoch-at-a-time
@@ -27,9 +32,10 @@ however the run was killed.  The quarantine appends outside
 :mod:`repro.ioutil`, so it adds no write ordinals.
 
 Exit code 0 means every swept ordinal upheld all three invariants.
-``--report`` writes a strict-JSON sweep report (CI uploads it as the
-``io-sanitize`` job's artifact); ``--fast`` subsamples the ordinals
-(always keeping the first and last) for a quick CI smoke.
+``--report`` writes a strict-JSON sweep report (CI runs the exhaustive
+sweep and uploads it as the ``io-sanitize`` job's artifact); ``--fast``
+subsamples the ordinals (always keeping the first and last) for a
+quick local smoke.
 
 Usage::
 
@@ -55,8 +61,12 @@ from repro.data.persistence import save_csd
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
 from repro.runner import PipelineRunner, Quarantine, StreamRunner
-from repro.runner.fs import SimulatedCrash
-from repro.runner.stream import STREAM_MANIFEST_NAME, parse_stream_manifest
+from repro.ioutil import SimulatedCrash
+from repro.runner.stream import (
+    LATEST_CSD_NAME,
+    STREAM_MANIFEST_NAME,
+    parse_stream_manifest,
+)
 
 CSD_CFG = CSDConfig(alpha=0.7)
 MINING_CFG = MiningConfig(support=6, rho=0.001)
@@ -115,6 +125,18 @@ class RecordingHook:
 
     def __call__(self, point: str, target: Path) -> None:
         self.events.append((point, target.name))
+
+    def check_single_writes(self) -> None:
+        """Every artifact is written once: no announced target is the
+        tmp sibling of another atomic write."""
+        nested = sorted(
+            {name for _, name in self.events
+             if name.endswith(ioutil.TMP_SUFFIX)}
+        )
+        if nested:
+            raise SweepFailure(
+                f"reference run nests atomic writes (tmp targets: {nested})"
+            )
 
 
 class CrashAtOrdinal:
@@ -257,6 +279,7 @@ def sweep_batch(
         reference = _batch_run(work, ref_dir)
     if not reference.patterns:
         raise SweepFailure("workload mined no patterns; sweep is vacuous")
+    recorder.check_single_writes()
     ref_key = batch_pattern_key(reference)
     ref_shas = artifact_shas(ref_dir)
     result = SweepResult("batch", ordinals=len(recorder.events))
@@ -308,11 +331,19 @@ def _stream_run(work: Workload, run_dir: Path, resume: bool = False):
 
 def stream_state(run_dir: Path, report):
     """Comparable committed state: parsed manifest fields plus the
-    bytes (SHA-256) of every manifest-referenced artifact."""
+    bytes (SHA-256) of every manifest-referenced artifact.  Raises
+    :class:`SweepFailure` when the ``csd-latest.json`` alias does not
+    hold the committed diagram."""
     manifest = parse_stream_manifest(
         (run_dir / STREAM_MANIFEST_NAME).read_text(encoding="utf-8"),
         source=str(run_dir / STREAM_MANIFEST_NAME),
     )
+    alias = run_dir / LATEST_CSD_NAME
+    if not alias.exists() or ioutil.file_sha256(alias) != manifest.csd_sha256:
+        raise SweepFailure(
+            f"{LATEST_CSD_NAME} in {run_dir} is missing or does not hold "
+            f"the committed diagram {manifest.csd_artifact}"
+        )
     shas = {
         manifest.csd_artifact: ioutil.file_sha256(
             run_dir / manifest.csd_artifact
@@ -352,6 +383,7 @@ def sweep_stream(
             f"stream workload committed only {reference.epochs_run} "
             "epoch(s); sweep needs a multi-epoch run"
         )
+    recorder.check_single_writes()
     ref_state = stream_state(ref_dir, reference)
     ref_quarantine = (ref_dir / QUARANTINE_NAME).read_bytes()
     if ref_quarantine.count(b"\n") != 1 + len(BAD_TRIP_ROWS):
@@ -414,8 +446,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="subsample write ordinals (CI smoke; first and last always "
-        "swept)",
+        help="subsample write ordinals (quick smoke; first and last "
+        "always swept)",
     )
     parser.add_argument(
         "--path",
