@@ -8,8 +8,7 @@ Times the two hottest pipeline stages on the standard bench workload
   ``compute_popularity`` (one CSR batch query + ``np.bincount``);
 * recognition (Algorithm 3): per-stay-point dict voting vs.
   ``CSDRecognizer.recognize_points`` (one CSR batch query +
-  ``np.bincount`` over ``(stay, unit)`` pairs), plus the ``n_jobs=2``
-  chunked multiprocessing mode.
+  ``np.bincount`` over ``(stay, unit)`` pairs).
 
 Both comparisons also verify the results are identical, then write the
 measurements to ``BENCH_kernel.json`` at the repo root.  Run with
@@ -167,20 +166,12 @@ def main(argv=None):
         f"recognition: loop {t_rec_loop:.3f}s  batched {t_rec_batch:.3f}s  "
         f"speedup x{rec_speedup:.1f}  identical={rec_equal}"
     )
-    rec_mp, t_rec_mp = timed(
-        recognizer.recognize, workload.trajectories, repeat=1, n_jobs=2
-    )
-    mp_flat = [sp.semantics for st in rec_mp for sp in st.stay_points]
-    print(
-        f"recognition: n_jobs=2 {t_rec_mp:.3f}s (whole trajectories, "
-        f"identical={mp_flat == rec_batch})"
-    )
 
     # Observability: time the registry-disabled and registry-enabled
     # paths as one freshly-warmed back-to-back pair.  Comparing against
     # the *earlier* t_rec_batch measurement used to report a negative
     # overhead (-4%): the interpreter, allocator, and CPU state had
-    # drifted across the intervening n_jobs run, which is exactly the
+    # drifted across the intervening runs, which is exactly the
     # kind of cross-measurement noise a relative overhead must exclude.
     registry = obs.get_registry()
     registry.reset()
@@ -222,8 +213,7 @@ def main(argv=None):
             "loop_s": round(t_rec_loop, 4),
             "batched_s": round(t_rec_batch, 4),
             "speedup": round(rec_speedup, 2),
-            "n_jobs2_s": round(t_rec_mp, 4),
-            "identical": bool(rec_equal and mp_flat == rec_batch),
+            "identical": bool(rec_equal),
         },
         "csd_build_s": round(t_build, 4),
         "observability": {

@@ -16,10 +16,9 @@ the same kernel, so both paths are exactly equivalent.
 
 The voting kernel itself is split out as :func:`vote_stays`, a pure
 array function over the CSD.  Votes for different stay points never
-interact, so a chunk of the corpus voted in a forked worker is
-bit-identical to the same slice of one big serial batch — that
-per-stay independence is what lets ``recognize(..., n_jobs=N)`` fan out
-over ``repro.parallel`` without any tolerance games.
+interact, so recognising a corpus in slices is bit-identical to one
+big batch; :func:`attach_semantics` re-splits the flat results into
+trajectories for every caller that flattens first.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ from repro.data.trajectory import (
 from repro.geo.distance import gaussian_coefficients, gaussian_coefficients32
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.types import Float64Array, IndexArray, MetersArray
-
-#: Below this many stays per worker the fork/dispatch overhead of the
-#: process pool outweighs the recognition work itself; ``n_jobs`` is
-#: silently reduced (possibly to serial) so no chunk falls under it.
-_MIN_STAYS_PER_JOB = 512
-
 
 @array_contract(
     poi_xy=ArraySpec(dtype="float32", cols=2),
@@ -98,11 +91,10 @@ def vote_stays(
     Returns ``(winner_of, win_stay, win_poi)``: the winning unit id per
     stay (``UNASSIGNED`` where no unit-assigned POI is in range), plus
     the ``(stay, poi)`` hit pairs belonging to each stay's winning unit
-    — everything the semantic assembly step needs, and nothing that
-    cannot cross a process boundary cheaply.  ``use_float32`` evaluates
-    the vote scores in single precision (:func:`_vote_scores_f32`);
-    winners are unchanged whenever the vote margin exceeds float32
-    noise (asserted on the standard workload by
+    — everything the semantic assembly step needs.  ``use_float32``
+    evaluates the vote scores in single precision
+    (:func:`_vote_scores_f32`); winners are unchanged whenever the vote
+    margin exceeds float32 noise (asserted on the standard workload by
     ``tests/test_kernel_equivalence.py``).
     """
     pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
@@ -124,9 +116,8 @@ def vote_stays(
     unit_ids = unit_ids[keep]
     if use_float32:
         # bincount below upcasts weights to float64 regardless; casting
-        # here keeps the accumulation identical between the serial and
-        # worker paths while the heavy part (gather/distance/exp) ran
-        # in single precision.
+        # here keeps the accumulation in float64 while the heavy part
+        # (gather/distance/exp) ran in single precision.
         scores: Float64Array = _vote_scores_f32(
             source.poi_xy[hit_idx].astype(np.float32),
             pts[stay_of].astype(np.float32),
@@ -160,33 +151,25 @@ def vote_stays(
     return winner_of, stay_of[winning], hit_idx[winning]
 
 
-@array_contract(ret=ArraySpec(dtype="int64", ndim=1))
-def chunk_bounds(
-    n_items: int, n_jobs: int, min_per_job: int = _MIN_STAYS_PER_JOB
-) -> IndexArray:
-    """Contiguous chunk boundaries for fanning ``n_items`` over workers.
-
-    Returns ``k + 1`` ascending bounds with ``k <= n_jobs`` chunks,
-    every chunk non-empty and — whenever ``n_items >= min_per_job`` —
-    at least ``min_per_job`` items long.  The naive
-    ``np.linspace(0, n, n_jobs + 1)`` split respected the minimum only
-    *before* rounding: just above the threshold it could round a chunk
-    down to a sliver (or, for ``n_items < n_jobs``, produce genuinely
-    empty chunks).  Clamping the chunk *count* first makes both
-    impossible.  ``k == 1`` (a single ``[0, n]`` chunk) is the caller's
-    signal to stay serial.
+def attach_semantics(
+    trajectories: Sequence[SemanticTrajectory],
+    props: Sequence[SemanticProperty],
+) -> List[SemanticTrajectory]:
+    """New trajectories carrying ``props``, the semantics of their
+    stay points flattened in trajectory order (inputs are not mutated).
     """
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be at least 1")
-    if min_per_job < 1:
-        raise ValueError("min_per_job must be at least 1")
-    if n_items <= 0:
-        return np.zeros(1, dtype=np.int64)
-    k = max(1, min(n_jobs, n_items // min_per_job))
-    bounds = np.linspace(0, n_items, k + 1).astype(np.int64)
-    bounds[0] = 0
-    bounds[-1] = n_items
-    return bounds
+    out: List[SemanticTrajectory] = []
+    cursor = 0
+    # reprolint: allow-loop -- reassembling per-trajectory objects
+    # from the flat recognition results; not array iteration.
+    for st in trajectories:
+        stays = [
+            sp.with_semantics(props[cursor + i])
+            for i, sp in enumerate(st.stay_points)
+        ]
+        cursor += len(st.stay_points)
+        out.append(SemanticTrajectory(st.traj_id, stays))
+    return out
 
 
 class CSDRecognizer:
@@ -203,7 +186,7 @@ class CSDRecognizer:
     ``"float64"`` (default) is bit-identical to the scalar oracle;
     ``"float32"`` halves the kernel's memory traffic and is validated
     to produce identical unit assignments on the standard workload
-    (see ``docs/PARALLELISM.md`` for when the opt-in is safe).
+    (see ``docs/PERFORMANCE.md`` for when the opt-in is safe).
     """
 
     def __init__(
@@ -251,19 +234,10 @@ class CSDRecognizer:
         reg = get_registry()
         with reg.timer("recognition.batch") as timing:
             out = self._recognize_batch(stay_points)
-        self._record_batch_metrics(out, timing.elapsed)
-        return out
-
-    def _record_batch_metrics(
-        self, out: List[SemanticProperty], elapsed: float
-    ) -> None:
-        """One batch's worth of ``recognition.*`` metrics (no-op when
-        the registry is disabled)."""
-        reg = get_registry()
         if not reg.enabled:
-            return
+            return out
         reg.counter("recognition.batches").inc(1)
-        reg.histogram("recognition.batch_latency_s").observe(elapsed)
+        reg.histogram("recognition.batch_latency_s").observe(timing.elapsed)
         reg.histogram(
             "recognition.batch_size", buckets=DEFAULT_SIZE_BUCKETS
         ).observe(float(len(out)))
@@ -272,6 +246,7 @@ class CSDRecognizer:
         reg.counter("recognition.stays.unmatched").inc(
             len(out) - recognized
         )
+        return out
 
     @array_contract(ret=ArraySpec(dtype="float64", cols=2))
     def project_stays(
@@ -313,8 +288,7 @@ class CSDRecognizer:
         Builds, for every recognised stay, the tag union of the winning
         unit's in-range POIs filtered by ``min_tag_share``.  This is
         the Python-object half of recognition (strings and frozensets,
-        no numpy kernel); the parallel path runs it once in the parent
-        over the workers' concatenated numeric results.
+        no numpy kernel).
         """
         n = len(winner_of)
         out: List[SemanticProperty] = [NO_SEMANTICS] * n
@@ -339,44 +313,10 @@ class CSDRecognizer:
         return out
 
     def recognize(
-        self,
-        trajectories: Sequence[SemanticTrajectory],
-        n_jobs: int = 1,
+        self, trajectories: Sequence[SemanticTrajectory]
     ) -> List[SemanticTrajectory]:
         """Algorithm 3 over a whole dataset: new trajectories with
-        semantics filled in (inputs are not mutated).
-
-        ``n_jobs > 1`` fans the flattened stay-point corpus out over
-        a per-call pool of forked workers (:mod:`repro.parallel`):
-        each worker reads the CSD copy-on-write and votes one
-        contiguous chunk.  Per-stay vote independence
-        makes the reassembled output bit-identical to the serial path.
-        Corpora too small to give every worker ``_MIN_STAYS_PER_JOB``
-        stays run with fewer workers, or serially.
-        """
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
+        semantics filled in (inputs are not mutated), recognised as one
+        batch."""
         flat = [sp for st in trajectories for sp in st.stay_points]
-        # Pass the module global explicitly so tests can lower it.
-        bounds = chunk_bounds(len(flat), n_jobs, _MIN_STAYS_PER_JOB)
-        if len(bounds) <= 2:
-            props = self.recognize_points(flat)
-        else:
-            from repro.parallel import recognize_parallel
-
-            reg = get_registry()
-            with reg.timer("recognition.batch") as timing:
-                props = recognize_parallel(self, flat, bounds)
-            self._record_batch_metrics(props, timing.elapsed)
-        out: List[SemanticTrajectory] = []
-        cursor = 0
-        # reprolint: allow-loop -- reassembling per-trajectory objects
-        # from the flat recognition results; not array iteration.
-        for st in trajectories:
-            stays = [
-                sp.with_semantics(props[cursor + i])
-                for i, sp in enumerate(st.stay_points)
-            ]
-            cursor += len(st.stay_points)
-            out.append(SemanticTrajectory(st.traj_id, stays))
-        return out
+        return attach_semantics(trajectories, self.recognize_points(flat))

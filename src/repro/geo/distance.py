@@ -90,7 +90,7 @@ def gaussian_coefficients32(
     The whole evaluation (square, scale, exp) stays in ``float32`` —
     :func:`gaussian_coefficients` would silently upcast to ``float64``
     via ``np.asarray(..., dtype=float)``.  Backs the opt-in float32
-    recognition query path (``docs/PARALLELISM.md``); the relative
+    recognition query path (``docs/PERFORMANCE.md``); the relative
     error vs. the float64 kernel is bounded by a few 1e-7, far below
     any realistic vote margin.
     """

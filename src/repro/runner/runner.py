@@ -40,7 +40,7 @@ from repro.contracts import ArraySpec, array_contract
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.csd import CitySemanticDiagram
 from repro.core.miner import MiningResult, PervasiveMiner
-from repro.core.recognition import CSDRecognizer
+from repro.core.recognition import CSDRecognizer, attach_semantics
 from repro.data.io import (
     read_semantic_trajectories,
     write_semantic_trajectories,
@@ -318,16 +318,7 @@ class PipelineRunner:
             reg.counter("pipeline.runner.chunks").inc()
             progress.set(min(1.0, (start + len(chunk)) / max(total, 1)))
         progress.set(1.0)
-        out: List[SemanticTrajectory] = []
-        cursor = 0
-        for st in trajectories:
-            stays = [
-                sp.with_semantics(props[cursor + i])
-                for i, sp in enumerate(st.stay_points)
-            ]
-            cursor += len(st.stay_points)
-            out.append(SemanticTrajectory(st.traj_id, stays))
-        return out
+        return attach_semantics(trajectories, props)
 
     # -- public API ----------------------------------------------------
 

@@ -15,13 +15,11 @@ request goes to the kernel at once, and requests that arrive while a
 kernel call runs queue up and form the next batch, so batches grow
 exactly as fast as load does.
 
-Correctness leans on per-stay vote independence (the same property that
-lets ``recognize(..., n_jobs=N)`` vote chunks in forked workers
-bit-identically, see ``core/recognition.py``): recognising N queued
-points as one batch and handing each requester its slice is
-bit-for-bit the same as N sequential ``recognize_point`` calls —
-asserted under concurrency by ``tests/test_serve.py`` and the serve
-bench.
+Correctness leans on per-stay vote independence (see
+``core/recognition.py``): recognising N queued points as one batch and
+handing each requester its slice is bit-for-bit the same as N
+sequential ``recognize_point`` calls — asserted under concurrency by
+``tests/test_serve.py`` and the serve bench.
 
 Backpressure is explicit: a full queue rejects immediately with
 :class:`ServerOverloaded` (the HTTP layer maps it to 503) instead of

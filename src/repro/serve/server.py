@@ -22,7 +22,8 @@ Endpoints (``docs/SERVING.md`` has request/response examples):
 ``/admin/reload``     POST    re-read the CSD artifact, invalidate cache
 ====================  ======  =============================================
 
-Error mapping: malformed JSON/fields or a bad ``Content-Length`` →
+Error mapping: malformed JSON/fields, a non-finite number (``NaN``,
+``Infinity``, an overflowing ``1e999``) or a bad ``Content-Length`` →
 400, unknown route/unit → 404, admission queue full → **503** with a
 ``Retry-After`` hint (the backpressure contract), anything unexpected →
 500 with the ``serve.errors`` counter bumped.  A client that hangs up
@@ -36,6 +37,7 @@ hold the body until the client's delayed ACK, ~40 ms per request.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -54,6 +56,17 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 class _BadRequest(ValueError):
     """Client-side error carrying the HTTP 400 message."""
+
+
+def _reject_constant(token: str) -> float:
+    raise _BadRequest(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _BadRequest(f"number {text} is not finite as a float")
+    return value
 
 
 def _float_field(doc: Dict[str, Any], name: str) -> float:
@@ -128,7 +141,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise _BadRequest("request body must be JSON")
         try:
-            doc = json.loads(raw)
+            doc = json.loads(
+                raw, parse_constant=_reject_constant, parse_float=_finite_float
+            )
         except json.JSONDecodeError as exc:
             raise _BadRequest(f"invalid JSON: {exc.msg}") from None
         if not isinstance(doc, dict):

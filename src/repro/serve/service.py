@@ -69,9 +69,9 @@ class RecognitionService:
             raise ValueError("pass exactly one of csd or csd_path")
         self.config = config or ServeConfig()
         self.csd_path = Path(csd_path) if csd_path is not None else None
-        # Guards the csd/recognizer swap on reload; request handlers
-        # read both through one attribute load so in-flight batches
-        # stay internally consistent.
+        # Guards the csd/recognizer/cache swap on reload and every
+        # cache fill; request handlers read the recognizer through one
+        # attribute load so in-flight batches stay internally consistent.
         self._reload_lock = threading.Lock()
         self.csd = csd if csd is not None else load_csd(self.csd_path)  # type: ignore[arg-type]
         #: SHA-256 of the artifact bytes behind the loaded diagram;
@@ -120,9 +120,11 @@ class RecognitionService:
         # Reload swaps in a brand-new recognizer object, so identity
         # tells us whether this result could predate a concurrent
         # reload; skipping the fill then keeps a stale answer out of
-        # the freshly invalidated cache.
-        if recognizer is self.recognizer:
-            self.cache.put(key, prop)
+        # the freshly invalidated cache.  Check and fill hold the
+        # reload lock so no reload can land between them.
+        with self._reload_lock:
+            if recognizer is self.recognizer:
+                self.cache.put(key, prop)
         return prop
 
     def recognize_many(

@@ -11,7 +11,6 @@ exactly — no tolerances.
 import numpy as np
 import pytest
 
-import repro.core.recognition as recognition_mod
 from repro.core.config import CSDConfig
 from repro.core.constructor import build_csd
 from repro.core.csd import UNASSIGNED
@@ -196,26 +195,6 @@ class TestRecognitionEquivalence:
         out = recognizer.recognize(trajs)
         flat = [sp.semantics for st in out for sp in st.stay_points]
         assert flat == recognizer.recognize_points(corpus)
-
-    def test_n_jobs_identical_to_serial(self, random_csd, corpus, monkeypatch):
-        recognizer = CSDRecognizer(random_csd, 100.0)
-        trajs = [
-            SemanticTrajectory(i, corpus[i * 20 : (i + 1) * 20])
-            for i in range(10)
-        ]
-        serial = recognizer.recognize(trajs)
-        monkeypatch.setattr(recognition_mod, "_MIN_STAYS_PER_JOB", 1)
-        parallel = recognizer.recognize(trajs, n_jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.traj_id == b.traj_id
-            assert [sp.semantics for sp in a.stay_points] == [
-                sp.semantics for sp in b.stay_points
-            ]
-
-    def test_rejects_bad_n_jobs(self, random_csd):
-        recognizer = CSDRecognizer(random_csd, 100.0)
-        with pytest.raises(ValueError):
-            recognizer.recognize([], n_jobs=0)
 
 
 class TestFloat32Voting:

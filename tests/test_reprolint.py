@@ -369,13 +369,15 @@ class TestRPL011PoolOutsideParallel:
         )
         assert "RPL011" in rules_of(check_source(code, path=GEO))
 
-    def test_silent_inside_repro_parallel(self):
+    def test_fires_inside_repro_parallel(self):
+        # No subpackage is a sanctioned pool layer any more.
         code = (
             "from concurrent.futures import ProcessPoolExecutor\n"
             "def f():\n"
             "    return ProcessPoolExecutor(max_workers=2)\n"
         )
-        assert check_source(code, path="src/repro/parallel/pool.py") == []
+        findings = check_source(code, path="src/repro/parallel/pool.py")
+        assert "RPL011" in rules_of(findings)
 
     def test_silent_outside_repro_package(self):
         # Benchmarks and tools may drive pools directly.
@@ -573,8 +575,8 @@ class TestRepositoryIsClean:
         )
         assert findings == [], "\n".join(str(f) for f in findings)
 
-    def test_all_src_pools_live_in_repro_parallel(self):
-        """RPL011 explicitly: repro.parallel owns every worker pool."""
+    def test_src_constructs_no_worker_pools(self):
+        """RPL011 explicitly: no worker pool anywhere in src/."""
         findings = check_paths(
             [str(REPO_ROOT / "src")], select=["RPL011"]
         )

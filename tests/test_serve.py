@@ -17,9 +17,11 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram
 from repro.core.recognition import CSDRecognizer
 from repro.data.persistence import save_csd
 from repro.data.trajectory import StayPoint
@@ -366,6 +368,47 @@ class TestRecognitionService:
             # Same artifact → same answers after the swap.
             assert service.recognize_one(sp.lon, sp.lat) == expected
 
+    def test_reload_during_cache_fill_leaves_no_stale_entry(
+        self, small_csd, stays, tmp_path
+    ):
+        """A reload landing between a result's recognizer check and its
+        cache fill must not leave that (now stale) result cached."""
+        path = tmp_path / "csd.json"
+        save_csd(path, small_csd)
+        # Same POIs, no semantic units: recognises nothing.
+        blank = CitySemanticDiagram(
+            small_csd.pois,
+            small_csd.projection,
+            small_csd.poi_xy,
+            small_csd.popularity,
+            [],
+            np.full(small_csd.n_pois, UNASSIGNED, dtype=np.int64),
+        )
+        with RecognitionService(csd_path=path) as service:
+            sp = next(s for s in stays if service.recognizer.recognize_point(s))
+            save_csd(path, blank)
+            reloader = threading.Thread(target=service.reload)
+            real_put = service.cache.put
+
+            def put_after_reload(key, prop):
+                reloader.start()
+                # Unfixed, the reload completes here; fixed, it waits
+                # for the fill's lock and clears the cache after it.
+                reloader.join(timeout=2.0)
+                real_put(key, prop)
+
+            service.cache.put = put_after_reload
+            stale = service.recognize_one(sp.lon, sp.lat)
+            reloader.join(timeout=30)
+            assert not reloader.is_alive()
+            service.cache.put = real_put
+            assert stale
+            assert service.reloads == 1
+            assert len(service.cache) == 0
+            fresh = CSDRecognizer(blank).recognize_point(sp)
+            assert fresh == frozenset()
+            assert service.recognize_one(sp.lon, sp.lat) == fresh
+
     def test_reload_requires_path(self, small_csd):
         with RecognitionService(csd=small_csd) as service:
             with pytest.raises(ValueError, match="csd_path"):
@@ -589,6 +632,37 @@ class TestHTTPTransport:
         assert "Content-Length" in body["error"]
         # The body's extent is unknown: the daemon drops the connection.
         assert resp.getheader("Connection") == "close"
+        assert registry.counter("serve.errors").value == 0
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/recognize", '{"lon": NaN, "lat": 31.2}'),
+            ("/v1/recognize", '{"lon": Infinity, "lat": 31.2}'),
+            ("/v1/recognize", '{"lon": 121.4, "lat": 1e999}'),
+            ("/v1/recognize/batch", '{"points": [[NaN, 31.2]]}'),
+            ("/v1/recognize/batch", '{"points": [[121.4, -Infinity]]}'),
+            ("/v1/range", '{"lon": 121.4, "lat": 31.2, "radius_m": NaN}'),
+            ("/v1/range", '{"lon": 121.4, "lat": 31.2, "radius_m": Infinity}'),
+            ("/v1/range", '{"lon": NaN, "lat": 31.2, "radius_m": 100}'),
+        ],
+    )
+    def test_non_finite_number_is_400(self, http_server, registry, path, body):
+        """Python's JSON parser accepts NaN/Infinity and overflows
+        1e999 to inf; the daemon rejects all of them as bad input."""
+        base, _ = http_server
+        conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=5)
+        try:
+            conn.request(
+                "POST", path, body=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400, doc
+        assert "finite" in doc["error"]
         assert registry.counter("serve.errors").value == 0
 
     def test_client_reset_is_quiet(self, http_server, registry, stays, capsys):

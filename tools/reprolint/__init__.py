@@ -51,8 +51,8 @@ RPL009    Public array-typed functions in the contract-bearing modules
           ``CSRSpec``, …).
 RPL010    ``docs/OBSERVABILITY.md`` and ``repro.obs.names`` list the
           same names — the metric catalogue cannot silently rot.
-RPL011    Worker pools are constructed only in ``repro.parallel`` —
-          the sanctioned fan-out layer.
+RPL011    No worker-pool construction anywhere in ``src/repro`` —
+          recognition is serial and batched.
 ========  ==============================================================
 
 Pass 3 (artifact durability, per file in ``src/repro``):

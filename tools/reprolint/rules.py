@@ -70,9 +70,9 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
     ),
     "RPL011": (
         "allow-pool",
-        "worker-pool construction in src/repro outside repro.parallel "
-        "(fan out through repro.parallel so worker start-up, crash "
-        "handling and reaping stay centralised)",
+        "worker-pool construction in src/repro (recognition is serial "
+        "and batched; a parallel path must first justify itself with a "
+        "benchmark)",
     ),
     "RPL017": (
         "allow-raw-open",
@@ -161,8 +161,7 @@ LEGACY_NP_RANDOM: FrozenSet[str] = frozenset(
 
 #: Worker-pool constructors (RPL011).  Matching on the callable's last
 #: name catches both ``multiprocessing.Pool(...)`` and a bare
-#: ``Pool(...)`` import; anything in ``repro.parallel`` is exempt — it
-#: *is* the sanctioned pool layer.
+#: ``Pool(...)`` import.
 _POOL_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {"Pool", "ThreadPool", "ProcessPoolExecutor", "ThreadPoolExecutor"}
 )
@@ -481,8 +480,6 @@ class _Checker(ast.NodeVisitor):
         # RPL007 covers the whole repro package: dtype discipline is a
         # repo-wide contract, not a per-subsystem one.
         self.in_repro = subpackage is not None
-        # RPL011 exempts the sanctioned pool layer itself.
-        self.in_parallel = subpackage == "parallel"
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -563,19 +560,14 @@ class _Checker(ast.NodeVisitor):
                 "observability layer; use a repro.obs Timer/Span so the "
                 "measurement lands in the metrics snapshot",
             )
-        # RPL011: only repro.parallel may construct worker pools.
-        if (
-            self.in_repro
-            and not self.in_parallel
-            and name in _POOL_CONSTRUCTORS
-        ):
+        # RPL011: no worker pools anywhere in src/repro.
+        if self.in_repro and name in _POOL_CONSTRUCTORS:
             self._report(
                 node,
                 "RPL011",
-                f"{name}() in src/repro outside repro.parallel; use "
-                "repro.parallel (fork start-up, WorkerCrash/PoolStall "
-                "handling, every worker reaped) instead of an ad-hoc "
-                "worker pool",
+                f"{name}() in src/repro; recognition runs serial and "
+                "batched, so a worker pool needs a benchmark showing it "
+                "beats the serial kernel (and an allow-pool pragma)",
             )
         self.generic_visit(node)
 
