@@ -1,17 +1,21 @@
 #!/usr/bin/env python
 """Kernel speedup bench: seed per-point loops vs. the batched CSR paths.
 
-Times the two hottest pipeline stages on the standard bench workload
+Times the hottest pipeline stages on the standard bench workload
 (12k POIs, 250 passengers x 7 days — DESIGN.md section 3):
 
 * popularity (Eq. 3): per-POI ``query_radius`` loop vs. the vectorised
   ``compute_popularity`` (one CSR batch query + ``np.bincount``);
 * recognition (Algorithm 3): per-stay-point dict voting vs.
   ``CSDRecognizer.recognize_points`` (one CSR batch query +
-  ``np.bincount`` over ``(stay, unit)`` pairs).
+  ``np.bincount`` over ``(stay, unit)`` pairs);
+* OPTICS (Algorithm 4 line 6): the seed heap walk
+  (``tests/test_kernel_equivalence.py::optics_seed_oracle``) vs.
+  ``repro.cluster.optics.optics`` on every call one
+  ``counterpart_cluster`` run makes over the recognised workload.
 
-Both comparisons also verify the results are identical, then write the
-measurements to ``BENCH_kernel.json`` at the repo root.  Run with
+Every comparison also verifies the results are identical, then writes
+the measurements to ``BENCH_kernel.json`` at the repo root.  Run with
 ``--fast`` for a small-workload smoke check (CI); timings in fast mode
 are not meaningful.
 
@@ -23,12 +27,19 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))  # the seed OPTICS oracle lives in tests/
+
 from repro import obs
+from repro.cluster.optics import optics
+from repro.core import extraction
+from repro.core.config import MiningConfig
 from repro.core.popularity import compute_popularity
 from repro.core.recognition import CSDRecognizer
 from repro.data.trajectory import NO_SEMANTICS
@@ -36,6 +47,7 @@ from repro.eval.experiments import make_workload
 from repro.eval.reporting import write_report_json
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
+from tests.test_kernel_equivalence import optics_seed_oracle
 
 
 def popularity_loop(poi_xy, stay_xy, r3sigma):
@@ -92,6 +104,28 @@ def recognize_loop(recognizer, stay_points):
     return out
 
 
+def capture_optics_calls(recognized, mining_config, projection):
+    """Algorithm 4's own OPTICS inputs: wrap the line-6 lookup site for
+    one ``counterpart_cluster`` run and record ``(xy, min_pts, max_eps)``."""
+    calls = []
+    wrapped = extraction.optics_auto_clusters
+
+    def recording(xy, min_pts, max_eps, threshold_factor):
+        calls.append((xy, min_pts, max_eps))
+        return wrapped(xy, min_pts, max_eps, threshold_factor)
+
+    extraction.optics_auto_clusters = recording
+    try:
+        extraction.counterpart_cluster(recognized, mining_config, projection)
+    finally:
+        extraction.optics_auto_clusters = wrapped
+    return calls
+
+
+def optics_all(fn, calls):
+    return [fn(xy, min_pts, max_eps) for xy, min_pts, max_eps in calls]
+
+
 def timed(fn, *args, repeat=3, **kwargs):
     """Best-of-``repeat`` wall time; returns (last result, seconds)."""
     best = float("inf")
@@ -111,7 +145,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--out", type=Path,
-        default=Path(__file__).resolve().parents[1] / "BENCH_kernel.json",
+        default=ROOT / "BENCH_kernel.json",
         help="where to write the JSON report",
     )
     parser.add_argument(
@@ -167,6 +201,27 @@ def main(argv=None):
         f"speedup x{rec_speedup:.1f}  identical={rec_equal}"
     )
 
+    # Algorithm 4 line 6 at the end-to-end bench's support and rho; the
+    # fast corpus is too short for support 20 to leave any pattern.
+    mining_config = MiningConfig(support=2 if args.fast else 20, rho=0.001)
+    recognized = recognizer.recognize(workload.trajectories)
+    calls = capture_optics_calls(recognized, mining_config, csd.projection)
+    opt_seed, t_opt_seed = timed(optics_all, optics_seed_oracle, calls)
+    opt_kernel, t_opt_kernel = timed(optics_all, optics, calls)
+    opt_equal = bool(calls) and all(
+        np.array_equal(got.ordering, want[0])
+        and np.array_equal(got.reachability, want[1])
+        and np.array_equal(got.core_distance, want[2])
+        for got, want in zip(opt_kernel, opt_seed)
+    )
+    opt_speedup = t_opt_seed / t_opt_kernel
+    opt_points = sum(len(xy) for xy, _, _ in calls)
+    print(
+        f"optics:      {len(calls)} calls, {opt_points} points  "
+        f"seed {t_opt_seed:.3f}s  kernel {t_opt_kernel:.3f}s  "
+        f"speedup x{opt_speedup:.1f}  identical={opt_equal}"
+    )
+
     # Observability: time the registry-disabled and registry-enabled
     # paths as one freshly-warmed back-to-back pair.  Comparing against
     # the *earlier* t_rec_batch measurement used to report a negative
@@ -215,6 +270,15 @@ def main(argv=None):
             "speedup": round(rec_speedup, 2),
             "identical": bool(rec_equal),
         },
+        "optics": {
+            "calls": len(calls),
+            "points": opt_points,
+            "max_points": max((len(xy) for xy, _, _ in calls), default=0),
+            "seed_s": round(t_opt_seed, 4),
+            "kernel_s": round(t_opt_kernel, 4),
+            "speedup": round(opt_speedup, 2),
+            "identical": bool(opt_equal),
+        },
         "csd_build_s": round(t_build, 4),
         "observability": {
             "recognition_disabled_s": round(t_rec_disabled, 4),
@@ -231,7 +295,7 @@ def main(argv=None):
     if args.metrics_json is not None:
         write_report_json(args.metrics_json, metrics)
         print(f"wrote metrics snapshot {args.metrics_json}")
-    if not (pop_ok and rec_equal and rec_obs == rec_batch):
+    if not (pop_ok and rec_equal and opt_equal and rec_obs == rec_batch):
         raise SystemExit("batched results diverged from the loop reference")
     return report
 

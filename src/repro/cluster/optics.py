@@ -17,14 +17,12 @@ two extraction strategies:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.geo.index import GridIndex
-from repro.types import BoolArray, Float64Array, IndexArray, MetersArray
+from repro.types import Float64Array, IndexArray, MetersArray
 
 _INF = np.inf
 
@@ -41,22 +39,26 @@ class OpticsResult:
         return len(self.ordering)
 
 
-def optics(
-    xy: MetersArray,
-    min_pts: int,
-    max_eps: float = _INF,
-    index: Optional[GridIndex] = None,
-) -> OpticsResult:
+def optics(xy: MetersArray, min_pts: int, max_eps: float = _INF) -> OpticsResult:
     """Compute the OPTICS ordering of ``(n, 2)`` metre coordinates.
 
     ``max_eps`` bounds the neighbourhood search; pass a generous default
     (e.g. 1 km) for speed — anything beyond it is treated as unreachable,
     exactly like the original algorithm.
+
+    Every neighbourhood is fetched once, as one CSR batch query, so
+    memory grows with the number of in-range pairs (16 B each), not
+    with the number of points.  The walk pops the unprocessed point of
+    lowest ``(reachability, index)`` — the order a ``(r, j)`` heap
+    gives — so the result matches the classic per-point formulation
+    exactly.
     """
     pts = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = len(pts)
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")
+    if np.isnan(max_eps):
+        raise ValueError("max_eps must not be NaN")
     reach = np.full(n, _INF, dtype=np.float64)
     core = np.full(n, _INF, dtype=np.float64)
     ordering = np.empty(n, dtype=np.int64)
@@ -67,75 +69,76 @@ def optics(
     # clamp keeps the grid scan bounded when max_eps is infinite.
     diagonal = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))) + 1.0
     search_eps = min(max_eps, diagonal)
-    if index is None:
-        cell = min(search_eps, 250.0)
-        index = GridIndex(pts, cell_size=max(cell, 1e-9))
-    if len(index) != n:
-        raise ValueError("index must cover exactly the points being clustered")
+    index = GridIndex(pts, cell_size=max(min(search_eps, 250.0), 1e-9))
+    nbrs, offsets = index.query_radius_many(pts, search_eps)
+    dists = _pair_distances(pts, nbrs, offsets)
 
-    processed = np.zeros(n, dtype=bool)
-    pos = 0
-    for start in range(n):
-        if processed[start]:
+    # Each point is processed exactly once, so its core distance can be
+    # computed before the walk: the min_pts-th smallest neighbour distance.
+    kth = min_pts - 1
+    for i in np.flatnonzero(np.diff(offsets) >= min_pts):
+        seg = dists[offsets[i] : offsets[i + 1]]
+        core[i] = np.partition(seg, kth)[kth]
+
+    # ``pending`` holds the reachability of every reached, unprocessed
+    # point and inf elsewhere; argmin breaks ties toward the lowest index.
+    pending = np.full(n, _INF, dtype=np.float64)
+    todo = np.ones(n, dtype=bool)
+    for pos in range(n):
+        j = int(pending.argmin())
+        if pending[j] == _INF:
+            j = int(todo.argmax())  # start the next component
+        todo[j] = False
+        pending[j] = _INF
+        ordering[pos] = j
+        if core[j] == _INF:
             continue
-        # Expand one density-connected component from `start`.
-        processed[start] = True
-        ordering[pos] = start
-        pos += 1
-        seeds: list[tuple[float, int]] = []
-        _update_core(pts, index, start, min_pts, search_eps, core)
-        if np.isfinite(core[start]):
-            _update_seeds(pts, index, start, search_eps, core, reach,
-                          processed, seeds)
-        while seeds:
-            _r, j = heapq.heappop(seeds)
-            if processed[j]:
-                continue
-            processed[j] = True
-            ordering[pos] = j
-            pos += 1
-            _update_core(pts, index, j, min_pts, search_eps, core)
-            if np.isfinite(core[j]):
-                _update_seeds(pts, index, j, search_eps, core, reach,
-                              processed, seeds)
+        lo, hi = offsets[j], offsets[j + 1]
+        nb = nbrs[lo:hi]
+        new_reach = np.maximum(core[j], dists[lo:hi])
+        better = (new_reach < reach[nb]) & todo[nb]
+        nb = nb[better]
+        reach[nb] = pending[nb] = new_reach[better]
     return OpticsResult(ordering, reach, core)
 
 
-def _update_core(
-    pts: MetersArray,
-    index: GridIndex,
-    i: int,
-    min_pts: int,
-    eps: float,
-    core: Float64Array,
-) -> None:
-    neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
-    if len(neighbours) < min_pts:
-        return
-    d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
-    d.sort()
-    core[i] = d[min_pts - 1]
+#: Neighbour pairs whose distances are computed per chunk; bounds the
+#: gather/difference temporaries of :func:`_pair_distances`.
+_PAIR_CHUNK = 65_536
 
 
-def _update_seeds(
-    pts: MetersArray,
-    index: GridIndex,
-    i: int,
-    eps: float,
-    core: Float64Array,
-    reach: Float64Array,
-    processed: BoolArray,
-    seeds: list,
-) -> None:
-    neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
-    d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
-    for j, dist in zip(neighbours, d):
-        if processed[j]:
-            continue
-        new_reach = max(core[i], dist)
-        if new_reach < reach[j]:
-            reach[j] = new_reach
-            heapq.heappush(seeds, (new_reach, int(j)))
+def _pair_distances(
+    pts: MetersArray, nbrs: IndexArray, offsets: IndexArray
+) -> Float64Array:
+    """Distance of every CSR pair ``(i, nbrs[p])``, one block of centres
+    at a time.
+
+    Per element this is the per-point ``sqrt(((pts[nb] - pts[i]) **
+    2).sum(axis=1))`` (square, add the two axes, root), so every
+    distance is bit-identical to it.
+    """
+    xs = np.ascontiguousarray(pts[:, 0], dtype=np.float64)
+    ys = np.ascontiguousarray(pts[:, 1], dtype=np.float64)
+    out = np.empty(len(nbrs), dtype=np.float64)
+    n = len(offsets) - 1
+    c0 = 0
+    while c0 < n:
+        # Centres [c0, c1) hold at most _PAIR_CHUNK pairs, or are one centre.
+        end = np.searchsorted(offsets, offsets[c0] + _PAIR_CHUNK, side="right")
+        c1 = max(c0 + 1, int(end) - 1)
+        lo, hi = offsets[c0], offsets[c1]
+        owner = np.repeat(
+            np.arange(c0, c1, dtype=np.int64), np.diff(offsets[c0 : c1 + 1])
+        )
+        nb = nbrs[lo:hi]
+        dx = xs[nb] - xs[owner]
+        dy = ys[nb] - ys[owner]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[lo:hi] = np.sqrt(dx)
+        c0 = c1
+    return out
 
 
 def extract_dbscan_clustering(

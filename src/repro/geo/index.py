@@ -69,9 +69,11 @@ class GridIndex:
     """
 
     def __init__(self, xy: MetersArray, cell_size: float = 100.0) -> None:
-        if cell_size <= 0.0:
+        if not cell_size > 0.0:  # also rejects NaN
             raise ValueError("cell_size must be positive")
         self._xy = np.asarray(xy, dtype=float).reshape(-1, 2).copy()
+        if not np.isfinite(self._xy).all():
+            raise ValueError("coordinates must be finite")
         self._cell = float(cell_size)
         n = len(self._xy)
         if n:
@@ -287,7 +289,7 @@ class GridIndex:
             rows, cols = np.nonzero(dx * dx + dy * dy <= r2)
             all_idx.append(cols)
             all_counts.append(np.bincount(rows, minlength=len(c)))
-        indices = np.concatenate(all_idx).astype(np.int64)
+        indices = np.concatenate(all_idx).astype(np.int64, copy=False)
         counts = np.concatenate(all_counts)
         offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         return indices, offsets

@@ -36,11 +36,18 @@ class TestBasics:
         assert list(hits) == sorted(hits)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            GridIndex(np.zeros((1, 2)), cell_size=0.0)
+        for cell in (0.0, np.nan):
+            with pytest.raises(ValueError, match="cell_size"):
+                GridIndex(np.zeros((1, 2)), cell_size=cell)
         idx = GridIndex(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             idx.query_radius(0, 0, -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        xy = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GridIndex(xy)
 
     def test_points_view_is_readonly(self):
         idx = GridIndex(np.zeros((3, 2)))

@@ -8,9 +8,13 @@ per-point implementations alive as reference oracles and compare
 exactly — no tolerances.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 
+from repro.cluster.optics import OpticsResult, extract_valley_clusters, optics
+from repro.core import extraction
 from repro.core.config import CSDConfig
 from repro.core.constructor import build_csd
 from repro.core.csd import UNASSIGNED
@@ -82,6 +86,66 @@ def recognize_point_oracle(recognizer, sp):
     }
     tags.add(unit.dominant_tag())
     return frozenset(tags)
+
+
+def optics_seed_oracle(xy, min_pts, max_eps=np.inf):
+    """The seed ``optics``: two scalar range queries and one heap push
+    per improved neighbour, for every point in visit order."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if min_pts < 1:
+        raise ValueError("min_pts must be at least 1")
+    reach = np.full(n, np.inf)
+    core = np.full(n, np.inf)
+    ordering = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return ordering, reach, core
+    diagonal = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))) + 1.0
+    eps = min(max_eps, diagonal)
+    index = GridIndex(pts, cell_size=max(min(eps, 250.0), 1e-9))
+
+    def update_core(i):
+        neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        if len(neighbours) < min_pts:
+            return
+        d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
+        d.sort()
+        core[i] = d[min_pts - 1]
+
+    def update_seeds(i, seeds):
+        neighbours = index.query_radius(pts[i, 0], pts[i, 1], eps)
+        d = np.sqrt(((pts[neighbours] - pts[i]) ** 2).sum(axis=1))
+        for j, dist in zip(neighbours, d):
+            if processed[j]:
+                continue
+            new_reach = max(core[i], dist)
+            if new_reach < reach[j]:
+                reach[j] = new_reach
+                heapq.heappush(seeds, (new_reach, int(j)))
+
+    processed = np.zeros(n, dtype=bool)
+    pos = 0
+    for start in range(n):
+        if processed[start]:
+            continue
+        processed[start] = True
+        ordering[pos] = start
+        pos += 1
+        seeds = []
+        update_core(start)
+        if np.isfinite(core[start]):
+            update_seeds(start, seeds)
+        while seeds:
+            _r, j = heapq.heappop(seeds)
+            if processed[j]:
+                continue
+            processed[j] = True
+            ordering[pos] = j
+            pos += 1
+            update_core(j)
+            if np.isfinite(core[j]):
+                update_seeds(j, seeds)
+    return ordering, reach, core
 
 
 class TestPopularityEquivalence:
@@ -225,3 +289,65 @@ class TestFloat32Voting:
     def test_rejects_unknown_query_dtype(self, small_csd):
         with pytest.raises(ValueError, match="query_dtype"):
             CSDRecognizer(small_csd, 100.0, query_dtype="float16")
+
+
+def assert_optics_identical(pts, min_pts, max_eps):
+    want = optics_seed_oracle(pts, min_pts, max_eps)
+    got = optics(pts, min_pts, max_eps)
+    assert np.array_equal(got.ordering, want[0])
+    assert np.array_equal(got.reachability, want[1])
+    assert np.array_equal(got.core_distance, want[2])
+
+
+def random_cloud(rng, n):
+    """Clustered points snapped to a coarse lattice, so equal distances
+    (reachability ties) and exact duplicates are common."""
+    centres = rng.uniform(-300.0, 300.0, (int(rng.integers(1, 5)), 2))
+    pts = centres[rng.integers(0, len(centres), n)]
+    pts = pts + rng.normal(0.0, rng.choice([2.0, 15.0, 60.0]), pts.shape)
+    snap = rng.choice([0.5, 5.0])
+    pts = np.round(pts / snap) * snap
+    dup = rng.integers(0, n, n // 4)
+    pts[rng.integers(0, n, len(dup))] = pts[dup]
+    return pts
+
+
+class TestOpticsEquivalence:
+    @pytest.mark.parametrize("max_eps", [5.0, 30.0, 200.0, np.inf])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_clouds_bit_identical(self, seed, max_eps):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 180))
+        assert_optics_identical(random_cloud(rng, n), seed + 1, max_eps)
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 5])
+    @pytest.mark.parametrize("max_eps", [30.0, np.inf])
+    def test_degenerate_inputs(self, min_pts, max_eps):
+        assert_optics_identical(np.empty((0, 2)), min_pts, max_eps)
+        assert_optics_identical(np.array([[3.0, 4.0]]), min_pts, max_eps)
+        assert_optics_identical(np.zeros((9, 2)), min_pts, max_eps)
+        # Unit lattice: every neighbour of a point sits at one of a few
+        # distinct distances, so the heap order is decided by index.
+        grid = np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0)), -1)
+        assert_optics_identical(grid.reshape(-1, 2), min_pts, max_eps)
+
+    def test_counterpart_cluster_identical_patterns(
+        self, small_recognized, small_mining_config, small_csd, monkeypatch
+    ):
+        """Algorithm 4 end to end: the same patterns whether line 6 runs
+        the seed OPTICS or the kernel, over every captured call."""
+        calls = []
+
+        def seed_auto_clusters(xy, min_pts, max_eps, threshold_factor):
+            calls.append((xy, min_pts, max_eps))
+            result = OpticsResult(*optics_seed_oracle(xy, min_pts, max_eps))
+            return extract_valley_clusters(result, min_pts, threshold_factor)
+
+        args = (small_recognized, small_mining_config, small_csd.projection)
+        want = extraction.counterpart_cluster(*args)
+        monkeypatch.setattr(extraction, "optics_auto_clusters", seed_auto_clusters)
+        got_seed = extraction.counterpart_cluster(*args)
+        assert calls and want
+        assert got_seed == want
+        for xy, min_pts, max_eps in calls:
+            assert_optics_identical(xy, min_pts, max_eps)

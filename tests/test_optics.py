@@ -47,6 +47,16 @@ class TestOrdering:
         with pytest.raises(ValueError):
             optics(make_blobs(), min_pts=0)
 
+    def test_rejects_nan_max_eps(self):
+        with pytest.raises(ValueError, match="max_eps"):
+            optics(make_blobs(), min_pts=5, max_eps=float("nan"))
+
+    def test_rejects_nan_coordinate(self):
+        pts = make_blobs()
+        pts[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            optics(pts, min_pts=5, max_eps=1000)
+
 
 class TestExtraction:
     def test_cut_matches_dbscan_cluster_count(self):
