@@ -204,7 +204,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             CSDConfig(alpha=args.alpha),
             _mining_config(args),
             resume=args.resume,
-            chunk_size=args.chunk_size,
         )
         result = runner.run(pois, trajectories)
     print(f"CSD-PM: {result.n_patterns} patterns, "
@@ -446,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip stages whose checkpoints match the manifest")
     p.add_argument("--quarantine",
                    help="malformed-row CSV (default: RUN_DIR/quarantine.csv)")
-    p.add_argument("--chunk-size", type=int, default=8192,
-                   help="stay points per recognition batch (bounds memory)")
     _add_mining_args(p)
     p.add_argument("--geojson", help="write pattern lines here")
     p.set_defaults(func=cmd_run)
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=1024,
                    help="admission-queue bound; beyond it requests get 503")
     p.add_argument("--cache-size", type=int, default=65536,
-                   help="per-cell LRU entries; 0 disables the cache")
+                   help="LRU entries; 0 disables the cache")
     p.add_argument("--query-dtype", choices=["float64", "float32"],
                    default="float64",
                    help="recognition kernel precision")

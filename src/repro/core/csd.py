@@ -109,15 +109,6 @@ class CitySemanticDiagram:
         """
         return self._index.query_radius_many(xy, radius)
 
-    @property
-    def grid_index(self) -> GridIndex:
-        """The CSD's POI grid index (read-only; built at construction).
-
-        Exposed so ``repro.serve``'s cell cache can read the index's
-        CSR state without rebuilding it.
-        """
-        return self._index
-
     def poi_tags(self) -> List[str]:
         """All POI tags at this diagram's granularity (cached)."""
         if self._poi_tags is None:

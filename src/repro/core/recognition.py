@@ -17,8 +17,10 @@ the same kernel, so both paths are exactly equivalent.
 The voting kernel itself is split out as :func:`vote_stays`, a pure
 array function over the CSD.  Votes for different stay points never
 interact, so recognising a corpus in slices is bit-identical to one
-big batch; :func:`attach_semantics` re-splits the flat results into
-trajectories for every caller that flattens first.
+big batch: ``recognize_points`` votes in blocks of
+:data:`RECOGNITION_BLOCK` stays, which bounds its memory on any corpus.
+:func:`attach_semantics` re-splits the flat results into trajectories
+for every caller that flattens first.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ from repro.data.trajectory import (
 from repro.geo.distance import gaussian_coefficients, gaussian_coefficients32
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.types import Float64Array, IndexArray, MetersArray
+
+#: Stay points per :func:`vote_stays` call inside
+#: :meth:`CSDRecognizer.recognize_points`; bounds the kernel's peak
+#: memory (hit pairs scale with the block, not the corpus).
+RECOGNITION_BLOCK = 8192
+
 
 @array_contract(
     poi_xy=ArraySpec(dtype="float32", cols=2),
@@ -222,9 +230,10 @@ class CSDRecognizer:
     ) -> List[SemanticProperty]:
         """Batched Algorithm 3 over a flat stay-point sequence.
 
-        Projects every stay point with ``to_meters_array`` and runs
-        :func:`vote_stays` as one batch, then assembles each winning
-        unit's tag union.
+        Projects the stay points with ``to_meters_array`` and runs
+        :func:`vote_stays` over blocks of :data:`RECOGNITION_BLOCK`
+        stays, then assembles each winning unit's tag union.  Stays
+        vote independently, so the block size never changes a result.
 
         Each call counts as one batch in the ``recognition.*`` metrics
         (``docs/OBSERVABILITY.md``); recognised/unmatched totals, batch
@@ -262,14 +271,17 @@ class CSDRecognizer:
         self, stay_points: Sequence[StayPoint]
     ) -> List[SemanticProperty]:
         """The uninstrumented batched kernel behind
-        :meth:`recognize_points`."""
-        if len(stay_points) == 0:
-            return []
-        xy = self.project_stays(stay_points)
-        winner_of, win_stay, win_poi = vote_stays(
-            self.csd, xy, self.r3sigma_m, self.query_dtype == "float32"
-        )
-        return self.assemble_semantics(winner_of, win_stay, win_poi)
+        :meth:`recognize_points`, one block at a time."""
+        out: List[SemanticProperty] = []
+        for start in range(0, len(stay_points), RECOGNITION_BLOCK):
+            xy = self.project_stays(
+                stay_points[start : start + RECOGNITION_BLOCK]
+            )
+            winner_of, win_stay, win_poi = vote_stays(
+                self.csd, xy, self.r3sigma_m, self.query_dtype == "float32"
+            )
+            out.extend(self.assemble_semantics(winner_of, win_stay, win_poi))
+        return out
 
     @array_contract(
         winner_of=ArraySpec(dtype="int64", ndim=1),

@@ -19,40 +19,15 @@ merging run at hardware speed instead of interpreter speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.contracts import ArraySpec, CSRSpec, array_contract
 from repro.obs import get_registry
-from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
+from repro.types import CSRQuery, IndexArray, MetersArray
 
 #: Cap on candidate window cells (batch path) or pairwise distances
 #: (brute path) materialised per chunk; bounds peak query memory.
 _CHUNK_BUDGET = 4_194_304
-
-
-@dataclass(frozen=True)
-class GridCSRState:
-    """The complete post-construction state of a :class:`GridIndex`.
-
-    ``repro.serve``'s cell cache reads the cell size and grid origin
-    from it.  The arrays are the index's *live* internals — treat
-    them as read-only.
-    """
-
-    xy: MetersArray
-    order: IndexArray
-    codes: IndexArray
-    xs: Float64Array
-    ys: Float64Array
-    cell: float
-    gx_lo: int
-    gx_hi: int
-    gy_lo: int
-    gy_hi: int
-    ny: int
-    n_cells: int
 
 
 class GridIndex:
@@ -105,27 +80,6 @@ class GridIndex:
 
     def __len__(self) -> int:
         return len(self._xy)
-
-    def csr_state(self) -> GridCSRState:
-        """Snapshot of the built index's CSR layout.
-
-        The returned arrays are the index's own internals (no copies);
-        callers must not mutate them.
-        """
-        return GridCSRState(
-            xy=self._xy,
-            order=self._order,
-            codes=self._codes,
-            xs=self._xs,
-            ys=self._ys,
-            cell=self._cell,
-            gx_lo=self._gx_lo,
-            gx_hi=self._gx_hi,
-            gy_lo=self._gy_lo,
-            gy_hi=self._gy_hi,
-            ny=self._ny,
-            n_cells=self._n_cells,
-        )
 
     @property
     def points(self) -> MetersArray:

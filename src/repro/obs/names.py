@@ -67,7 +67,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "incremental.repair.absorbed",
         "ingest.rows",
         "ingest.quarantined",
-        "pipeline.runner.chunks",
         "pipeline.runner.stages.run",
         "pipeline.runner.stages.skipped",
         "pipeline.runner.checkpoint.retries",
@@ -107,7 +106,6 @@ GAUGES: FrozenSet[str] = frozenset(
         "incremental.staleness",
         "incremental.units.dirty",
         "pipeline.runner.resumed",
-        "pipeline.runner.recognition.progress",
         "serve.queue.depth",
         "serve.cache.size",
         "stream.window.sequences",

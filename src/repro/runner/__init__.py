@@ -2,9 +2,9 @@
 
 The robustness layer over the Pervasive Miner stages: streaming
 validated ingestion with record quarantine (``repro.data.io.iter_*`` +
-:class:`Quarantine`), stage checkpointing with a strict-JSON manifest,
-crash/resume with bit-identical results, bounded-memory chunked
-recognition, and retry-with-backoff checkpoint writes.  Both runners
+:class:`Quarantine`), checkpoints with a strict-JSON manifest,
+crash/resume with bit-identical results, and retry-with-backoff
+checkpoint writes.  Both runners
 commit through one module, :mod:`repro.runner.commit`.  Faults are
 injected through :func:`repro.ioutil.fault_hook`.  See
 ``docs/RUNNER.md``.
@@ -26,7 +26,6 @@ from repro.runner.runner import (
     RECOGNIZED_ARTIFACT,
     Manifest,
     PipelineRunner,
-    StageRecord,
     input_digest,
     parse_manifest,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "PipelineRunner",
     "Quarantine",
     "RECOGNIZED_ARTIFACT",
-    "StageRecord",
     "checkpoint",
     "config_hash",
     "input_digest",

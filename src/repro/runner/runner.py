@@ -1,30 +1,30 @@
 """The fault-tolerant, resumable Pervasive Miner pipeline runner.
 
-:class:`PipelineRunner` executes the three mining stages —
-constructor, recognition, extraction — as checkpointed steps inside a
-run directory::
+:class:`PipelineRunner` is :meth:`~repro.core.miner.PervasiveMiner.mine`
+— constructor, recognizer, extractor — with a checkpoint after each of
+the first two steps, inside a run directory::
 
     run_dir/
-      manifest.json     # config hash, input digest, per-stage status
-      csd.json          # save_csd() after the constructor stage
+      manifest.json     # config hash, input digest, artifact SHA-256s
+      csd.json          # save_csd() after the constructor
       recognized.csv    # write_semantic_trajectories() after recognition
       quarantine.csv    # malformed input rows (written by the caller)
 
 A run that dies 40 minutes in — crash, OOM kill, pre-empted spot
-instance — resumes with ``resume=True``: any stage whose manifest entry
-is complete, whose artifact hash matches, and whose (config hash, input
-digest) pair matches the new invocation is loaded from its checkpoint
-instead of recomputed.  Because every checkpoint round-trips exactly
-(CSV floats via ``repr``, strict JSON) and recognition is per-stay
-independent, a resumed run produces **bit-identical patterns** to an
-uninterrupted one — ``tests/test_runner.py`` asserts this for a crash
-after every stage.
+instance — resumes with ``resume=True``: a checkpoint is loaded instead
+of recomputed exactly when the manifest lists its SHA-256 and the file
+still hashes to it, and the manifest's (config hash, input digest) pair
+matches the new invocation.  Because every checkpoint round-trips
+exactly (CSV floats via ``repr``, strict JSON), a resumed run produces
+**bit-identical patterns** to an uninterrupted one —
+``tests/test_runner.py`` asserts this for a crash at every checkpoint.
 
-Recognition runs in configurable chunks through the batched
-``recognize_points`` kernel, so peak memory is bounded by
-``chunk_size`` rather than the corpus size.  Every checkpoint is
-written once, atomically, under :func:`~repro.runner.commit.checkpoint`,
-which retries transient ``OSError`` with backoff; tests install a
+Recognition is the miner's own call; ``CSDRecognizer.recognize_points``
+votes in blocks of :data:`~repro.core.recognition.RECOGNITION_BLOCK`
+stay points, so peak memory is bounded by the block, not the corpus.
+Every checkpoint is written once, atomically, under
+:func:`~repro.runner.commit.checkpoint`, which retries transient
+``OSError`` with backoff; tests install a
 :func:`repro.ioutil.fault_hook` to exercise both the retry and the
 crash/resume paths (``docs/RUNNER.md``).
 """
@@ -34,24 +34,27 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.contracts import ArraySpec, array_contract
 from repro.core.config import CSDConfig, MiningConfig
-from repro.core.csd import CitySemanticDiagram
 from repro.core.miner import MiningResult, PervasiveMiner
-from repro.core.recognition import CSDRecognizer, attach_semantics
 from repro.data.io import (
     read_semantic_trajectories,
     write_semantic_trajectories,
 )
 from repro.data.persistence import load_csd, save_csd
 from repro.data.poi import POI
-from repro.data.trajectory import (
-    SemanticTrajectory,
-    StayPoint,
-    validate_database,
-)
+from repro.data.trajectory import SemanticTrajectory, validate_database
 from repro.ioutil import file_sha256
 from repro.obs import get_registry
 from repro.runner.commit import (
@@ -64,103 +67,50 @@ from repro.runner.commit import (
 )
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 MANIFEST_NAME = "manifest.json"
 CSD_ARTIFACT = "csd.json"
 RECOGNIZED_ARTIFACT = "recognized.csv"
 
-#: Format marker so later revisions can migrate old run directories.
-MANIFEST_VERSION = 1
-
-#: Stage names in execution order.
-STAGES = ("constructor", "recognition", "extraction")
-
-STATUS_PENDING = "pending"
-STATUS_COMPLETE = "complete"
-
-
-@dataclass
-class StageRecord:
-    """Checkpoint state of one pipeline stage."""
-
-    status: str = STATUS_PENDING
-    artifact: Optional[str] = None
-    artifact_sha256: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"status": self.status}
-        if self.artifact is not None:
-            out["artifact"] = self.artifact
-            out["artifact_sha256"] = self.artifact_sha256
-        return out
+#: Format marker; a run directory of any other version is refused on
+#: resume.
+MANIFEST_VERSION = 2
 
 
 @dataclass
 class Manifest:
     """The ``manifest.json`` document of one run directory.
 
-    Besides the per-stage records it holds the run's identity: a
+    It holds the run's identity — a
     :func:`~repro.runner.commit.config_hash` over both parameter
-    dataclasses plus the chunk size, and an :func:`input_digest` over
-    the POI set and the trajectory corpus.  Resuming with a different
-    ``alpha`` or a regenerated corpus is refused instead of silently
-    mixing results.
+    dataclasses and an :func:`input_digest` over the POI set and the
+    trajectory corpus — and the SHA-256 of every committed checkpoint,
+    keyed by artifact name.  Resuming with a different ``alpha`` or a
+    regenerated corpus is refused instead of silently mixing results.
     """
 
     config_hash: str
     input_digest: str
-    stages: Dict[str, StageRecord] = field(
-        default_factory=lambda: {name: StageRecord() for name in STAGES}
-    )
-
-    def stage(self, name: str) -> StageRecord:
-        if name not in self.stages:
-            raise KeyError(f"unknown stage {name!r}")
-        return self.stages[name]
-
-    def mark_complete(
-        self, name: str, artifact: Optional[str], artifact_sha256: Optional[str]
-    ) -> None:
-        record = self.stage(name)
-        record.status = STATUS_COMPLETE
-        record.artifact = artifact
-        record.artifact_sha256 = artifact_sha256
+    artifacts: Dict[str, str] = field(default_factory=dict)
 
     def to_document(self) -> Dict[str, object]:
         return {
             "format_version": MANIFEST_VERSION,
             "config_hash": self.config_hash,
             "input_digest": self.input_digest,
-            "stages": {
-                name: record.to_dict()
-                for name, record in self.stages.items()
-            },
+            "artifacts": dict(self.artifacts),
         }
 
     @classmethod
     def from_document(cls, document: Mapping[str, Any]) -> "Manifest":
-        stages: Dict[str, StageRecord] = {}
-        for name in STAGES:
-            raw = document.get("stages", {}).get(name)
-            if raw is None:
-                stages[name] = StageRecord()
-                continue
-            status = str(raw.get("status", STATUS_PENDING))
-            if status not in (STATUS_PENDING, STATUS_COMPLETE):
-                raise ValueError(
-                    f"stage {name!r} has unknown status {status!r}"
-                )
-            artifact = raw.get("artifact")
-            sha = raw.get("artifact_sha256")
-            stages[name] = StageRecord(
-                status=status,
-                artifact=None if artifact is None else str(artifact),
-                artifact_sha256=None if sha is None else str(sha),
-            )
         return cls(
             config_hash=str(document["config_hash"]),
             input_digest=str(document["input_digest"]),
-            stages=stages,
+            artifacts={
+                str(name): str(sha)
+                for name, sha in document.get("artifacts", {}).items()
+            },
         )
 
 
@@ -203,25 +153,22 @@ def input_digest(
 
 
 class PipelineRunner:
-    """Checkpointed, restartable three-stage Pervasive Miner driver.
+    """Checkpointed, restartable three-step Pervasive Miner driver.
 
     Parameters
     ----------
     run_dir:
-        Directory holding the manifest and stage checkpoints; created
-        if missing.
+        Directory holding the manifest and checkpoints; created if
+        missing.
     csd_config, mining_config:
         Same parameters as :class:`~repro.core.miner.PervasiveMiner`.
     resume:
-        When True, completed stages whose checkpoints match the
-        manifest (config hash + input digest + artifact SHA-256) are
-        loaded instead of recomputed.  A manifest for a *different*
-        computation raises ``ValueError`` — stale checkpoints are never
-        silently mixed into a new run.  When False, any existing
-        checkpoint state is ignored and overwritten.
-    chunk_size:
-        Stay points per recognition batch; bounds peak memory on large
-        corpora.
+        When True, checkpoints the manifest lists with an intact
+        SHA-256 are loaded instead of recomputed.  A manifest for a
+        *different* computation raises ``ValueError`` — stale
+        checkpoints are never silently mixed into a new run.  When
+        False, any existing checkpoint state is ignored and
+        overwritten.
     """
 
     def __init__(
@@ -231,29 +178,20 @@ class PipelineRunner:
         mining_config: Optional[MiningConfig] = None,
         *,
         resume: bool = False,
-        chunk_size: int = 8192,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         self.run_dir = Path(run_dir)
         self.csd_config = csd_config or CSDConfig()
         self.mining_config = mining_config or MiningConfig()
         self.resume = bool(resume)
-        self.chunk_size = int(chunk_size)
         self._miner = PervasiveMiner(self.csd_config, self.mining_config)
 
     # -- checkpoint plumbing -------------------------------------------
 
     def _config_hash(self) -> str:
-        """``chunk_size`` is included defensively: chunked recognition
-        is bit-identical by construction (each stay point votes
-        independently), but hashing it means a future chunk-sensitive
-        stage cannot silently reuse a stale checkpoint."""
         return config_hash(
             {
                 "csd_config": asdict(self.csd_config),
                 "mining_config": asdict(self.mining_config),
-                "chunk_size": self.chunk_size,
             }
         )
 
@@ -280,45 +218,29 @@ class PipelineRunner:
             )
         )
 
-    def _stage_loadable(self, manifest: Manifest, stage: str) -> bool:
-        """True when ``stage`` can be loaded instead of recomputed."""
-        record = manifest.stage(stage)
-        return (
-            record.status == STATUS_COMPLETE
-            and record.artifact is not None
-            and artifact_intact(
-                self.run_dir / record.artifact, record.artifact_sha256
-            )
-        )
+    def _checkpointed(
+        self, manifest: Manifest, artifact: str, load: Callable[[Path], T]
+    ) -> Optional[T]:
+        """``artifact`` read back with ``load`` when the manifest lists
+        it and its bytes still hash to the listed SHA-256; None when
+        the step has to run."""
+        path = self.run_dir / artifact
+        sha = manifest.artifacts.get(artifact)
+        if sha is None or not artifact_intact(path, sha):
+            return None
+        get_registry().counter("pipeline.runner.stages.skipped").inc()
+        return load(path)
 
-    # -- stages --------------------------------------------------------
-
-    def _recognize_chunked(
-        self,
-        csd: CitySemanticDiagram,
-        trajectories: Sequence[SemanticTrajectory],
-    ) -> List[SemanticTrajectory]:
-        """Bounded-memory recognition: the flat stay-point corpus flows
-        through ``recognize_points`` in ``chunk_size`` slices.
-
-        Per-stay voting is independent, so chunking is bit-identical to
-        one whole-corpus batch (the kernel-equivalence tests pin this).
-        """
-        reg = get_registry()
-        recognizer = CSDRecognizer(csd, self.csd_config.r3sigma_m)
-        flat: List[StayPoint] = [
-            sp for st in trajectories for sp in st.stay_points
-        ]
-        props = []
-        total = len(flat)
-        progress = reg.gauge("pipeline.runner.recognition.progress")
-        for start in range(0, total, self.chunk_size):
-            chunk = flat[start : start + self.chunk_size]
-            props.extend(recognizer.recognize_points(chunk))
-            reg.counter("pipeline.runner.chunks").inc()
-            progress.set(min(1.0, (start + len(chunk)) / max(total, 1)))
-        progress.set(1.0)
-        return attach_semantics(trajectories, props)
+    def _commit(
+        self, manifest: Manifest, artifact: str, save: Callable[[Path], None]
+    ) -> None:
+        """Write ``artifact`` with ``save``, then record its SHA-256 in
+        the manifest — that manifest write is the step's commit."""
+        path = self.run_dir / artifact
+        checkpoint(lambda: save(path))
+        manifest.artifacts[artifact] = file_sha256(path)
+        self._save_manifest(manifest)
+        get_registry().counter("pipeline.runner.stages.run").inc()
 
     # -- public API ----------------------------------------------------
 
@@ -360,59 +282,40 @@ class PipelineRunner:
             cfg_hash = self._config_hash()
             in_digest = input_digest(pois, trajectories)
             manifest = self._load_manifest(cfg_hash, in_digest)
-            resumed_any = manifest is not None
             reg.gauge("pipeline.runner.resumed").set(
-                1.0 if resumed_any else 0.0
+                0.0 if manifest is None else 1.0
             )
             if manifest is None:
                 manifest = Manifest(cfg_hash, in_digest)
                 self._save_manifest(manifest)
 
-            # Stage 1: constructor -> csd.json
-            csd_path = self.run_dir / CSD_ARTIFACT
-            if self._stage_loadable(manifest, "constructor"):
-                csd = load_csd(csd_path)
-                reg.counter("pipeline.runner.stages.skipped").inc()
-            else:
+            csd = self._checkpointed(manifest, CSD_ARTIFACT, load_csd)
+            if csd is None:
                 with reg.span("constructor"):
                     stay_points = [
                         sp for st in trajectories for sp in st.stay_points
                     ]
                     csd = self._miner.build_diagram(pois, stay_points)
-                checkpoint(lambda: save_csd(csd_path, csd))
-                manifest.mark_complete(
-                    "constructor", CSD_ARTIFACT, file_sha256(csd_path)
+                self._commit(
+                    manifest, CSD_ARTIFACT, lambda path: save_csd(path, csd)
                 )
-                self._save_manifest(manifest)
-                reg.counter("pipeline.runner.stages.run").inc()
 
-            # Stage 2: chunked recognition -> recognized.csv
-            recognized_path = self.run_dir / RECOGNIZED_ARTIFACT
-            if self._stage_loadable(manifest, "recognition"):
-                recognized = read_semantic_trajectories(recognized_path)
-                reg.counter("pipeline.runner.stages.skipped").inc()
-            else:
+            recognized = self._checkpointed(
+                manifest, RECOGNIZED_ARTIFACT, read_semantic_trajectories
+            )
+            if recognized is None:
                 with reg.span("recognition"):
-                    recognized = self._recognize_chunked(csd, trajectories)
-                checkpoint(
-                    lambda: write_semantic_trajectories(
-                        recognized_path, recognized
-                    )
-                )
-                manifest.mark_complete(
-                    "recognition",
+                    recognized = self._miner.recognize(csd, trajectories)
+                self._commit(
+                    manifest,
                     RECOGNIZED_ARTIFACT,
-                    file_sha256(recognized_path),
+                    lambda path: write_semantic_trajectories(path, recognized),
                 )
-                self._save_manifest(manifest)
-                reg.counter("pipeline.runner.stages.run").inc()
 
-            # Stage 3: extraction (cheap relative to 1-2; recomputed on
-            # resume rather than checkpointed).
+            # Extraction is cheap next to the first two steps and is
+            # recomputed on resume rather than checkpointed.
             with reg.span("extraction"):
                 patterns = self._miner.extract(csd, recognized)
-            manifest.mark_complete("extraction", None, None)
-            self._save_manifest(manifest)
             reg.counter("pipeline.runner.stages.run").inc()
 
         return MiningResult(csd, recognized, patterns)

@@ -2,8 +2,8 @@
 
 Layering, bottom to top:
 
-* :mod:`repro.serve.cache` — per-cell LRU memoization of recognised
-  stay locations (exact-coordinate keys preserve bit-identity);
+* :mod:`repro.serve.cache` — LRU memoization of recognised stay
+  locations (exact-coordinate keys preserve bit-identity);
 * :mod:`repro.serve.batcher` — the admission queue that micro-batches
   concurrent single-point requests into one ``recognize_points`` call,
   with explicit :class:`ServerOverloaded` backpressure;

@@ -1,4 +1,4 @@
-"""Per-cell LRU memoization cache for repeat stay locations.
+"""LRU memoization cache for repeat stay locations.
 
 Real query traffic is heavily repetitive: the same station exits, mall
 doors, and office lobbies produce the same stay coordinates over and
@@ -7,18 +7,11 @@ concentration).  Recognition is a pure function of the CSD and the stay
 coordinates, so repeat locations can be answered from memory without
 touching the voting kernel at all.
 
-Keys are ``(linearised grid-cell code, exact lon/lat, query_dtype)``:
-
-* the **cell code** comes from the same grid geometry the CSD's CSR
-  index uses (``GridIndex``), so cache keys cluster by the spatial cell
-  a stay falls in and the code is O(1) to compute from projected
-  metres;
-* the **exact coordinates** guard correctness — two different points in
-  the same cell resolve to different distances and may win different
-  units, so only a bit-identical repeat location may reuse a result
-  (the serve bit-identity tests pin this);
-* the **query dtype** is part of the key because float32 and float64
-  voting are distinct kernels.
+Keys are the **exact** ``(lon, lat)`` of a stay: two different points,
+however close, resolve to different distances and may win different
+units, so only a bit-identical repeat location may reuse a result (the
+serve bit-identity tests pin this).  The voting dtype needs no place in
+the key because it is fixed per service.
 
 Cached answers are interned: entries with equal tag sets share one
 frozenset.  A diagram yields few distinct answers, and a private
@@ -35,12 +28,11 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.core.csd import CitySemanticDiagram
 from repro.data.trajectory import SemanticProperty
 from repro.obs import get_registry
 
-#: Cache key: (cell code, lon, lat, query_dtype).
-CacheKey = Tuple[int, float, float, str]
+#: Cache key: the exact (lon, lat) of a stay location.
+CacheKey = Tuple[float, float]
 
 
 class CellCache:
@@ -51,7 +43,7 @@ class CellCache:
     request path branch-free.
     """
 
-    def __init__(self, csd: CitySemanticDiagram, max_entries: int = 65536) -> None:
+    def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[CacheKey, SemanticProperty]" = OrderedDict()
         #: One shared object per distinct answer (see module docstring).
@@ -61,30 +53,6 @@ class CellCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self._bind_grid(csd)
-
-    def _bind_grid(self, csd: CitySemanticDiagram) -> None:
-        """Adopt the grid geometry of (a possibly reloaded) CSD."""
-        state = csd.grid_index.csr_state()
-        self._cell = state.cell
-        self._gx_lo = state.gx_lo
-        self._gy_lo = state.gy_lo
-        self._ny = state.ny
-        self._projection = csd.projection
-
-    def key_for(self, lon: float, lat: float, query_dtype: str) -> CacheKey:
-        """The cache key of a stay location.
-
-        The linearised code reuses the CSR grid formula
-        ``(gx - gx_lo) * ny + (gy - gy_lo)``; points outside the built
-        grid produce out-of-range codes, which is harmless for a hash
-        key.
-        """
-        x, y = self._projection.to_meters(lon, lat)
-        gx = int(x // self._cell)
-        gy = int(y // self._cell)
-        code = (gx - self._gx_lo) * self._ny + (gy - self._gy_lo)
-        return (code, float(lon), float(lat), query_dtype)
 
     def get(self, key: CacheKey) -> Optional[SemanticProperty]:
         if self.max_entries <= 0:
@@ -116,18 +84,12 @@ class CellCache:
         if reg.enabled:
             reg.gauge("serve.cache.size").set(float(size))
 
-    def clear(self, csd: Optional[CitySemanticDiagram] = None) -> None:
-        """Drop every entry; rebind grid geometry when ``csd`` is given.
-
-        Called on CSD reload: a new diagram means every memoized answer
-        is stale, and the grid extents (hence the cell codes) may have
-        shifted too.
-        """
+    def clear(self) -> None:
+        """Drop every entry (on CSD reload: a new diagram makes every
+        memoized answer stale)."""
         with self._lock:
             self._entries.clear()
             self._answers.clear()
-            if csd is not None:
-                self._bind_grid(csd)
         reg = get_registry()
         if reg.enabled:
             reg.gauge("serve.cache.size").set(0.0)

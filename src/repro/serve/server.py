@@ -18,7 +18,8 @@ Endpoints (``docs/SERVING.md`` has request/response examples):
 ``/v1/recognize/batch``  POST client-assembled batch, straight to kernel
 ``/v1/range``         POST    POIs within a radius of a lon/lat centre
 ``/v1/units/<id>``    GET     one semantic unit
-``/v1/tags/<tag>``    GET     units carrying a tag (``?min_share=``)
+``/v1/tags/<tag>``    GET     units carrying a percent-encoded tag
+                              (``?min_share=``)
 ``/admin/reload``     POST    re-read the CSD artifact, invalidate cache
 ====================  ======  =============================================
 
@@ -41,7 +42,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import BatcherClosed, ServerOverloaded
@@ -232,15 +233,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, service.unit_info(unit_id))
                 return True
             if path.startswith("/v1/tags/"):
-                tag = path[len("/v1/tags/"):]
+                # Tags such as "Shop & Market" travel percent-encoded.
+                tag = unquote(path[len("/v1/tags/"):])
                 if not tag:
                     raise _BadRequest("tag must be non-empty")
                 min_share = 0.0
                 if "min_share" in query:
                     try:
-                        min_share = float(query["min_share"][0])
+                        min_share = _finite_float(query["min_share"][0])
                     except ValueError:
-                        raise _BadRequest("min_share must be a number")
+                        raise _BadRequest("min_share must be a finite number")
                 self._send_json(
                     200, {"tag": tag, "units": service.units_with_tag(tag, min_share)}
                 )

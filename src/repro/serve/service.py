@@ -2,8 +2,8 @@
 
 :class:`RecognitionService` is the transport-agnostic core of ``repro
 serve``: it owns the persisted :class:`CitySemanticDiagram`, a
-:class:`~repro.core.recognition.CSDRecognizer`, the per-cell
-:class:`~repro.serve.cache.CellCache`, and the
+:class:`~repro.core.recognition.CSDRecognizer`, the
+LRU :class:`~repro.serve.cache.CellCache`, and the
 :class:`~repro.serve.batcher.MicroBatcher`.  The HTTP layer
 (``repro.serve.server``) is a thin JSON shim over these methods, and
 the load-test harness (``benchmarks/bench_serve.py``) drives them
@@ -85,7 +85,7 @@ class RecognitionService:
             min_tag_share=self.config.min_tag_share,
             query_dtype=self.config.query_dtype,
         )
-        self.cache = CellCache(self.csd, max_entries=self.config.cache_size)
+        self.cache = CellCache(max_entries=self.config.cache_size)
         self.batcher = MicroBatcher(
             self._recognize_batch,
             max_batch=self.config.max_batch,
@@ -108,11 +108,10 @@ class RecognitionService:
 
         Bit-identical to ``CSDRecognizer.recognize_point`` on the same
         diagram: the cache only ever returns results for the exact same
-        coordinates and dtype, and micro-batching preserves per-stay
-        independence.
+        coordinates, and micro-batching preserves per-stay independence.
         """
         recognizer = self.recognizer
-        key = self.cache.key_for(lon, lat, recognizer.query_dtype)
+        key = (lon, lat)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -241,7 +240,7 @@ class RecognitionService:
                 min_tag_share=self.config.min_tag_share,
                 query_dtype=self.config.query_dtype,
             )
-            self.cache.clear(fresh)
+            self.cache.clear()
             self._loaded_sha = sha
             self.reloads += 1
         reg = get_registry()

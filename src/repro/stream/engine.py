@@ -41,11 +41,7 @@ from repro.core.incremental import IncrementalCSD, RepairReport
 from repro.core.recognition import CSDRecognizer
 from repro.data.poi import POI
 from repro.data.taxi import TaxiTrip, trips_to_mining_trajectories
-from repro.data.trajectory import (
-    SemanticTrajectory,
-    StayPoint,
-    as_tag_sequence,
-)
+from repro.data.trajectory import SemanticTrajectory, as_tag_sequence
 from repro.mining.prefixspan import FrequentSequence, WindowedPrefixSpan
 from repro.obs import get_registry
 
@@ -310,11 +306,3 @@ class StreamEngine:
         for pattern in fine:
             pattern.member_ids = [ids[k] for k in pattern.member_ids]
         return fine
-
-    def window_stay_points(self) -> List[StayPoint]:
-        """All stay points of the live window, in sequence-id order."""
-        return [
-            sp
-            for seq_id in sorted(self._recognized)
-            for sp in self._recognized[seq_id].stay_points
-        ]

@@ -146,7 +146,7 @@ class TestRun:
         argv = [
             "run", "--pois", str(data_dir / "pois.csv"),
             "--trips", str(trips), "--run-dir", str(run_dir),
-            "--support", "10", "--chunk-size", "500",
+            "--support", "10",
         ]
         rc = main(argv)
         assert rc == 0
@@ -181,7 +181,7 @@ class TestRun:
         argv = [
             "run", "--pois", str(data_dir / "pois.csv"),
             "--trips", str(trips), "--run-dir", str(run_dir),
-            "--support", "10", "--chunk-size", "500",
+            "--support", "10",
         ]
         assert main(argv) == 0
         first = (run_dir / "quarantine.csv").read_bytes()
@@ -197,7 +197,7 @@ class TestRun:
              "--run-dir", "d"]
         )
         assert args.resume is False
-        assert args.chunk_size == 8192
+        assert not hasattr(args, "chunk_size")
         assert args.quarantine is None
 
 

@@ -25,10 +25,10 @@ from repro.runner.commit import write_manifest
 
 CSD_CONFIG = CSDConfig(alpha=0.7)
 
-#: ``config_hash`` of a batch run with CSD_CONFIG,
-#: MiningConfig(support=10, rho=0.001) and chunk_size=500.
+#: ``config_hash`` of a batch run with CSD_CONFIG and
+#: MiningConfig(support=10, rho=0.001).
 BATCH_CONFIG_HASH = (
-    "d66a7a1fe46d36cf925dbaa3c122225938fe5d0186318e53fb28b95956773dc2"
+    "db6d12c14426da68f47b772c3cc20af23fd7acd110c24259f55131be434b756a"
 )
 #: ``config_hash`` of a stream run with CSD_CONFIG,
 #: MiningConfig(support=8, rho=0.001), window_epochs=3,
@@ -55,7 +55,6 @@ def test_batch_manifest_is_compatible(
         run_dir,
         CSD_CONFIG,
         MiningConfig(support=10, rho=0.001),
-        chunk_size=500,
     ).run(small_pois, small_trajectories)
     path = run_dir / MANIFEST_NAME
     assert parse_manifest(path.read_text()).config_hash == BATCH_CONFIG_HASH

@@ -19,12 +19,13 @@ from dataclasses import asdict
 import pytest
 
 from repro import ioutil, obs
+from repro.core import recognition
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
 from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import SemanticTrajectory, StayPoint
-from repro.ioutil import SimulatedCrash
+from repro.ioutil import SimulatedCrash, file_sha256
 from repro.obs import MetricsRegistry
 from repro.runner import (
     CSD_ARTIFACT,
@@ -39,16 +40,13 @@ from repro.runner import (
 )
 from tests.conftest import CrashAt
 
-CHUNK = 500
-
 #: Crash sites of the batch run, named for the pipeline moment they
 #: hit.  Manifest writes: #1 fresh, #2 constructor done, #3 recognition
-#: done, #4 extraction done.
+#: done.
 CRASH_SITES = {
     "after-constructor-checkpoint": ("replaced", MANIFEST_NAME, 2),
     "before-recognition": ("tmp-open", RECOGNIZED_ARTIFACT, 1),
     "after-recognition-checkpoint": ("replaced", MANIFEST_NAME, 3),
-    "before-extraction": ("tmp-open", MANIFEST_NAME, 4),
 }
 
 
@@ -89,7 +87,7 @@ class TestRunnerEquivalence:
     ):
         cc, mc, reference = workload
         runner = PipelineRunner(
-            tmp_path / "run", cc, mc, chunk_size=CHUNK
+            tmp_path / "run", cc, mc
         )
         result = runner.run(small_pois, small_trajectories)
         assert pattern_key(result.patterns) == pattern_key(
@@ -99,16 +97,22 @@ class TestRunnerEquivalence:
             st.stay_points for st in reference.recognized
         ]
 
-    def test_chunk_size_does_not_change_results(
-        self, tmp_path, small_pois, small_trajectories, workload
+    def test_recognition_block_does_not_change_results(
+        self, tmp_path, small_pois, small_trajectories, workload, monkeypatch
     ):
+        """Recognition votes in blocks of ``RECOGNITION_BLOCK`` stays; a
+        block far smaller than the corpus changes nothing."""
         cc, mc, reference = workload
-        result = PipelineRunner(
-            tmp_path / "tiny-chunks", cc, mc, chunk_size=37
-        ).run(small_pois, small_trajectories)
+        monkeypatch.setattr(recognition, "RECOGNITION_BLOCK", 37)
+        result = PipelineRunner(tmp_path / "tiny-blocks", cc, mc).run(
+            small_pois, small_trajectories
+        )
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
         )
+        assert [st.stay_points for st in result.recognized] == [
+            st.stay_points for st in reference.recognized
+        ]
 
 
 class TestCrashResume:
@@ -120,11 +124,11 @@ class TestCrashResume:
         run_dir = tmp_path / "crashed"
         with pytest.raises(SimulatedCrash):
             with ioutil.fault_hook(CrashAt(*CRASH_SITES[crash_point])):
-                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                PipelineRunner(run_dir, cc, mc).run(
                     small_pois, small_trajectories
                 )
         result = PipelineRunner(
-            run_dir, cc, mc, chunk_size=CHUNK, resume=True
+            run_dir, cc, mc, resume=True
         ).run(small_pois, small_trajectories)
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
@@ -141,7 +145,7 @@ class TestCrashResume:
         crash = CrashAt(*CRASH_SITES["after-recognition-checkpoint"])
         with pytest.raises(SimulatedCrash):
             with ioutil.fault_hook(crash):
-                PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+                PipelineRunner(run_dir, cc, mc).run(
                     small_pois, small_trajectories
                 )
 
@@ -149,7 +153,7 @@ class TestCrashResume:
         old = obs.set_registry(reg)
         try:
             PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, resume=True
+                run_dir, cc, mc, resume=True
             ).run(small_pois, small_trajectories)
         finally:
             obs.set_registry(old)
@@ -165,13 +169,13 @@ class TestCrashResume:
     ):
         cc, mc, reference = workload
         run_dir = tmp_path / "fresh"
-        PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+        PipelineRunner(run_dir, cc, mc).run(
             small_pois, small_trajectories
         )
         # Corrupt the CSD checkpoint; a resume=False run must not read it.
         (run_dir / CSD_ARTIFACT).write_text("{}", encoding="utf-8")
         result = PipelineRunner(
-            run_dir, cc, mc, chunk_size=CHUNK, resume=False
+            run_dir, cc, mc, resume=False
         ).run(small_pois, small_trajectories)
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
@@ -182,7 +186,7 @@ class TestCrashResume:
     ):
         cc, mc, reference = workload
         run_dir = tmp_path / "tampered"
-        PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+        PipelineRunner(run_dir, cc, mc).run(
             small_pois, small_trajectories
         )
         # Truncate the recognition checkpoint: its SHA no longer matches
@@ -191,7 +195,7 @@ class TestCrashResume:
             "traj_id,order,lon,lat,t,semantics\n", encoding="utf-8"
         )
         result = PipelineRunner(
-            run_dir, cc, mc, chunk_size=CHUNK, resume=True
+            run_dir, cc, mc, resume=True
         ).run(small_pois, small_trajectories)
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
@@ -204,13 +208,13 @@ class TestManifestGuards:
     ):
         cc, mc, _ = workload
         run_dir = tmp_path / "guard"
-        PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+        PipelineRunner(run_dir, cc, mc).run(
             small_pois, small_trajectories
         )
         other = MiningConfig(support=11, rho=0.001)
         with pytest.raises(ValueError, match="different computation"):
             PipelineRunner(
-                run_dir, cc, other, chunk_size=CHUNK, resume=True
+                run_dir, cc, other, resume=True
             ).run(small_pois, small_trajectories)
 
     def test_input_change_refuses_resume(
@@ -218,45 +222,65 @@ class TestManifestGuards:
     ):
         cc, mc, _ = workload
         run_dir = tmp_path / "guard-input"
-        PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+        PipelineRunner(run_dir, cc, mc).run(
             small_pois, small_trajectories
         )
         with pytest.raises(ValueError, match="different computation"):
             PipelineRunner(
-                run_dir, cc, mc, chunk_size=CHUNK, resume=True
+                run_dir, cc, mc, resume=True
             ).run(small_pois, small_trajectories[:-1])
 
     def test_manifest_is_strict_json_with_stage_records(
         self, tmp_path, small_pois, small_trajectories, workload
     ):
+        """Each checkpointed step's record is its artifact's SHA-256."""
         cc, mc, _ = workload
         run_dir = tmp_path / "manifest"
-        PipelineRunner(run_dir, cc, mc, chunk_size=CHUNK).run(
+        PipelineRunner(run_dir, cc, mc).run(
             small_pois, small_trajectories
         )
         text = (run_dir / MANIFEST_NAME).read_text(encoding="utf-8")
         document = json.loads(text)
         cfg_hash = config_hash(
-            {
-                "csd_config": asdict(cc),
-                "mining_config": asdict(mc),
-                "chunk_size": CHUNK,
-            }
+            {"csd_config": asdict(cc), "mining_config": asdict(mc)}
         )
+        assert document["format_version"] == 2
         assert document["config_hash"] == cfg_hash
         assert document["input_digest"] == input_digest(
             small_pois, small_trajectories
         )
-        stages = document["stages"]
-        assert stages["constructor"]["status"] == "complete"
-        assert stages["constructor"]["artifact"] == CSD_ARTIFACT
-        assert stages["recognition"]["artifact"] == RECOGNIZED_ARTIFACT
-        assert stages["extraction"]["status"] == "complete"
+        assert document["artifacts"] == {
+            name: file_sha256(run_dir / name)
+            for name in (CSD_ARTIFACT, RECOGNIZED_ARTIFACT)
+        }
         # Round-trips through the parser.
         manifest = parse_manifest(text)
         assert manifest.config_hash == cfg_hash
         assert manifest.input_digest == document["input_digest"]
         assert manifest.to_document() == document
+
+    def test_version_one_run_dir_refused_on_resume(
+        self, tmp_path, small_pois, small_trajectories, workload
+    ):
+        """A run directory of the per-stage-status format (version 1)
+        is refused on resume; ``resume=False`` starts it over."""
+        cc, mc, reference = workload
+        run_dir = tmp_path / "v1"
+        PipelineRunner(run_dir, cc, mc).run(small_pois, small_trajectories)
+        path = run_dir / MANIFEST_NAME
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["format_version"] = 1
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported manifest version"):
+            PipelineRunner(run_dir, cc, mc, resume=True).run(
+                small_pois, small_trajectories
+            )
+        result = PipelineRunner(run_dir, cc, mc).run(
+            small_pois, small_trajectories
+        )
+        assert pattern_key(result.patterns) == pattern_key(
+            reference.patterns
+        )
 
     def test_duplicate_traj_ids_rejected(self, tmp_path, small_pois):
         sts = [
@@ -288,7 +312,7 @@ class TestRetry:
         try:
             with ioutil.fault_hook(flaky):
                 result = PipelineRunner(
-                    tmp_path / "flaky", cc, mc, chunk_size=CHUNK
+                    tmp_path / "flaky", cc, mc
                 ).run(small_pois, small_trajectories)
         finally:
             obs.set_registry(old)
@@ -369,7 +393,7 @@ class TestQuarantinedRun:
                 )
                 trajectories = trips_to_mining_trajectories(ingested)
                 result = PipelineRunner(
-                    tmp_path / "dirty", cc, mc, chunk_size=CHUNK
+                    tmp_path / "dirty", cc, mc
                 ).run(small_pois, trajectories)
         finally:
             obs.set_registry(old)

@@ -15,6 +15,7 @@ import struct
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -227,28 +228,18 @@ class TestMicroBatcher:
 
 class TestCellCache:
     def test_exact_coordinates_key_the_cache(self, small_csd):
-        cache = CellCache(small_csd, max_entries=16)
+        cache = CellCache(max_entries=16)
         poi = small_csd.pois[0]
-        k1 = cache.key_for(poi.lon, poi.lat, "float64")
-        # A nearby-but-different point in the same cell must not hit.
-        k2 = cache.key_for(poi.lon + 1e-7, poi.lat, "float64")
-        assert k1 != k2
+        k1 = (poi.lon, poi.lat)
+        # A nearby-but-different point must not hit.
+        k2 = (poi.lon + 1e-7, poi.lat)
         cache.put(k1, frozenset({"A"}))
         assert cache.get(k1) == frozenset({"A"})
         assert cache.get(k2) is None
 
-    def test_dtype_is_part_of_the_key(self, small_csd):
-        cache = CellCache(small_csd, max_entries=16)
-        poi = small_csd.pois[0]
-        assert cache.key_for(poi.lon, poi.lat, "float64") != cache.key_for(
-            poi.lon, poi.lat, "float32"
-        )
-
-    def test_lru_eviction(self, small_csd):
-        cache = CellCache(small_csd, max_entries=2)
-        keys = [
-            cache.key_for(121.0 + i * 0.01, 31.0, "float64") for i in range(3)
-        ]
+    def test_lru_eviction(self):
+        cache = CellCache(max_entries=2)
+        keys = [(121.0 + i * 0.01, 31.0) for i in range(3)]
         cache.put(keys[0], frozenset({"a"}))
         cache.put(keys[1], frozenset({"b"}))
         cache.get(keys[0])  # refresh 0 → 1 becomes LRU
@@ -257,26 +248,26 @@ class TestCellCache:
         assert cache.get(keys[1]) is None
         assert len(cache) == 2
 
-    def test_equal_answers_share_one_object(self, small_csd):
-        cache = CellCache(small_csd, max_entries=8)
-        k1 = cache.key_for(121.0, 31.0, "float64")
-        k2 = cache.key_for(121.01, 31.0, "float64")
+    def test_equal_answers_share_one_object(self):
+        cache = CellCache(max_entries=8)
+        k1 = (121.0, 31.0)
+        k2 = (121.01, 31.0)
         cache.put(k1, frozenset({"a", "b"}))
         cache.put(k2, frozenset({"b", "a"}))
         assert cache.get(k1) is cache.get(k2)
 
-    def test_zero_entries_disables(self, small_csd):
-        cache = CellCache(small_csd, max_entries=0)
-        key = cache.key_for(121.0, 31.0, "float64")
+    def test_zero_entries_disables(self):
+        cache = CellCache(max_entries=0)
+        key = (121.0, 31.0)
         cache.put(key, frozenset({"a"}))
         assert cache.get(key) is None
         assert len(cache) == 0
 
-    def test_clear_drops_everything(self, small_csd):
-        cache = CellCache(small_csd, max_entries=8)
-        key = cache.key_for(121.0, 31.0, "float64")
+    def test_clear_drops_everything(self):
+        cache = CellCache(max_entries=8)
+        key = (121.0, 31.0)
         cache.put(key, frozenset({"a"}))
-        cache.clear(small_csd)
+        cache.clear()
         assert cache.get(key) is None
 
 
@@ -505,6 +496,25 @@ class TestHTTPEndpoints:
         status, doc = _get(base, "/v1/tags/" + urllib.request.quote(tag))
         assert status == 200 and len(doc["units"]) > 0
 
+    def test_multi_word_tag_is_percent_decoded(self, http_server, small_csd):
+        """A tag with a space or ``&`` reaches the service decoded: the
+        daemon answers with the same units as the in-process call."""
+        base, service = http_server
+        tag = next(
+            tag
+            for unit in small_csd.units
+            for tag in sorted(unit.semantic_distribution)
+            if " " in tag or "&" in tag
+        )
+        expected = service.units_with_tag(tag)
+        assert expected
+        status, doc = _get(
+            base, "/v1/tags/" + urllib.parse.quote(tag, safe="")
+        )
+        assert status == 200
+        assert doc["tag"] == tag
+        assert doc["units"] == expected
+
     def test_metrics_scrape_does_not_reset(self, http_server, registry):
         """Two scrapes straddling traffic: counters must only grow."""
         base, _ = http_server
@@ -525,6 +535,8 @@ class TestHTTPEndpoints:
             ("POST", "/v1/recognize", None, 400),
             ("POST", "/v1/range", {"lon": 0, "lat": 0, "radius_m": -1}, 400),
             ("POST", "/v1/recognize/batch", {"points": [[1]]}, 400),
+            ("GET", "/v1/tags/Residence?min_share=nan", None, 400),
+            ("GET", "/v1/tags/Residence?min_share=inf", None, 400),
         ]
         for method, path, body, want in cases:
             with pytest.raises(urllib.error.HTTPError) as exc_info:

@@ -22,6 +22,7 @@ import pytest
 from repro import ioutil, obs
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
+from repro.core.extraction import counterpart_cluster
 from repro.core.incremental import IncrementalCSD
 from repro.core.merging import merge_units
 from repro.core.purification import purify
@@ -141,6 +142,19 @@ def stream_inputs(small_pois, small_trajectories, small_csd_config, small_city):
     return base_csd, small_pois[n_base:]
 
 
+def fine_key(patterns):
+    """Exact content of fine-grained patterns, for equality checks."""
+    return [
+        (
+            p.items,
+            tuple(p.member_ids),
+            tuple(p.representatives),
+            tuple(tuple(group) for group in p.groups),
+        )
+        for p in patterns
+    ]
+
+
 def epoch_batches(items, n_epochs):
     per = max(1, len(items) // n_epochs)
     batches = [items[i * per : (i + 1) * per] for i in range(n_epochs - 1)]
@@ -184,6 +198,43 @@ class TestStreamEngine:
         # The schedule must actually exercise both maintenance paths.
         assert repairs >= 1
         assert retired_total > 0
+
+    def test_fine_patterns_match_counterpart_cluster(
+        self, stream_inputs, small_taxi, small_csd_config
+    ):
+        """After every epoch, Algorithm 4 over the windowed miner's
+        coarse patterns equals a from-scratch ``counterpart_cluster`` of
+        the live window in sequence-id order, member ids mapped back."""
+        base_csd, new_pois = stream_inputs
+        mining = MiningConfig(support=8, rho=0.001)
+        engine = StreamEngine(
+            base_csd,
+            small_csd_config,
+            mining,
+            window_epochs=3,
+            staleness_threshold=0.01,
+        )
+        emitted = 0
+        for trip_batch, poi_batch in zip(
+            epoch_batches(small_taxi.trips, 6), epoch_batches(new_pois, 6)
+        ):
+            engine.process_epoch(trip_batch, poi_batch)
+            ids = sorted(
+                seq_id
+                for window_ids in engine.window_epoch_ids().values()
+                for seq_id in window_ids
+            )
+            expected = counterpart_cluster(
+                [engine.recognized_sequence(i) for i in ids],
+                mining,
+                engine.csd.projection,
+            )
+            for pattern in expected:
+                pattern.member_ids = [ids[k] for k in pattern.member_ids]
+            got = engine.fine_patterns()
+            assert fine_key(got) == fine_key(expected)
+            emitted += len(got)
+        assert emitted > 0, "the schedule must emit fine-grained patterns"
 
     def test_sequence_ids_are_stream_unique(self, stream_inputs, small_taxi):
         base_csd, _ = stream_inputs

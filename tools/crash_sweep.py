@@ -249,9 +249,9 @@ def build_workload(root: Path) -> Workload:
 
 
 def _batch_run(work: Workload, run_dir: Path, resume: bool = False):
-    return PipelineRunner(
-        run_dir, CSD_CFG, MINING_CFG, resume=resume, chunk_size=2_000
-    ).run(work.pois, work.trajectories)
+    return PipelineRunner(run_dir, CSD_CFG, MINING_CFG, resume=resume).run(
+        work.pois, work.trajectories
+    )
 
 
 def batch_pattern_key(result) -> List[Tuple[object, ...]]:
