@@ -32,12 +32,6 @@ exhaustive ``tools/crash_sweep.py`` harness — can crash at *every*
 boundary in turn and prove crash/resume holds at each one; a hook that
 raises ``OSError`` is a transient failure the runners' checkpoint
 write retries (:func:`repro.runner.commit.checkpoint`).
-
-Setting ``REPRO_IO_SANITIZE=1`` additionally verifies, after every
-atomic write, that the target landed, is non-empty, and left no tmp
-sibling behind — and for :func:`strict_json_dump` that the written
-bytes parse back.  Like ``REPRO_SANITIZE``, the unset mode costs one
-truthiness check per write.
 """
 
 from __future__ import annotations
@@ -72,12 +66,6 @@ IO_FAULT_POINTS = ("tmp-open", "tmp-written", "replaced")
 FaultHook = Callable[[str, Path], None]
 
 _fault_hook: Optional[FaultHook] = None
-
-
-def _sanitizing() -> bool:
-    """Is ``REPRO_IO_SANITIZE`` set?  Read per call so tests can toggle
-    it without re-importing; one dict lookup next to real file I/O."""
-    return os.environ.get("REPRO_IO_SANITIZE", "").strip() not in ("", "0")
 
 
 def set_fault_hook(hook: Optional[FaultHook]) -> Optional[FaultHook]:
@@ -156,23 +144,6 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _post_write_check(target: Path, tmp: Path) -> None:
-    """``REPRO_IO_SANITIZE=1``: the write's observable postconditions."""
-    if not target.exists():
-        raise TornArtifactError(
-            str(target), "atomic write completed but the target is missing"
-        )
-    if target.stat().st_size == 0:
-        raise TornArtifactError(
-            str(target), "atomic write left a zero-byte artifact"
-        )
-    if tmp.exists():
-        raise TornArtifactError(
-            str(target),
-            f"atomic write left tmp debris behind ({tmp.name})",
-        )
-
-
 def atomic_write(
     path: PathLike,
     writer: Callable[[Path], None],
@@ -204,8 +175,6 @@ def atomic_write(
     _announce("replaced", target)
     if fsync:
         _fsync_dir(target.parent)
-    if _sanitizing():
-        _post_write_check(target, tmp)
     return target
 
 
@@ -271,10 +240,6 @@ def strict_json_dump(
     if trailing_newline:
         payload += "\n"
     atomic_write_text(path, payload, fsync=fsync)
-    if _sanitizing():
-        # Read-back: the bytes on disk must parse.  Catches encoding
-        # bugs and torn writes the rename postcondition cannot see.
-        strict_json_load(path)
 
 
 def strict_json_loads(text: str, *, name: str = "<json>") -> Any:

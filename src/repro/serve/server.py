@@ -24,10 +24,10 @@ Endpoints (``docs/SERVING.md`` has request/response examples):
 ====================  ======  =============================================
 
 Error mapping: malformed JSON/fields, a non-finite number (``NaN``,
-``Infinity``, an overflowing ``1e999``) or a bad ``Content-Length`` →
-400, unknown route/unit → 404, admission queue full → **503** with a
-``Retry-After`` hint (the backpressure contract), anything unexpected →
-500 with the ``serve.errors`` counter bumped.  A client that hangs up
+``Infinity``, an overflowing ``1e999`` or 400-digit integer) or a bad
+``Content-Length`` → 400, unknown route/unit → 404, admission queue
+full → **503** with a ``Retry-After`` hint (the backpressure contract),
+anything unexpected → 500 with the ``serve.errors`` counter bumped.  A client that hangs up
 is not an error: its request ends quietly, uncounted.
 
 Every response leaves in one send with Nagle off.  Headers and body are
@@ -142,8 +142,14 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise _BadRequest("request body must be JSON")
         try:
+            # Integers parse as floats too: no body field needs an exact
+            # int, and an int too large for a float would otherwise be a
+            # 500 when a handler converts it.
             doc = json.loads(
-                raw, parse_constant=_reject_constant, parse_float=_finite_float
+                raw,
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+                parse_int=_finite_float,
             )
         except json.JSONDecodeError as exc:
             raise _BadRequest(f"invalid JSON: {exc.msg}") from None

@@ -1,6 +1,6 @@
 """The atomic-artifact I/O layer (``repro.ioutil``).
 
-Four contract families (docs/DATA_FORMATS.md "Durability"):
+Three contract families (docs/DATA_FORMATS.md "Durability"):
 
 - **atomicity** — a write that fails at any point leaves the previous
   artifact untouched and no ``*.tmp`` debris;
@@ -9,8 +9,7 @@ Four contract families (docs/DATA_FORMATS.md "Durability"):
 - **strict JSON** — ``allow_nan=False`` serialisation, canonical key
   order, and :class:`TornArtifactError` diagnostics that name the
   artifact and the byte offset of the damage (swept here by truncating
-  real manifest/diagram artifacts at many offsets);
-- **REPRO_IO_SANITIZE=1** — post-write checks fire only when enabled.
+  real manifest/diagram artifacts at many offsets).
 """
 
 import json
@@ -18,7 +17,6 @@ import math
 
 import pytest
 
-from repro import ioutil
 from repro.ioutil import (
     IO_FAULT_POINTS,
     SimulatedCrash,
@@ -89,6 +87,11 @@ class TestAtomicWrite:
         target = tmp_path / "rows.csv"
         atomic_write_text(target, "a,b\r\n1,2\r\n")
         assert target.read_bytes() == b"a,b\r\n1,2\r\n"
+
+    def test_zero_byte_write_lands(self, tmp_path):
+        target = tmp_path / "doc.json"
+        atomic_write_text(target, "")
+        assert target.read_bytes() == b""
 
     def test_nested_atomic_write_stages_tmp_tmp(self, tmp_path):
         """A writer that itself writes atomically (save_csd inside a
@@ -271,47 +274,6 @@ class TestTornArtifactSweep:
         target.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TornArtifactError, match="csd.json"):
             load_csd(target)
-
-
-class TestSanitizeMode:
-    def test_off_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_IO_SANITIZE", raising=False)
-        assert not ioutil._sanitizing()
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "0")
-        assert not ioutil._sanitizing()
-
-    def test_enabled_write_passes_postconditions(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
-        target = tmp_path / "doc.json"
-        strict_json_dump(target, {"k": [1, 2]})
-        assert strict_json_load(target) == {"k": [1, 2]}
-
-    def test_detects_vanished_target(self, tmp_path, monkeypatch):
-        """If the installed artifact is gone by the postcondition check
-        the sanitizer must scream, not shrug."""
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
-        target = tmp_path / "doc.json"
-
-        def crash(point, path):
-            if point == "replaced":
-                path.unlink()
-
-        with fault_hook(crash):
-            with pytest.raises(TornArtifactError, match="missing"):
-                atomic_write_text(target, "payload")
-
-    def test_detects_zero_byte_artifact(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_IO_SANITIZE", "1")
-        with pytest.raises(TornArtifactError, match="zero-byte"):
-            atomic_write_text(tmp_path / "doc.json", "")
-
-    def test_zero_byte_allowed_when_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_IO_SANITIZE", raising=False)
-        target = tmp_path / "doc.json"
-        atomic_write_text(target, "")
-        assert target.read_bytes() == b""
 
 
 class TestFileSha256:

@@ -1,12 +1,10 @@
-"""Unit tests for reprolint pass 3 (artifact durability, RPL017–021)
-and the SARIF emitter.
+"""Unit tests for reprolint pass 3 (artifact durability, RPL017–021).
 
 Same conventions as ``test_reprolint.py``: each rule gets a bad fixture
 that must fire, a good fixture that must stay silent, and pragma
 coverage; scoping is driven by the synthetic ``path`` argument.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -20,14 +18,8 @@ from tools.reprolint import (  # noqa: E402
     DURABILITY_RULES,
     check_durability_paths,
     check_durability_source,
-    to_sarif,
 )
 from tools.reprolint.cli import main as reprolint_main  # noqa: E402
-from tools.reprolint.rules import Finding  # noqa: E402
-from tools.reprolint.sarif import (  # noqa: E402
-    SARIF_TOOL_VERSION,
-    SARIF_VERSION,
-)
 
 CORE = "src/repro/core/example.py"
 DATA = "src/repro/data/example.py"
@@ -45,12 +37,6 @@ def rules_of(findings):
 class TestRuleCatalogue:
     def test_durability_rules_registered(self):
         assert DURABILITY_RULES <= set(ALL_RULES)
-
-    def test_durability_rules_are_errors(self):
-        from tools.reprolint import RULE_SEVERITY
-
-        for rule in DURABILITY_RULES:
-            assert RULE_SEVERITY[rule] == "error"
 
 
 class TestRPL017RawOpen:
@@ -382,7 +368,7 @@ class TestPassMechanics:
 
     def test_cli_runs_all_three_passes_clean(self, capsys):
         root = str(REPO_ROOT / "src")
-        assert reprolint_main([root, "--fail-on", "error"]) == 0
+        assert reprolint_main([root]) == 0
 
     def test_cli_no_durability_skips_pass_3(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "data" / "bad.py"
@@ -392,78 +378,3 @@ class TestPassMechanics:
         assert reprolint_main([str(tmp_path), "--no-crossmod",
                                "--no-durability"]) == 0
 
-
-class TestSarifOutput:
-    def _findings(self):
-        """One finding from each of the three passes' rule families."""
-        return [
-            Finding("src/repro/core/a.py", 3, 5, "RPL002",
-                    "loop in hot kernel"),
-            Finding("src/repro/obs/b.py", 10, 1, "RPL008", "bad metric"),
-            Finding("src/repro/data/d.py", 1, 9, "RPL017", "raw open"),
-        ]
-
-    def test_document_envelope(self):
-        doc = to_sarif([])
-        assert doc["version"] == SARIF_VERSION
-        assert "sarif-schema-2.1.0" in doc["$schema"]
-        driver = doc["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "reprolint"
-        assert driver["version"] == SARIF_TOOL_VERSION
-        assert doc["runs"][0]["results"] == []
-
-    def test_driver_carries_full_rule_catalogue_sorted(self):
-        driver = to_sarif([])["runs"][0]["tool"]["driver"]
-        ids = [rule["id"] for rule in driver["rules"]]
-        assert ids == sorted(ALL_RULES)
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert "reprolint:" in rule["help"]["text"]
-            assert rule["defaultConfiguration"]["level"] in (
-                "error", "warning",
-            )
-
-    def test_results_from_all_three_passes(self):
-        doc = to_sarif(self._findings())
-        results = doc["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == [
-            "RPL002", "RPL008", "RPL017",
-        ]
-        rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        for result in results:
-            # ruleIndex must point at the matching catalogue entry.
-            assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
-            loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"].startswith("src/repro/")
-            assert loc["region"]["startLine"] >= 1
-            assert loc["region"]["startColumn"] >= 1
-
-    def test_unknown_rule_has_no_rule_index(self):
-        doc = to_sarif([Finding("src/repro/x.py", 1, 1, "RPL000", "bad")])
-        (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "RPL000"
-        assert "ruleIndex" not in result
-
-    def test_severity_maps_to_level(self):
-        from tools.reprolint import RULE_SEVERITY
-
-        doc = to_sarif(self._findings())
-        for result in doc["runs"][0]["results"]:
-            assert result["level"] == RULE_SEVERITY[result["ruleId"]]
-
-    def test_document_is_json_serialisable(self):
-        text = json.dumps(to_sarif(self._findings()))
-        assert json.loads(text)["version"] == SARIF_VERSION
-
-    def test_cli_format_sarif(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "data" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(p):\n    open(p, 'w')\n", encoding="utf-8")
-        rc = reprolint_main(
-            [str(tmp_path), "--format", "sarif", "--no-crossmod"]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == SARIF_VERSION
-        fired = {r["ruleId"] for r in doc["runs"][0]["results"]}
-        assert "RPL017" in fired

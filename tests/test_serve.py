@@ -657,11 +657,32 @@ class TestHTTPTransport:
             ("/v1/range", '{"lon": 121.4, "lat": 31.2, "radius_m": NaN}'),
             ("/v1/range", '{"lon": 121.4, "lat": 31.2, "radius_m": Infinity}'),
             ("/v1/range", '{"lon": NaN, "lat": 31.2, "radius_m": 100}'),
+            pytest.param(
+                "/v1/recognize",
+                '{"lon": %s, "lat": 31.2}' % ("9" * 400),
+                id="recognize-400-digit-int",
+            ),
+            pytest.param(
+                "/v1/recognize",
+                '{"lon": %s, "lat": 31.2}' % ("9" * 5000),
+                id="recognize-5000-digit-int",
+            ),
+            pytest.param(
+                "/v1/recognize/batch",
+                '{"points": [[%s, 31.2]]}' % ("9" * 400),
+                id="batch-400-digit-int",
+            ),
+            pytest.param(
+                "/v1/range",
+                '{"lon": 121.4, "lat": 31.2, "radius_m": %s}' % ("9" * 400),
+                id="range-400-digit-int",
+            ),
         ],
     )
     def test_non_finite_number_is_400(self, http_server, registry, path, body):
-        """Python's JSON parser accepts NaN/Infinity and overflows
-        1e999 to inf; the daemon rejects all of them as bad input."""
+        """Python's JSON parser accepts NaN/Infinity, overflows 1e999
+        to inf and parses integers of any length; the daemon rejects
+        all of them as bad input."""
         base, _ = http_server
         conn = http.client.HTTPConnection("127.0.0.1", _port(base), timeout=5)
         try:

@@ -33,7 +33,7 @@ however the run was killed.  The quarantine appends outside
 
 Exit code 0 means every swept ordinal upheld all three invariants.
 ``--report`` writes a strict-JSON sweep report (CI runs the exhaustive
-sweep and uploads it as the ``io-sanitize`` job's artifact); ``--fast``
+sweep and uploads it as the ``crash-sweep`` job's artifact); ``--fast``
 subsamples the ordinals (always keeping the first and last) for a
 quick local smoke.
 

@@ -26,7 +26,6 @@ RPL003    No iteration over ``set`` expressions or ``dict.values()``
           exempt because they are order-independent).
 RPL004    No legacy ``np.random.*`` API — randomness must flow through
           an explicit ``np.random.default_rng(seed)`` generator.
-RPL005    No mutable default arguments.
 RPL006    No direct ``time.time()``/``time.perf_counter()`` timing in
           ``src/repro/`` outside ``repro.obs`` — all timing routes
           through the observability layer's ``Timer``/``Span`` so it
@@ -84,8 +83,7 @@ Suppression: put ``# reprolint: allow-<name>`` on the flagged statement
 (any of its lines; for block statements, the header) or in the comment
 block directly above it — for decorated functions, above the first
 decorator (``allow-lonlat``, ``allow-loop``, ``allow-unordered``,
-``allow-legacy-random``, ``allow-mutable-default``,
-``allow-direct-timing``, ``allow-dtype``, ``allow-metric-name``,
+``allow-legacy-random``, ``allow-direct-timing``, ``allow-dtype``, ``allow-metric-name``,
 ``allow-contract``, ``allow-pool``, ``allow-raw-open``,
 ``allow-open-encoding``,
 ``allow-lax-json``, ``allow-replace``, ``allow-swallow``).  RPL010
@@ -102,7 +100,6 @@ from tools.reprolint.durability import (
     check_durability_paths,
     check_durability_source,
 )
-from tools.reprolint.sarif import SARIF_TOOL_VERSION, SARIF_VERSION, to_sarif
 from tools.reprolint.crossmod import (
     ALIAS_DTYPES,
     CONTRACT_MODULES,
@@ -113,7 +110,6 @@ from tools.reprolint.crossmod import (
 )
 from tools.reprolint.rules import (
     ALL_RULES,
-    RULE_SEVERITY,
     Finding,
     check_file,
     check_paths,
@@ -129,9 +125,6 @@ __all__ = [
     "DURABILITY_RULES",
     "Finding",
     "Project",
-    "RULE_SEVERITY",
-    "SARIF_TOOL_VERSION",
-    "SARIF_VERSION",
     "build_project",
     "check_durability_file",
     "check_durability_paths",
@@ -143,5 +136,4 @@ __all__ = [
     "is_suppressed",
     "iter_python_files",
     "load_project",
-    "to_sarif",
 ]

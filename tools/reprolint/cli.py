@@ -7,28 +7,24 @@ including the ``docs/OBSERVABILITY.md`` drift gate when the doc is
 present), and pass 3 checks the artifact-durability rules
 (RPL017–RPL021) per file.
 
-Exit status (documented in ``docs/STATIC_ANALYSIS.md``):
+Every rule guards a correctness invariant, so any finding fails the
+run.  Exit status (documented in ``docs/STATIC_ANALYSIS.md``):
 
-* ``0`` — clean, or findings exist but all fall below the ``--fail-on``
-  threshold,
-* ``1`` — at least one finding at or above the threshold,
+* ``0`` — clean,
+* ``1`` — at least one finding,
 * ``2`` — usage error (unknown rule id, unreadable ``--obs-docs``).
 
 ``--format json`` emits one machine-readable document::
 
-    {"schema": 2, "count": N, "fail_on": "error",
+    {"schema": 3, "count": N,
      "findings": [{"path": ..., "line": ..., "col": ...,
-                   "rule": ..., "severity": ..., "message": ...}]}
+                   "rule": ..., "message": ...}]}
 
-Schema history: version 1 (unversioned, PR 5) was
-``{"findings": [...], "count": N}`` with no ``severity`` field;
-version 2 adds the ``schema``/``fail_on`` keys and per-finding
-``severity``.  Consumers should reject documents whose ``schema`` they
-do not know.
-
-``--format sarif`` emits a SARIF 2.1.0 document instead (the schema
-GitHub code scanning ingests; see :mod:`tools.reprolint.sarif`), with
-the same exit-code contract.
+Schema history: version 1 (unversioned) was ``{"findings": [...],
+"count": N}``; version 2 added ``schema``, a ``fail_on`` threshold and
+a per-finding ``severity``; version 3 drops the last two with the
+severity ladder.  Consumers should reject documents whose ``schema``
+they do not know.
 """
 
 from __future__ import annotations
@@ -41,14 +37,10 @@ from typing import List, Optional, Sequence
 
 from tools.reprolint.crossmod import check_project, load_project
 from tools.reprolint.durability import check_durability_paths
-from tools.reprolint.rules import ALL_RULES, RULE_SEVERITY, check_paths
-from tools.reprolint.sarif import to_sarif
+from tools.reprolint.rules import ALL_RULES, check_paths
 
 #: JSON output schema version.  Bump on any structural change.
-JSON_SCHEMA_VERSION = 2
-
-#: Severity ladder for --fail-on threshold comparison.
-_SEVERITY_RANK = {"warning": 0, "error": 1}
+JSON_SCHEMA_VERSION = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,10 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="output format (default: text); sarif emits a SARIF "
-        "2.1.0 document for GitHub code scanning",
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--select",
@@ -77,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated rule ids to enable, e.g. RPL002,RPL003 "
         "(default: all rules)",
-    )
-    parser.add_argument(
-        "--fail-on",
-        choices=("error", "warning"),
-        default="error",
-        help="minimum severity that causes exit status 1; findings "
-        "below the threshold are still reported (default: error)",
     )
     parser.add_argument(
         "--no-crossmod",
@@ -114,8 +98,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule, (pragma, description) in sorted(ALL_RULES.items()):
-            severity = RULE_SEVERITY.get(rule, "error")
-            print(f"{rule}  [{severity}]  (# reprolint: {pragma})  {description}")
+            print(f"{rule}  (# reprolint: {pragma})  {description}")
         return 0
     select: Optional[List[str]] = None
     if args.select is not None:
@@ -140,23 +123,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         findings.extend(check_project(project, select=select, obs_doc=obs_doc))
     if not args.no_durability:
         findings.extend(check_durability_paths(args.paths, select=select))
-    threshold = _SEVERITY_RANK[args.fail_on]
-    failing = [
-        f
-        for f in findings
-        if _SEVERITY_RANK[RULE_SEVERITY.get(f.rule, "error")] >= threshold
-    ]
-    if args.format == "sarif":
-        print(json.dumps(to_sarif(findings), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "schema": JSON_SCHEMA_VERSION,
             "count": len(findings),
-            "fail_on": args.fail_on,
-            "findings": [
-                dict(f.to_dict(), severity=RULE_SEVERITY.get(f.rule, "error"))
-                for f in findings
-            ],
+            "findings": [f.to_dict() for f in findings],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -164,4 +135,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(finding)
         if findings:
             print(f"\n{len(findings)} finding(s)")
-    return 1 if failing else 0
+    return 1 if findings else 0

@@ -37,10 +37,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
         "allow-legacy-random",
         "legacy np.random.* API (use np.random.default_rng(seed))",
     ),
-    "RPL005": (
-        "allow-mutable-default",
-        "mutable default argument",
-    ),
     "RPL006": (
         "allow-direct-timing",
         "direct stdlib timing call in src/repro outside repro.obs "
@@ -106,13 +102,6 @@ ALL_RULES: Dict[str, Tuple[str, str]] = {
         "torn-write errors (durability pass)",
     ),
 }
-
-#: rule id -> severity (``--fail-on`` threshold in the CLI).  Every
-#: current rule guards a correctness invariant, so everything defaults
-#: to ``error``; ``warning`` exists so future style-tier rules (and
-#: downstream ``--select`` users) get a documented place in the exit
-#: code contract rather than an ad-hoc one.
-RULE_SEVERITY: Dict[str, str] = {rule: "error" for rule in ALL_RULES}
 
 #: Modules whose per-element Python loops are the exact regressions the
 #: CSR kernel rewrite removed; (subpackage, filename) under repro/.
@@ -180,10 +169,6 @@ _PRAGMA = re.compile(r"#\s*reprolint:\s*((?:allow-[a-z-]+[,\s]*)+)")
 #: ``math.fsum`` is correctly rounded, ``sorted`` imposes an order,
 #:  min/max/len/any/all do not accumulate floats.
 _ORDER_FREE_CALLS: FrozenSet[str] = frozenset({"fsum", "sorted"})
-
-_MUTABLE_CALLS: FrozenSet[str] = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque", "OrderedDict"}
-)
 
 #: numpy array constructors whose default dtype is either inferred from
 #: the input or platform-dependent (C ``long``: int32 on Windows,
@@ -322,7 +307,7 @@ def decorator_lines_of(tree: ast.AST) -> FrozenSet[int]:
 
     The suppression walk skips through these so a pragma written above
     a decorated ``def`` still covers findings anchored *inside* the
-    definition line (e.g. a mutable default argument).
+    definition line (e.g. lon/lat arithmetic in a default argument).
     """
     lines = set()
     for node in ast.walk(tree):
@@ -721,38 +706,6 @@ class _Checker(ast.NodeVisitor):
                         "repro.obs Timer/Span",
                     )
         self.generic_visit(node)
-
-    # -- RPL005: mutable default arguments -----------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def _check_defaults(self, node: ast.AST) -> None:
-        args = node.args  # type: ignore[attr-defined]
-        for default in list(args.defaults) + [d for d in args.kw_defaults if d]:
-            mutable = isinstance(
-                default,
-                (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-            ) or (
-                isinstance(default, ast.Call)
-                and _call_name(default.func) in _MUTABLE_CALLS
-            )
-            if mutable:
-                self._report(
-                    default,
-                    "RPL005",
-                    "mutable default argument is shared across calls; default "
-                    "to None and construct inside the function",
-                )
 
 
 def check_source(
