@@ -12,7 +12,19 @@ whole plaza cluster does not auto-qualify while a skyscraper stack does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import Any
+
+
+def _require_finite(config: Any) -> None:
+    """Reject NaN and infinite float fields.  The range checks below
+    are written ``not x > 0`` so NaN fails them as well; a NaN threshold
+    would otherwise switch its filter off silently."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -38,15 +50,16 @@ class CSDConfig:
     semantic_level: str = "major"
 
     def __post_init__(self) -> None:
-        if self.r3sigma_m <= 0 or self.eps_p_m <= 0 or self.merge_radius_m <= 0:
+        _require_finite(self)
+        if not (self.r3sigma_m > 0 and self.eps_p_m > 0 and self.merge_radius_m > 0):
             raise ValueError("radii must be positive")
-        if self.d_v_m < 0 or self.v_min_m2 < 0:
+        if not (self.d_v_m >= 0 and self.v_min_m2 >= 0):
             raise ValueError("d_v and V_min must be non-negative")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 <= self.merge_cos <= 1.0:
             raise ValueError("merge_cos must be in [0, 1]")
-        if self.min_pts < 1:
+        if not self.min_pts >= 1:
             raise ValueError("min_pts must be at least 1")
         if self.semantic_level not in ("major", "minor"):
             raise ValueError("semantic_level must be 'major' or 'minor'")
@@ -68,13 +81,16 @@ class MiningConfig:
     optics_threshold_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.support < 1:
+        _require_finite(self)
+        if not self.support >= 1:
             raise ValueError("support must be at least 1")
-        if self.delta_t_s <= 0 or self.eps_t_m <= 0 or self.optics_max_eps_m <= 0:
+        if not (
+            self.delta_t_s > 0 and self.eps_t_m > 0 and self.optics_max_eps_m > 0
+        ):
             raise ValueError("temporal/spatial bounds must be positive")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
-        if self.min_length < 1 or self.max_length < self.min_length:
+        if not 1 <= self.min_length <= self.max_length:
             raise ValueError("need 1 <= min_length <= max_length")
 
 
@@ -86,5 +102,6 @@ class StayPointConfig:
     theta_t_s: float = 1200.0       # minimum dwell duration (20 min)
 
     def __post_init__(self) -> None:
-        if self.theta_d_m <= 0 or self.theta_t_s <= 0:
+        _require_finite(self)
+        if not (self.theta_d_m > 0 and self.theta_t_s > 0):
             raise ValueError("stay-point thresholds must be positive")

@@ -22,10 +22,12 @@ units that drifted impure.  The result is bit-identical to a full
 offline rebuild restricted to the same unit set; clean units are never
 touched.  ``repro.stream`` drives this from its staleness gauge.
 
-Per-POI state lives in amortised-doubling capacity buffers (explicit
-float64/int64 dtypes), so a batch of ``n`` inserts performs ``O(log
-n)`` reallocations instead of the ``O(n)`` full copies the
-``np.vstack``/``np.append``-per-insert layout paid.
+The updater reuses the package's kernels rather than keeping its own:
+per-POI state is three plain float64/int64 arrays, each grown by one
+``np.concatenate`` per :meth:`add_pois` batch; a batch's merge-radius
+neighbourhoods come from one :class:`~repro.geo.index.GridIndex` query;
+and a unit's tag distribution is
+:func:`~repro.core.merging.unit_distribution`, the offline merge's own.
 
 The updater never mutates the input diagram; :meth:`diagram` returns a
 fresh :class:`CitySemanticDiagram` view after each batch.
@@ -33,8 +35,6 @@ fresh :class:`CitySemanticDiagram` view after each batch.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,16 +45,9 @@ from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit
 from repro.core.merging import cosine_similarity, merge_units, unit_distribution
 from repro.core.purification import purify
 from repro.data.poi import POI
+from repro.geo.index import GridIndex
 from repro.obs import get_registry
-from repro.types import Float64Array, IndexArray, MetersArray
-
-#: Floor weight matching :func:`repro.core.merging.unit_distribution`,
-#: so a never-visited POI still contributes a defined tag weight.
-_WEIGHT_FLOOR = 1e-12
-
-#: Smallest buffer capacity; avoids a flurry of tiny doublings when the
-#: base diagram is near-empty.
-_MIN_CAPACITY = 8
+from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
 
 
 @dataclass(frozen=True)
@@ -106,60 +99,23 @@ class IncrementalCSD:
         self.base = base
         self.merge_radius_m = merge_radius_m
         self.merge_cos = merge_cos
-        # Working copies (the base diagram stays untouched).  Per-POI
-        # arrays live in capacity buffers that grow by doubling:
-        # appending n POIs costs O(log n) reallocations, and the public
-        # views (`_xy`, `_popularity`, `_unit_of`) always expose
-        # exactly the first `_n` rows.  Dtypes are pinned explicitly —
-        # the old np.append growth silently relied on NumPy promotion.
+        # Working copies (the base diagram stays untouched), with the
+        # diagram's float64/int64 dtypes pinned explicitly.
         self._pois: List[POI] = list(base.pois)
-        self._n = len(self._pois)
-        self._capacity = max(_MIN_CAPACITY, self._n)
-        self._n_reallocs = 0
-        self._xy_buf = np.empty((self._capacity, 2), dtype=np.float64)
-        self._xy_buf[: self._n] = base.poi_xy
-        self._pop_buf = np.empty(self._capacity, dtype=np.float64)
-        self._pop_buf[: self._n] = base.popularity
-        self._unit_buf = np.empty(self._capacity, dtype=np.int64)
-        self._unit_buf[: self._n] = base.unit_of
+        self._tags: List[str] = [self._tag(p) for p in self._pois]
+        self._xy: MetersArray = np.array(base.poi_xy, dtype=np.float64).reshape(-1, 2)
+        self._popularity: Float64Array = np.array(base.popularity, dtype=np.float64)
+        self._unit_of: IndexArray = np.array(base.unit_of, dtype=np.int64)
         self._members: List[List[int]] = [
             list(u.poi_indices) for u in base.units
         ]
         self._n_added = 0
-        self._n_pending = 0
         #: Online-pending POI indices (base leftovers are the offline
         #: algorithm's business and stay out of the repair scope).
         self._pending: Set[int] = set()
         #: Units whose membership or pending halo changed since the
         #: last :meth:`repair` (or construction).
         self._dirty: Set[int] = set()
-        # Incremental caches: the tag list grows with each insertion
-        # instead of being rebuilt from all POIs per add (the seed code
-        # made add_pois quadratic in diagram size), and each unit's raw
-        # popularity-weighted tag sums are computed at most once, then
-        # updated in O(1) when a POI joins the unit.
-        self._tags: List[str] = [self._tag(p) for p in self._pois]
-        self._unit_weights: Dict[int, Dict[str, float]] = {}
-        # Mutable spatial buckets (GridIndex is immutable by design).
-        self._cell = max(merge_radius_m, 1.0)
-        self._buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        xy = self._xy
-        for i in range(self._n):
-            self._buckets[self._key(xy[i, 0], xy[i, 1])].append(i)
-
-    # -- array state -----------------------------------------------------
-
-    @property
-    def _xy(self) -> MetersArray:
-        return self._xy_buf[: self._n]
-
-    @property
-    def _popularity(self) -> Float64Array:
-        return self._pop_buf[: self._n]
-
-    @property
-    def _unit_of(self) -> IndexArray:
-        return self._unit_buf[: self._n]
 
     @array_contract(
         ret=(
@@ -169,51 +125,16 @@ class IncrementalCSD:
         )
     )
     def array_state(self) -> Tuple[MetersArray, Float64Array, IndexArray]:
-        """The live per-POI arrays ``(xy, popularity, unit_of)``.
-
-        Views over the capacity buffers, pinned to the diagram's
-        float64/int64 contracts (checked under ``REPRO_SANITIZE=1``).
-        """
+        """The live per-POI arrays ``(xy, popularity, unit_of)``,
+        pinned to the diagram's float64/int64 contracts (checked under
+        ``REPRO_SANITIZE=1``)."""
         return self._xy, self._popularity, self._unit_of
 
-    def _ensure_capacity(self, needed: int) -> None:
-        """Grow all three buffers to hold ``needed`` rows (doubling)."""
-        if needed <= self._capacity:
-            return
-        new_cap = self._capacity
-        while new_cap < needed:
-            new_cap *= 2
-        xy = np.empty((new_cap, 2), dtype=np.float64)
-        xy[: self._n] = self._xy_buf[: self._n]
-        pop = np.empty(new_cap, dtype=np.float64)
-        pop[: self._n] = self._pop_buf[: self._n]
-        unit = np.empty(new_cap, dtype=np.int64)
-        unit[: self._n] = self._unit_buf[: self._n]
-        self._xy_buf, self._pop_buf, self._unit_buf = xy, pop, unit
-        self._capacity = new_cap
-        self._n_reallocs += 1
-        get_registry().counter("incremental.buffer.reallocations").inc(1)
-
-    @property
-    def n_reallocations(self) -> int:
-        """Buffer growths performed so far (O(log inserts) amortised)."""
-        return self._n_reallocs
-
-    def _key(self, x: float, y: float) -> Tuple[int, int]:
-        return int(np.floor(x / self._cell)), int(np.floor(y / self._cell))
-
-    def _neighbours(self, x: float, y: float) -> List[int]:
-        """Indices within ``merge_radius_m`` of ``(x, y)``."""
-        cx, cy = self._key(x, y)
-        out: List[int] = []
-        r2 = self.merge_radius_m ** 2
-        xy = self._xy
-        for gx in range(cx - 1, cx + 2):
-            for gy in range(cy - 1, cy + 2):
-                for i in self._buckets.get((gx, gy), ()):
-                    if ((xy[i] - (x, y)) ** 2).sum() <= r2:
-                        out.append(i)
-        return out
+    def _within_merge_radius(self, centres: MetersArray) -> CSRQuery:
+        """CSR hits of all POIs within ``merge_radius_m`` of each centre
+        (cell size floored at 1 m, as in :func:`merge_units`)."""
+        r = self.merge_radius_m
+        return GridIndex(self._xy, max(r, 1.0)).query_radius_many(centres, r)
 
     # -- updates ---------------------------------------------------------
 
@@ -226,115 +147,92 @@ class IncrementalCSD:
         ``popularity`` is the caller's estimate (0 for a brand-new
         venue; it only matters for future distribution updates).
         """
-        x, y = self.base.projection.to_meters(poi.lon, poi.lat)
-        new_index = self._n
-        self._ensure_capacity(new_index + 1)
-        self._pois.append(poi)
-        self._tags.append(self._tag(poi))
-        self._xy_buf[new_index, 0] = x
-        self._xy_buf[new_index, 1] = y
-        self._pop_buf[new_index] = float(popularity)
-        self._n += 1
-        self._n_added += 1
-
-        candidates = self._candidate_units(x, y)
-        unit_id = self._find_compatible_unit(candidates, self._tags[new_index])
-        self._buckets[self._key(x, y)].append(new_index)
-        # Every unit within the merge radius saw its neighbourhood
-        # change — either it gained a member or its pending halo grew —
-        # so the whole candidate set enters the dirty scope for the
-        # next partial repair.
-        self._dirty.update(uid for _d2, uid in candidates)
-        if unit_id == UNASSIGNED:
-            self._unit_buf[new_index] = UNASSIGNED
-            self._n_pending += 1
-            self._pending.add(new_index)
-        else:
-            self._unit_buf[new_index] = unit_id
-            self._members[unit_id].append(new_index)
-            weights = self._unit_weights.get(unit_id)
-            if weights is not None:
-                # O(1) cache maintenance: fold the new member's weight
-                # in, exactly as a full recomputation would last.
-                tag = self._tags[new_index]
-                weights[tag] = weights.get(tag, 0.0) + (
-                    float(popularity) + _WEIGHT_FLOOR
-                )
-        reg = get_registry()
-        if reg.enabled:
-            reg.gauge("incremental.added").set(float(self._n_added))
-            reg.gauge("incremental.pending").set(float(self._n_pending))
-            reg.gauge("incremental.staleness").set(self.staleness())
-            reg.gauge("incremental.units.dirty").set(float(len(self._dirty)))
-        return unit_id
+        return self.add_pois([poi], [popularity])[0]
 
     def add_pois(
         self, pois: Sequence[POI], popularities: Optional[Sequence[float]] = None
     ) -> List[int]:
-        """Batch :meth:`add_poi`; returns the assigned unit ids."""
+        """Insert POIs in order; returns the assigned unit ids.
+
+        Each POI joins the nearest compatible unit as it would in a
+        one-at-a-time insert: POIs later in the batch are still
+        ``UNASSIGNED`` when an earlier one is placed, so they never
+        count as its neighbours, while an earlier absorbed POI extends
+        a unit's reach for the later ones.
+        """
         if popularities is not None and len(popularities) != len(pois):
             raise ValueError("popularities must align with pois")
-        self._ensure_capacity(self._n + len(pois))
+        start = len(self._pois)
+        new_xy = self.base.projection.to_meters_array([(p.lon, p.lat) for p in pois])
+        if popularities is None:
+            new_pop = np.zeros(len(pois), dtype=np.float64)
+        else:
+            new_pop = np.asarray(popularities, dtype=np.float64)
+        self._pois.extend(pois)
+        self._tags.extend(self._tag(p) for p in pois)
+        self._xy = np.concatenate([self._xy, new_xy])
+        self._popularity = np.concatenate([self._popularity, new_pop])
+        self._unit_of = np.concatenate(
+            [self._unit_of, np.full(len(pois), UNASSIGNED, dtype=np.int64)]
+        )
+        self._n_added += len(pois)
+
+        indices, offsets = self._within_merge_radius(new_xy)
         out: List[int] = []
-        for i, poi in enumerate(pois):
-            pop = popularities[i] if popularities is not None else 0.0
-            out.append(self.add_poi(poi, pop))
+        for k in range(len(pois)):
+            i = start + k
+            candidates = self._candidate_units(i, indices[offsets[k] : offsets[k + 1]])
+            unit_id = self._find_compatible_unit(candidates, self._tags[i])
+            # Every unit within the merge radius saw its neighbourhood
+            # change — either it gained a member or its pending halo
+            # grew — so the whole candidate set enters the dirty scope
+            # for the next partial repair.
+            self._dirty.update(uid for _d2, uid in candidates)
+            if unit_id == UNASSIGNED:
+                self._pending.add(i)
+            else:
+                self._unit_of[i] = unit_id
+                self._members[unit_id].append(i)
+            out.append(unit_id)
+        self._publish_gauges()
         return out
 
-    def _candidate_units(self, x: float, y: float) -> List[Tuple[float, int]]:
-        """``(d2, unit_id)`` of units within the merge radius, nearest
-        first; equal distances break deterministically on the smaller
-        unit id, so assignment is invariant under any permutation of
-        the coordinate (and bucket scan) order."""
-        best: Dict[int, float] = {}
-        unit_of = self._unit_of
-        xy = self._xy
-        for j in self._neighbours(x, y):
-            unit_id = int(unit_of[j])
-            if unit_id == UNASSIGNED:
-                continue
-            d2 = float(((xy[j] - (x, y)) ** 2).sum())
-            if unit_id not in best or d2 < best[unit_id]:
-                best[unit_id] = d2
-        return sorted((d2, uid) for uid, d2 in best.items())
+    def _publish_gauges(self) -> None:
+        reg = get_registry()
+        if reg.enabled:
+            reg.gauge("incremental.added").set(float(self._n_added))
+            reg.gauge("incremental.pending").set(float(self.n_pending))
+            reg.gauge("incremental.staleness").set(self.staleness())
+            reg.gauge("incremental.units.dirty").set(float(len(self._dirty)))
+
+    def _candidate_units(
+        self, i: int, neighbours: IndexArray
+    ) -> List[Tuple[float, int]]:
+        """``(d2, unit_id)`` of the units among POI ``i``'s
+        ``neighbours``, nearest first; equal distances break
+        deterministically on the smaller unit id, so assignment is
+        invariant under any permutation of the neighbour order."""
+        uids = self._unit_of[neighbours]
+        assigned = uids != UNASSIGNED
+        delta = self._xy[neighbours[assigned]] - self._xy[i]
+        d2 = (delta * delta).sum(axis=1)
+        # In (d2, uid) order a unit's first hit is its nearest member.
+        nearest: Dict[int, float] = {}
+        for dist, uid in sorted(zip(d2.tolist(), uids[assigned].tolist())):
+            nearest.setdefault(uid, dist)
+        return [(dist, uid) for uid, dist in nearest.items()]
 
     def _find_compatible_unit(
         self, candidates: Sequence[Tuple[float, int]], tag: str
     ) -> int:
         """Nearest candidate unit whose distribution accepts the tag."""
         for _d2, unit_id in candidates:
-            distribution = self._unit_distribution(unit_id)
+            distribution = unit_distribution(
+                self._members[unit_id], self._tags, self._popularity
+            )
             if cosine_similarity({tag: 1.0}, distribution) >= self.merge_cos:
                 return unit_id
         return UNASSIGNED
-
-    def _unit_distribution(self, unit_id: int) -> Dict[str, float]:
-        """Normalised tag distribution of one unit, cache-backed.
-
-        The raw per-tag weight sums are computed from the membership
-        list at most once per unit (``incremental.distribution.
-        computations``) and then maintained in O(1) as members join
-        (:meth:`add_poi`), so a batch of inserts touches each unit's
-        full distribution computation O(1) amortised times instead of
-        once per insert.  Weight accumulation follows member order,
-        matching :func:`repro.core.merging.unit_distribution` exactly.
-        """
-        reg = get_registry()
-        weights = self._unit_weights.get(unit_id)
-        if weights is None:
-            weights = {}
-            popularity = self._popularity
-            for i in self._members[unit_id]:
-                t = self._tags[i]
-                weights[t] = weights.get(t, 0.0) + (
-                    float(popularity[i]) + _WEIGHT_FLOOR
-                )
-            self._unit_weights[unit_id] = weights
-            reg.counter("incremental.distribution.computations").inc(1)
-        else:
-            reg.counter("incremental.distribution.cache_hits").inc(1)
-        total = math.fsum(weights.values())
-        return {t: w / total for t, w in weights.items()}
 
     def restore_online_state(
         self,
@@ -351,21 +249,18 @@ class IncrementalCSD:
         stream runner persists those in its manifest and restores them
         here.
         """
-        n_units = len(self._members)
-        unit_of = self._unit_of
         for i in pending:
-            if not 0 <= i < self._n:
+            if not 0 <= i < len(self._pois):
                 raise ValueError(f"pending index {i} is out of range")
-            if int(unit_of[i]) != UNASSIGNED:
+            if self._unit_of[i] != UNASSIGNED:
                 raise ValueError(
                     f"pending index {i} is assigned to unit "
-                    f"{int(unit_of[i])}; the manifest state is stale"
+                    f"{int(self._unit_of[i])}; the manifest state is stale"
                 )
         for u in dirty:
-            if not 0 <= u < n_units:
+            if not 0 <= u < len(self._members):
                 raise ValueError(f"dirty unit {u} is out of range")
         self._pending = set(int(i) for i in pending)
-        self._n_pending = len(self._pending)
         self._dirty = set(int(u) for u in dirty)
         self._n_added = int(n_added)
 
@@ -383,17 +278,11 @@ class IncrementalCSD:
     def pending_in_halo(self, scope_units: Sequence[int]) -> List[int]:
         """Pending POIs within ``merge_radius_m`` of any member of the
         given units (sorted) — the merge candidates of a repair pass."""
-        scope = set(scope_units)
-        unit_of = self._unit_of
-        xy = self._xy
-        out: List[int] = []
-        for i in sorted(self._pending):
-            for j in self._neighbours(float(xy[i, 0]), float(xy[i, 1])):
-                uid = int(unit_of[j])
-                if uid != UNASSIGNED and uid in scope:
-                    out.append(i)
-                    break
-        return out
+        pending = sorted(self._pending)
+        indices, offsets = self._within_merge_radius(self._xy[pending])
+        in_scope = np.isin(self._unit_of[indices], list(scope_units))
+        centre = np.repeat(np.arange(len(pending), dtype=np.int64), np.diff(offsets))
+        return [pending[k] for k in np.unique(centre[in_scope]).tolist()]
 
     def repair(
         self, v_min_m2: float = 300.0, r3sigma_m: float = 100.0
@@ -405,9 +294,9 @@ class IncrementalCSD:
         exactly the dirty units plus the pending POIs in their halo —
         bit-identical to a full offline rebuild restricted to the same
         unit set (the oracle test pins this).  Clean units keep their
-        membership, cached distributions, and relative order; unit ids
-        are renumbered densely (clean units first, repaired units
-        after), so :meth:`diagram` never materialises empty units.
+        membership and relative order; unit ids are renumbered densely
+        (clean units first, repaired units after), so :meth:`diagram`
+        never materialises empty units.
 
         No-op (empty report) when nothing is dirty.
         """
@@ -436,40 +325,24 @@ class IncrementalCSD:
             # units after.  unit_of is rewritten vectorised through a
             # lookup table; scope members fall to UNASSIGNED there and
             # are reassigned from the new membership lists.
-            keep_ids = [
-                u for u in range(len(self._members)) if u not in scope_set
-            ]
+            keep_ids = [u for u in range(len(self._members)) if u not in scope_set]
             lookup = np.full(len(self._members), UNASSIGNED, dtype=np.int64)
-            for new_id, old_id in enumerate(keep_ids):
-                lookup[old_id] = new_id
+            lookup[keep_ids] = np.arange(len(keep_ids), dtype=np.int64)
             unit_of = self._unit_of
             assigned = unit_of != UNASSIGNED
             unit_of[assigned] = lookup[unit_of[assigned]]
             new_members = [self._members[u] for u in keep_ids]
-            for offset, members in enumerate(final):
-                new_id = len(keep_ids) + offset
+            for members in final:
+                unit_of[members] = len(new_members)
                 new_members.append(list(members))
-                for i in members:
-                    unit_of[i] = new_id
-            absorbed = tuple(
-                i for i in pend if int(unit_of[i]) != UNASSIGNED
-            )
+            absorbed = tuple(i for i in pend if unit_of[i] != UNASSIGNED)
             self._members = new_members
-            self._unit_weights = {
-                int(lookup[old_id]): w
-                for old_id, w in self._unit_weights.items()
-                if int(lookup[old_id]) != UNASSIGNED
-            }
             self._pending.difference_update(absorbed)
-            self._n_pending -= len(absorbed)
             self._dirty.clear()
         reg.counter("incremental.repairs").inc(1)
         reg.counter("incremental.repair.units").inc(len(scope))
         reg.counter("incremental.repair.absorbed").inc(len(absorbed))
-        if reg.enabled:
-            reg.gauge("incremental.pending").set(float(self._n_pending))
-            reg.gauge("incremental.staleness").set(self.staleness())
-            reg.gauge("incremental.units.dirty").set(0.0)
+        self._publish_gauges()
         return RepairReport(
             scope_units=tuple(scope),
             scope_members=tuple(tuple(m) for m in scope_members),
@@ -487,12 +360,12 @@ class IncrementalCSD:
     @property
     def n_pending(self) -> int:
         """POIs awaiting the next full rebuild."""
-        return self._n_pending
+        return len(self._pending)
 
     def staleness(self) -> float:
         """Fraction of all POIs that the online step could not place."""
-        total = self._n
-        return self._n_pending / total if total else 0.0
+        total = len(self._pois)
+        return len(self._pending) / total if total else 0.0
 
     def needs_rebuild(self, threshold: float = 0.05) -> bool:
         """True once the pending fraction exceeds ``threshold``."""
@@ -501,11 +374,9 @@ class IncrementalCSD:
     def diagram(self) -> CitySemanticDiagram:
         """Materialise the updated diagram (units rebuilt from members).
 
-        The per-POI arrays are copied out of the capacity buffers, so
-        the returned diagram stays valid (and immutable) however the
-        updater grows afterwards.
+        The per-POI arrays are copies, so the returned diagram does not
+        change when the updater absorbs or repairs afterwards.
         """
-        tags = self._tags
         popularity = self._popularity.copy()
         xy_all = self._xy.copy()
         units: List[SemanticUnit] = []
@@ -515,11 +386,9 @@ class IncrementalCSD:
                 SemanticUnit(
                     unit_id=unit_id,
                     poi_indices=list(members),
-                    centroid_xy=(
-                        float(xy[:, 0].mean()), float(xy[:, 1].mean())
-                    ),
+                    centroid_xy=(float(xy[:, 0].mean()), float(xy[:, 1].mean())),
                     semantic_distribution=unit_distribution(
-                        members, tags, popularity
+                        members, self._tags, popularity
                     ),
                 )
             )

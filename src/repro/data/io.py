@@ -199,22 +199,53 @@ def write_pois(path: PathLike, pois: Sequence[POI]) -> None:
     _atomic_csv(path, emit)
 
 
+def _poi_problem(header: Sequence[str], row: Sequence[str]) -> str:
+    """Why :func:`read_pois` rejected ``row`` (error path only)."""
+    record: Dict[str, Optional[str]] = dict(zip(header, row))
+    try:
+        for name in POI_FIELDS:
+            _require(record, name)
+        _coordinate(record, "lon", "lat")
+    except ValueError as exc:
+        return str(exc)
+    return f"invalid integer poi_id {record['poi_id']!r}"
+
+
 def read_pois(path: PathLike) -> List[POI]:
-    """Read POIs written by :func:`write_pois`."""
+    """Read POIs written by :func:`write_pois`.
+
+    Raises :class:`MalformedRowError` with the 1-based row number on
+    the first bad record: a missing column, a non-integer ``poi_id``,
+    or a coordinate that is unparseable, non-finite or out of range.
+    """
     out: List[POI] = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(
-                POI(
-                    poi_id=int(row["poi_id"]),
-                    lon=float(row["lon"]),
-                    lat=float(row["lat"]),
-                    major=row["major"],
-                    minor=row["minor"],
-                    name=row["name"],
+        reader = csv.reader(f)
+        header = next(reader, [])
+        col = {name: k for k, name in enumerate(header)}
+        missing = any(name not in col for name in POI_FIELDS)
+        i_id, i_lon, i_lat, i_major, i_minor, i_name = (
+            col.get(name, 0) for name in POI_FIELDS
+        )
+        # Blank lines are skipped and not counted, as csv.DictReader does.
+        for row_number, row in enumerate((r for r in reader if r), start=1):
+            # Fast path; _poi_problem works out the reason for a failure.
+            try:
+                if missing:
+                    raise ValueError
+                lon = float(row[i_lon])
+                lat = float(row[i_lat])
+                # The chained comparison is False for NaN and +-inf too.
+                if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+                    raise ValueError
+                poi_id = int(row[i_id])
+                out.append(
+                    POI(poi_id, lon, lat, row[i_major], row[i_minor], row[i_name])
                 )
-            )
+            except (ValueError, IndexError):
+                reason = _poi_problem(header, row)
+                bad = QuarantinedRow(row_number, reason, ",".join(row))
+                _dispatch_bad_row(bad, None)
     return out
 
 

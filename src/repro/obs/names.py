@@ -59,9 +59,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "geo.index.centers",
         "geo.index.candidates",
         "geo.index.hits",
-        "incremental.distribution.computations",
-        "incremental.distribution.cache_hits",
-        "incremental.buffer.reallocations",
         "incremental.repairs",
         "incremental.repair.units",
         "incremental.repair.absorbed",

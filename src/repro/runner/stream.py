@@ -43,6 +43,7 @@ a log).
 
 from __future__ import annotations
 
+import math
 import shutil
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -224,6 +225,10 @@ class StreamRunner:
             raise ValueError("epoch_trips must be at least 1")
         if poi_batch is not None and poi_batch < 1:
             raise ValueError("poi_batch must be at least 1 (or None)")
+        # Checked here, not left to the config hash (which refuses
+        # NaN/inf with a JSON error that names no parameter).
+        if not 0 <= staleness_threshold < math.inf:
+            raise ValueError("staleness_threshold must be finite and non-negative")
         self.run_dir = Path(run_dir)
         self.trips_path = Path(trips_path)
         self.base_csd_path = (

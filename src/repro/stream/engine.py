@@ -95,7 +95,7 @@ class StreamEngine:
     ) -> None:
         if window_epochs < 1:
             raise ValueError("window_epochs must be at least 1")
-        if staleness_threshold < 0:
+        if not staleness_threshold >= 0:  # also rejects NaN
             raise ValueError("staleness_threshold must be non-negative")
         self.csd_config = csd_config or CSDConfig()
         self.mining_config = mining_config or MiningConfig()

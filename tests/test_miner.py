@@ -1,9 +1,23 @@
 """Tests for the PervasiveMiner facade's step-by-step API."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro import PervasiveMiner
-from repro.core.config import CSDConfig, MiningConfig
+from repro.core.config import CSDConfig, MiningConfig, StayPointConfig
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+def float_fields(cls):
+    return [
+        f.name for f in dataclasses.fields(cls)
+        if isinstance(getattr(cls(), f.name), float)
+    ]
 
 
 class TestFacadeSteps:
@@ -66,3 +80,26 @@ class TestFacadeSteps:
         result = miner.mine(small_pois, small_trajectories)
         assert result.n_patterns == len(result.patterns)
         assert result.coverage == sum(p.support for p in result.patterns)
+
+
+class TestConfigRejectsNonFinite:
+    """NaN passes an ``x <= 0`` check, so a NaN threshold would switch
+    its filter off silently (``--rho nan`` disables the density filter)."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", float_fields(CSDConfig))
+    def test_csd_config(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CSDConfig(**{name: value})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", float_fields(MiningConfig))
+    def test_mining_config(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MiningConfig(**{name: value})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", float_fields(StayPointConfig))
+    def test_stay_point_config(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            StayPointConfig(**{name: value})

@@ -110,6 +110,25 @@ class TestSummaries:
         assert row.length == 2
         assert row.span_m == pytest.approx(3000.0, rel=1e-3)
 
+    def test_summarize_span_at_shanghai_latitude(self):
+        """At 31.2 N a degree of longitude is cos(31.2) = 0.855 of a
+        degree of latitude; a span taken as plain degrees x 111195 m
+        reads an east-west 3 km as 3.5 km."""
+        proj = LocalProjection(121.47, 31.2)
+        reps = [
+            StayPoint(*proj.to_lonlat(x, 0.0), 8 * 3600.0 + x / 5,
+                      frozenset({tag}))
+            for x, tag in ((0.0, "A"), (3000.0, "B"))
+        ]
+        p = FineGrainedPattern(
+            items=("A", "B"),
+            representatives=reps,
+            member_ids=[0],
+            groups=[[sp] for sp in reps],
+        )
+        (row,) = summarize([p], proj)
+        assert row.span_m == pytest.approx(3000.0, rel=1e-9)
+
 
 class TestSpatialQueries:
     def test_patterns_near_hits(self):

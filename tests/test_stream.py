@@ -15,6 +15,7 @@ Four layers, each pinned to an offline oracle:
   quarantine-cursor, retry and append-only guarantees.
 """
 
+import math
 import random
 
 import pytest
@@ -163,6 +164,14 @@ def epoch_batches(items, n_epochs):
 
 
 class TestStreamEngine:
+    @pytest.mark.parametrize("threshold", [math.nan, -0.01])
+    def test_rejects_bad_staleness_threshold(self, stream_inputs, threshold):
+        """With a NaN threshold ``staleness() > threshold`` is always
+        false, so the engine would never repair."""
+        base_csd, _ = stream_inputs
+        with pytest.raises(ValueError, match="staleness_threshold"):
+            StreamEngine(base_csd, staleness_threshold=threshold)
+
     def test_window_always_matches_scratch_mine(
         self, stream_inputs, small_taxi, small_csd_config
     ):
@@ -368,6 +377,16 @@ def reference_run(tmp_path_factory, stream_run_files):
 
 
 class TestStreamRunner:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.01])
+    def test_rejects_bad_staleness_threshold(
+        self, tmp_path, stream_run_files, threshold
+    ):
+        with pytest.raises(ValueError, match="staleness_threshold"):
+            make_runner(
+                tmp_path / "run", stream_run_files,
+                staleness_threshold=threshold,
+            )
+
     def test_fresh_run_commits_window_artifacts(
         self, tmp_path, stream_run_files, reference_run
     ):
