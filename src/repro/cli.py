@@ -79,14 +79,24 @@ def _add_mining_args(parser: argparse.ArgumentParser) -> None:
                         help="density threshold, points per m^2")
     parser.add_argument("--alpha", type=float, default=0.7,
                         help="Algorithm 1 popularity-ratio threshold")
+    parser.set_defaults(config_parser=parser)
 
 
-def _mining_config(args: argparse.Namespace) -> MiningConfig:
-    return MiningConfig(
-        support=args.support,
-        delta_t_s=args.delta_t_min * 60.0,
-        rho=args.rho,
-    )
+def _build_configs(args: argparse.Namespace) -> None:
+    """Set ``args.csd_config`` (and ``args.mining_config`` where the
+    subcommand takes the mining flags) from the parsed flags; a value
+    the configs reject is a usage error of that subcommand (exit 2 with
+    the config's message), not a traceback."""
+    try:
+        args.csd_config = CSDConfig(alpha=args.alpha)
+        if "support" in vars(args):
+            args.mining_config = MiningConfig(
+                support=args.support,
+                delta_t_s=args.delta_t_min * 60.0,
+                rho=args.rho,
+            )
+    except ValueError as exc:
+        args.config_parser.error(str(exc))
 
 
 def _trips_to_trajectories(
@@ -117,7 +127,7 @@ def cmd_build_csd(args: argparse.Namespace) -> int:
     trips = read_trips(args.trips)
     trajectories = _trips_to_trajectories(trips)
     stays = [sp for st in trajectories for sp in st.stay_points]
-    csd = build_csd(pois, stays, CSDConfig(alpha=args.alpha))
+    csd = build_csd(pois, stays, args.csd_config)
     stats = csd.describe()
     print(format_table(["statistic", "value"], list(stats.items())))
     if args.geojson:
@@ -147,7 +157,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     csd = load_csd(args.load_csd) if args.load_csd else None
     patterns = run_approach(
         approach, pois, trajectories,
-        CSDConfig(alpha=args.alpha), _mining_config(args), csd=csd,
+        args.csd_config, args.mining_config, csd=csd,
     )
     lonlat = [(p.lon, p.lat) for p in pois]
     projection = LocalProjection.for_points(lonlat)
@@ -201,8 +211,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         trajectories = _trips_to_trajectories(trips)
         runner = PipelineRunner(
             run_dir,
-            CSDConfig(alpha=args.alpha),
-            _mining_config(args),
+            args.csd_config,
+            args.mining_config,
             resume=args.resume,
         )
         result = runner.run(pois, trajectories)
@@ -233,13 +243,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     trajectories = _trips_to_trajectories(trips)
     lonlat = [(p.lon, p.lat) for p in pois]
     projection = LocalProjection.for_points(lonlat)
-    csd_config = CSDConfig(alpha=args.alpha)
-    mining_config = _mining_config(args)
-
     rows = []
     for approach in APPROACHES:
         patterns = run_approach(
-            approach, pois, trajectories, csd_config, mining_config
+            approach, pois, trajectories, args.csd_config, args.mining_config
         )
         metrics = summarize_patterns(approach.name, patterns, projection)
         rows.append(metrics.as_row())
@@ -355,8 +362,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
             args.trips,
             base_csd_path=args.csd,
             pois_path=args.pois,
-            csd_config=CSDConfig(alpha=args.alpha),
-            mining_config=_mining_config(args),
+            csd_config=args.csd_config,
+            mining_config=args.mining_config,
             epoch_trips=args.epoch_trips,
             poi_batch=args.poi_batch,
             window_epochs=args.window_epochs,
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geojson", help="write unit polygons here")
     p.add_argument("--svg", help="write the Figure 6 map here")
     p.add_argument("--save", help="persist the diagram (JSON) here")
-    p.set_defaults(func=cmd_build_csd)
+    p.set_defaults(func=cmd_build_csd, config_parser=p)
 
     p = sub.add_parser("mine", help="run one approach end to end")
     p.add_argument("--pois", required=True)
@@ -550,6 +557,8 @@ def _metrics_end() -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    if hasattr(args, "config_parser"):
+        _build_configs(args)
     if args.metrics_json:
         # Per-invocation snapshot: start from a clean registry so the
         # file reflects exactly this command's work.

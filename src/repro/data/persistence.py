@@ -2,49 +2,78 @@
 
 Construction cost grows with POIs x stay points, while the diagram
 itself is small; a downstream deployment builds the CSD offline and
-serves recognition from the loaded artifact.  The format is a single
-JSON document (stdlib only) carrying the POIs, per-POI popularity, unit
-membership, and the projection anchor — everything
+serves recognition from the loaded artifact.  The format (version 2,
+stdlib JSON) is a document carrying popularity, unit membership and
+the projection anchor, plus the POI table in content-addressed segment
+files (``pois-<sha256>.json``) beside it, listed in order — everything
 :class:`~repro.core.csd.CitySemanticDiagram` needs to reconstruct
-itself exactly.
+itself exactly.  Saving a diagram that only grew by appended POIs
+writes one segment for them and a new document.
 """
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.contracts import ArraySpec, array_contract
-from repro.ioutil import strict_json_dump, strict_json_load
+from repro.ioutil import (
+    TornArtifactError,
+    atomic_write_bytes,
+    atomic_write_text,
+    strict_json_dumps,
+    strict_json_load,
+    strict_json_loads,
+)
 from repro.core.csd import CitySemanticDiagram, SemanticUnit
 from repro.data.poi import POI
 from repro.geo.projection import LocalProjection
 
 PathLike = Union[str, Path]
 
-#: Format marker so later revisions can migrate old artifacts.
-FORMAT_VERSION = 1
+#: Format marker; a document of any other version is refused.
+FORMAT_VERSION = 2
+
+
+@dataclass(frozen=True)
+class PoiSegment:
+    """One POI segment file a diagram document references: its name
+    (beside the document), the SHA-256 of its bytes, and its row
+    count."""
+
+    file: str
+    sha256: str
+    count: int
 
 
 @array_contract(csd=ArraySpec(dtype="int64", ndim=1, attr="unit_of"))
-def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
-    """Serialise a diagram to JSON, atomically.
+def save_csd(
+    path: PathLike,
+    csd: CitySemanticDiagram,
+    committed: Sequence[PoiSegment] = (),
+) -> List[PoiSegment]:
+    """Serialise a diagram atomically; returns the POI segments the
+    written document lists.
 
-    Non-finite values are rejected before anything is written: a
-    NaN/inf popularity would otherwise be emitted as the non-standard
-    JSON tokens ``NaN``/``Infinity`` (Python's default
-    ``allow_nan=True``), which other parsers reject.  Raises
-    ``ValueError`` naming the first offending POI index.
+    ``committed`` are segments already beside ``path`` that hold the
+    first POIs of ``csd`` — what an earlier save of a diagram this one
+    extends returned.  Only the POIs after them are written, as one new
+    segment (none if there are none); a plain ``save_csd(path, csd)``
+    writes the whole table as one segment.
 
-    The document is written via :func:`repro.ioutil.strict_json_dump`
-    (serialise in memory → ``*.tmp`` sibling → :func:`os.replace`), so
-    a crash at any point leaves either the previous artifact or the new
-    one — never a truncated ``csd.json``.  The runners' diagram
-    checkpoints are exactly this write (retried, not re-wrapped), and
-    ``repro serve`` loads whatever path it is handed, including
-    artifacts written by ``repro build-csd --save``.
+    A NaN/inf popularity raises ``ValueError`` naming the first
+    offending POI index before anything is written (Python would emit
+    the non-standard JSON tokens ``NaN``/``Infinity``).  Both payloads
+    are serialised in memory, then the segment and the document are
+    each written atomically through :mod:`repro.ioutil`, segment first:
+    a crash leaves the previous document or the new one, never a torn
+    ``csd.json`` or a document whose segment is missing.  The runners'
+    diagram checkpoints are exactly this save (retried, not
+    re-wrapped), and ``repro serve`` loads whatever path it is handed.
     """
     popularity = np.asarray(csd.popularity, dtype=float)
     bad = np.flatnonzero(~np.isfinite(popularity))
@@ -55,6 +84,25 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
             f"({popularity[index]!r}); a CSD with NaN/inf popularity "
             "cannot be serialised to standard JSON"
         )
+    covered = sum(segment.count for segment in committed)
+    if covered > csd.n_pois:
+        raise ValueError(
+            f"committed segments hold {covered} POIs but the diagram "
+            f"has only {csd.n_pois}"
+        )
+    segments = list(committed)
+    segment_data = b""
+    if covered < csd.n_pois:
+        segment_data = strict_json_dumps(
+            [
+                [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name]
+                for p in csd.pois[covered:]
+            ]
+        ).encode("utf-8")
+        sha = hashlib.sha256(segment_data).hexdigest()
+        segments.append(
+            PoiSegment(f"pois-{sha}.json", sha, csd.n_pois - covered)
+        )
     document = {
         "format_version": FORMAT_VERSION,
         "tag_level": csd.tag_level,
@@ -62,9 +110,9 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
             "origin_lon": csd.projection.origin_lon,
             "origin_lat": csd.projection.origin_lat,
         },
-        "pois": [
-            [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name]
-            for p in csd.pois
+        "poi_segments": [
+            {"file": seg.file, "sha256": seg.sha256, "count": seg.count}
+            for seg in segments
         ],
         "popularity": csd.popularity.tolist(),
         "unit_of": csd.unit_of.tolist(),
@@ -78,11 +126,15 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
             for u in csd.units
         ],
     }
-    # strict_json_dump's allow_nan=False backstops the popularity check
-    # above for any other float field (centroids, distributions):
-    # strict JSON or no file at all.  sort_keys=False preserves the
-    # documented field order of existing artifacts.
-    strict_json_dump(path, document, sort_keys=False)
+    # allow_nan=False backstops the popularity check above for any
+    # other float field (centroids, distributions, coordinates): strict
+    # JSON or no file at all.  sort_keys=False keeps the documented
+    # field order.
+    payload = strict_json_dumps(document, sort_keys=False)
+    if segment_data:
+        atomic_write_bytes(Path(path).parent / segments[-1].file, segment_data)
+    atomic_write_text(path, payload)
+    return segments
 
 
 @array_contract(
@@ -94,24 +146,42 @@ def save_csd(path: PathLike, csd: CitySemanticDiagram) -> None:
 def load_csd(path: PathLike) -> CitySemanticDiagram:
     """Reconstruct a diagram saved by :func:`save_csd`.
 
-    Raises :class:`repro.ioutil.TornArtifactError` (naming the file) if
-    the artifact is truncated or invalid JSON, and ``ValueError`` on
-    unknown format versions or structurally inconsistent documents.
+    Raises :class:`repro.ioutil.TornArtifactError` naming the file if
+    the document or one of its POI segments is truncated, invalid
+    JSON, missing, or does not hash to the SHA-256 the document lists;
+    and ``ValueError`` on any format version but
+    :data:`FORMAT_VERSION` or a structurally inconsistent document.
     """
+    return read_csd(path)[0]
+
+
+def read_csd(
+    path: PathLike,
+) -> Tuple[CitySemanticDiagram, List[PoiSegment]]:
+    """:func:`load_csd` plus the document's POI segments — what a
+    writer extending the diagram passes back to :func:`save_csd`."""
     document = strict_json_load(path)
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported CSD format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"unsupported CSD format version {version!r} in {path} "
+            f"(this build reads version {FORMAT_VERSION} only); re-save "
+            "the diagram with `repro build-csd --save`"
         )
     projection = LocalProjection(
         document["projection"]["origin_lon"],
         document["projection"]["origin_lat"],
     )
+    segments = [
+        PoiSegment(str(s["file"]), str(s["sha256"]), int(s["count"]))
+        for s in document["poi_segments"]
+    ]
     pois = [
         POI(int(pid), float(lon), float(lat), major, minor, name)
-        for pid, lon, lat, major, minor, name in document["pois"]
+        for segment in segments
+        for pid, lon, lat, major, minor, name in _read_segment(
+            Path(path).parent / segment.file, segment
+        )
     ]
     poi_xy = projection.to_meters_array([(p.lon, p.lat) for p in pois])
     units = [
@@ -141,7 +211,31 @@ def load_csd(path: PathLike) -> CitySemanticDiagram:
         tag_level=document.get("tag_level", "major"),
     )
     _check_consistency(csd)
-    return csd
+    return csd, segments
+
+
+def _read_segment(path: Path, segment: PoiSegment) -> list:
+    """The rows of one POI segment, verified against its listing."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise TornArtifactError(
+            str(path), "the POI segment the diagram references is missing"
+        ) from None
+    sha = hashlib.sha256(raw).hexdigest()
+    if sha != segment.sha256:
+        raise TornArtifactError(
+            str(path),
+            f"SHA-256 {sha[:12]}… does not match the diagram's "
+            f"{segment.sha256[:12]}…",
+        )
+    rows = strict_json_loads(raw.decode("utf-8"), name=str(path))
+    if len(rows) != segment.count:
+        raise TornArtifactError(
+            str(path),
+            f"{len(rows)} POI rows where the diagram lists {segment.count}",
+        )
+    return rows
 
 
 def _check_consistency(csd: CitySemanticDiagram) -> None:

@@ -7,21 +7,28 @@ atomic commit inside a run directory::
 
     run_dir/
       stream_manifest.json   # commit point: written last, atomically
-      csd-000003.json        # diagram state after the last commit
+      csd-000003.json        # diagram document of the last change
+      pois-<sha256>.json     # POI segments the diagram references
+      csd-latest.json        # alias: copy of the committed document
       epochs/epoch-000002.csv  # recognised sequences of each live epoch
       quarantine.csv         # malformed rows (written by the caller)
 
 Commit protocol, per epoch:
 
 1. process the epoch in memory (ingest, recognise, slide the window);
-2. atomically write the epoch's recognised-sequence artifact and the
-   *next* diagram artifact (``csd-<n+1>.json`` — the previous one stays
-   untouched, so a crash here leaves the old commit fully intact);
+2. atomically write the epoch's recognised-sequence artifact and, only
+   if the diagram changed, the next diagram document
+   (``csd-<n+1>.json``) with a POI segment holding just the epoch's
+   appended POIs — the earlier segments are referenced, never
+   rewritten, and the previous document stays untouched, so a crash
+   here leaves the old commit fully intact;
 3. atomically write the manifest referencing the new artifacts, with
    SHA-256 digests, consumed-input cursors, and the updater's online
    state (pending POIs, dirty units) — **this write is the commit**;
-4. best-effort cleanup of the superseded diagram and retired epochs,
-   then refresh the ``csd-latest.json`` alias.
+4. best-effort cleanup of a superseded diagram document and retired
+   epochs, then, if the diagram changed, refresh the
+   ``csd-latest.json`` alias.  POI segments are never superseded
+   within a run, so cleanup never touches them.
 
 A run killed at any point resumes from the last committed epoch:
 ``resume=True`` reloads the diagram, restores the updater's online
@@ -70,7 +77,7 @@ from repro.data.io import (
     read_semantic_trajectories,
     write_semantic_trajectories,
 )
-from repro.data.persistence import load_csd, save_csd
+from repro.data.persistence import PoiSegment, load_csd, read_csd, save_csd
 from repro.data.poi import POI
 from repro.data.taxi import TaxiTrip
 from repro.ioutil import file_sha256
@@ -246,6 +253,8 @@ class StreamRunner:
         self.on_epoch = on_epoch
         self.engine: Optional[StreamEngine] = None
         self._manifest: Optional[StreamManifest] = None
+        #: POI segments of the committed diagram, extended by each save.
+        self._segments: List[PoiSegment] = []
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -296,7 +305,7 @@ class StreamRunner:
         )
         csd_artifact = self._csd_artifact_name(0)
         csd_path = self.run_dir / csd_artifact
-        checkpoint(lambda: save_csd(csd_path, base))
+        self._segments = checkpoint(lambda: save_csd(csd_path, base))
         base_sha = file_sha256(csd_path)
         manifest = StreamManifest(
             config_hash=cfg_hash,
@@ -315,7 +324,7 @@ class StreamRunner:
                 {"config_hash": cfg_hash},
             )
         )
-        csd = load_csd(
+        csd, self._segments = read_csd(
             self._committed_artifact(
                 manifest.csd_artifact, manifest.csd_sha256
             )
@@ -452,10 +461,16 @@ class StreamRunner:
                 )
                 epoch_sha = file_sha256(epoch_path)
                 superseded_csd = manifest.csd_artifact
-                csd_artifact = self._csd_artifact_name(result.epoch_index + 1)
-                csd_path = self.run_dir / csd_artifact
-                checkpoint(lambda: save_csd(csd_path, engine.csd))
-                csd_sha = file_sha256(csd_path)
+                if result.diagram_changed:
+                    csd_artifact = self._csd_artifact_name(
+                        result.epoch_index + 1
+                    )
+                    csd_path = self.run_dir / csd_artifact
+                    self._segments = checkpoint(
+                        lambda: save_csd(csd_path, engine.csd, self._segments)
+                    )
+                    manifest.csd_artifact = csd_artifact
+                    manifest.csd_sha256 = file_sha256(csd_path)
 
                 records[result.epoch_index] = EpochRecord(
                     index=result.epoch_index,
@@ -477,8 +492,6 @@ class StreamRunner:
                 manifest.pois_consumed += len(poi_batch)
                 manifest.next_seq_id = engine.next_seq_id
                 manifest.epoch_index = engine.next_epoch_index
-                manifest.csd_artifact = csd_artifact
-                manifest.csd_sha256 = csd_sha
                 manifest.pending = engine.updater.pending_indices()
                 manifest.dirty = engine.updater.dirty_units()
                 manifest.n_added = engine.updater.n_added
@@ -491,11 +504,12 @@ class StreamRunner:
 
             # Post-commit cleanup (best-effort; a crash here only
             # leaks files the next cleanup cannot see).
-            if superseded_csd != csd_artifact:
+            if superseded_csd != manifest.csd_artifact:
                 (self.run_dir / superseded_csd).unlink(missing_ok=True)
             for record in retired_records:
                 (self.run_dir / record.artifact).unlink(missing_ok=True)
-            self._publish_latest(csd_artifact)
+            if result.diagram_changed:
+                self._publish_latest(manifest.csd_artifact)
 
             epochs_run += 1
             if self.on_epoch is not None:

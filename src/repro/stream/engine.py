@@ -53,11 +53,14 @@ class EpochResult:
     ``recognized`` holds the epoch's own sequences (recognised under
     the diagram state *of this epoch*); ``patterns`` is the coarse
     frequent set of the whole live window after the slide.
+    ``diagram_changed`` is true when the epoch added POIs or a repair
+    changed units — exactly when the diagram must be committed again.
     """
 
     epoch_index: int
     n_trips: int
     n_new_pois: int
+    diagram_changed: bool
     sequence_ids: Tuple[int, ...]
     retired_ids: Tuple[int, ...]
     recognized: List[SemanticTrajectory] = field(repr=False)
@@ -211,6 +214,7 @@ class StreamEngine:
             epoch_index=epoch_index,
             n_trips=len(trips),
             n_new_pois=len(new_pois),
+            diagram_changed=diagram_changed,
             sequence_ids=seq_ids,
             retired_ids=retired,
             recognized=recognized,

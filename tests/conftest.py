@@ -45,6 +45,27 @@ class CrashAt:
             )
 
 
+def diagram_key(csd):
+    """Every field of a diagram, in comparable form (exact floats)."""
+    return (
+        list(csd.pois),
+        csd.popularity.tolist(),
+        csd.unit_of.tolist(),
+        csd.poi_xy.tolist(),
+        [
+            (
+                u.unit_id,
+                list(u.poi_indices),
+                tuple(u.centroid_xy),
+                dict(u.semantic_distribution),
+            )
+            for u in csd.units
+        ],
+        csd.tag_level,
+        (csd.projection.origin_lon, csd.projection.origin_lat),
+    )
+
+
 @pytest.fixture(scope="session")
 def small_city():
     return CityModel.generate(extent_m=3_000.0, block_size_m=400.0, seed=3)

@@ -215,6 +215,45 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "--pois", "p.csv", "--trips", "t.csv"],
+            ["run", "--pois", "p.csv", "--trips", "t.csv", "--run-dir", "d"],
+            ["evaluate", "--pois", "p.csv", "--trips", "t.csv"],
+            ["stream", "--trips", "t.csv", "--run-dir", "d"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rho", "nan", "rho must be finite"),
+            ("--alpha", "1.5", "alpha must be in (0, 1]"),
+            ("--support", "0", "support must be at least 1"),
+        ],
+    )
+    def test_rejected_config_value_is_usage_error(
+        self, command, flag, value, message, capsys
+    ):
+        """A flag value the configs reject ends in the subcommand's
+        usage error (exit 2, the config's message), not a traceback;
+        nothing is read before the check."""
+        with pytest.raises(SystemExit) as exited:
+            main(command + [flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: repro {command[0]}" in err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_build_csd_rejected_alpha_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["build-csd", "--pois", "p.csv", "--trips", "t.csv",
+                  "--alpha", "0"])
+        assert exited.value.code == 2
+        assert "alpha must be in (0, 1]" in capsys.readouterr().err
+
     def test_defaults(self):
         args = build_parser().parse_args(
             ["mine", "--pois", "p.csv", "--trips", "t.csv"]

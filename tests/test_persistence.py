@@ -9,8 +9,15 @@ import pytest
 from repro.core.csd import UNASSIGNED
 from repro.core.incremental import IncrementalCSD
 from repro.core.recognition import CSDRecognizer
-from repro.data.persistence import _check_consistency, load_csd, save_csd
+from repro.data.persistence import (
+    _check_consistency,
+    load_csd,
+    read_csd,
+    save_csd,
+)
 from repro.data.poi import POI
+from repro.ioutil import TornArtifactError
+from tests.conftest import diagram_key
 
 
 class TestRoundTrip:
@@ -49,6 +56,97 @@ class TestRoundTrip:
             for sp in st.stay_points:
                 assert original.recognize_point(sp) == \
                     reloaded.recognize_point(sp)
+
+
+class TestPoiSegments:
+    """Format 2: the POI table lives in content-addressed segment files
+    the diagram document lists in order."""
+
+    @staticmethod
+    def _grown(small_csd, tmp_path):
+        """Save a diagram three times as it grows by two POI batches,
+        each save passing the segments of the one before."""
+        updater = IncrementalCSD(small_csd)
+        extra = [
+            POI(10**6 + k, p.lon + 1e-4, p.lat, p.major, p.minor, f"new{k}")
+            for k, p in enumerate(small_csd.pois[:40])
+        ]
+        path = tmp_path / "grown" / "csd.json"
+        path.parent.mkdir()
+        segments = save_csd(path, small_csd)
+        for batch in (extra[:25], extra[25:]):
+            updater.add_pois(batch)
+            segments = save_csd(path, updater.diagram(), segments)
+        return path, segments, updater.diagram()
+
+    def test_plain_save_writes_one_segment(self, small_csd, tmp_path):
+        path = tmp_path / "csd.json"
+        segments = save_csd(path, small_csd)
+        assert [s.count for s in segments] == [small_csd.n_pois]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["csd.json", segments[0].file]
+        )
+        assert segments[0].file == f"pois-{segments[0].sha256}.json"
+        document = json.loads(path.read_text())
+        assert "pois" not in document
+        assert document["format_version"] == 2
+
+    def test_several_segments_load_like_one(self, small_csd, tmp_path):
+        path, segments, final = self._grown(small_csd, tmp_path)
+        assert [s.count for s in segments] == [small_csd.n_pois, 25, 15]
+        assert len(list(path.parent.glob("pois-*.json"))) == 3
+        single = tmp_path / "single" / "csd.json"
+        single.parent.mkdir()
+        save_csd(single, final)
+        loaded, listed = read_csd(path)
+        assert listed == segments
+        assert diagram_key(loaded) == diagram_key(load_csd(single))
+        assert diagram_key(loaded) == diagram_key(final)
+
+    def test_save_without_new_pois_writes_no_segment(
+        self, small_csd, tmp_path
+    ):
+        path = tmp_path / "csd.json"
+        segments = save_csd(path, small_csd)
+        before = sorted(tmp_path.iterdir())
+        assert save_csd(path, small_csd, segments) == segments
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_committed_beyond_diagram_rejected(self, small_csd, tmp_path):
+        segments = save_csd(tmp_path / "csd.json", small_csd)
+        with pytest.raises(ValueError, match="committed segments"):
+            save_csd(tmp_path / "csd.json", small_csd, segments * 2)
+
+    def test_tampered_segment_named(self, small_csd, tmp_path):
+        path, segments, _ = self._grown(small_csd, tmp_path)
+        victim = path.parent / segments[1].file
+        victim.write_text(victim.read_text().replace("new1", "newX"))
+        with pytest.raises(TornArtifactError, match=segments[1].file):
+            load_csd(path)
+
+    def test_missing_segment_named(self, small_csd, tmp_path):
+        path, segments, _ = self._grown(small_csd, tmp_path)
+        (path.parent / segments[2].file).unlink()
+        with pytest.raises(TornArtifactError, match="missing") as err:
+            load_csd(path)
+        assert err.value.artifact == str(path.parent / segments[2].file)
+
+    def test_format_1_document_refused_with_resave_hint(
+        self, small_csd, tmp_path
+    ):
+        path = tmp_path / "csd.json"
+        save_csd(path, small_csd)
+        document = json.loads(path.read_text())
+        del document["poi_segments"]
+        document["format_version"] = 1
+        document["pois"] = [
+            [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name]
+            for p in small_csd.pois
+        ]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="version 1") as err:
+            load_csd(path)
+        assert "re-save" in str(err.value)
 
 
 class TestDtypeContract:

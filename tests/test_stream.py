@@ -17,6 +17,7 @@ Four layers, each pinned to an offline oracle:
 
 import math
 import random
+import re
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.core.incremental import IncrementalCSD
 from repro.core.merging import merge_units
 from repro.core.purification import purify
 from repro.data.io import read_pois, write_pois, write_trips
-from repro.data.persistence import load_csd, save_csd
+from repro.data.persistence import load_csd, read_csd, save_csd
 from repro.data.trajectory import as_tag_sequence
 from repro.mining.prefixspan import WindowedPrefixSpan, prefixspan
 from repro.obs import MetricsRegistry
@@ -37,7 +38,7 @@ from repro.ioutil import SimulatedCrash
 from repro.runner.stream import LATEST_CSD_NAME, STREAM_MANIFEST_NAME
 from repro.serve import RecognitionService
 from repro.stream import StreamEngine
-from tests.conftest import CrashAt
+from tests.conftest import CrashAt, diagram_key
 
 
 def window_key(miner):
@@ -244,6 +245,33 @@ class TestStreamEngine:
             assert fine_key(got) == fine_key(expected)
             emitted += len(got)
         assert emitted > 0, "the schedule must emit fine-grained patterns"
+
+    def test_diagram_changed_iff_pois_added_or_units_repaired(
+        self, stream_inputs, small_taxi, small_csd_config
+    ):
+        base_csd, new_pois = stream_inputs
+        engine = StreamEngine(
+            base_csd, small_csd_config, window_epochs=2,
+            staleness_threshold=1.0,
+        )
+        kinds = []
+        for k, batch in enumerate(epoch_batches(small_taxi.trips[:800], 4)):
+            if k == 2:
+                # The dirty units of epoch 0 are repaired by an epoch
+                # that adds no POIs.
+                engine.staleness_threshold = 0.0
+            before = engine.csd
+            result = engine.process_epoch(batch, new_pois if k == 0 else ())
+            assert result.diagram_changed == (
+                result.n_new_pois > 0 or result.repair is not None
+            )
+            assert (engine.csd is not before) == result.diagram_changed
+            kinds.append(
+                "pois" if result.n_new_pois
+                else "repair" if result.repair is not None
+                else "unchanged"
+            )
+        assert kinds == ["pois", "unchanged", "repair", "unchanged"]
 
     def test_sequence_ids_are_stream_unique(self, stream_inputs, small_taxi):
         base_csd, _ = stream_inputs
@@ -590,12 +618,67 @@ class TestStreamRunner:
                 ).run()
         finally:
             obs.set_registry(old)
-        # One publish at start-up, one per epoch, plus the retried one.
-        assert flaky.hits == report.epochs_run + 2
+        # One publish at start-up, one per epoch that changed the
+        # diagram, plus the retried one.
+        changed = sum(result.diagram_changed for result in notified)
+        assert 0 < changed < report.epochs_run
+        assert flaky.hits == changed + 2
         assert len(notified) == report.epochs_run
         counters = reg.snapshot()["counters"]
         assert counters["pipeline.runner.checkpoint.retries"] == 1
         assert final_state(tmp_path / "run", report)[1] == reference_run[1]
+
+
+    def test_unchanged_epoch_writes_no_diagram(
+        self, tmp_path, stream_run_files
+    ):
+        """An epoch that left the diagram alone writes no diagram
+        document, POI segment or alias, and keeps the committed
+        diagram; a changed one writes one segment holding only its
+        appended POIs (none when it only repaired)."""
+        run_dir = tmp_path / "run"
+        written = []
+        epochs = []
+
+        def on_epoch(result):
+            manifest = parse_stream_manifest(
+                (run_dir / STREAM_MANIFEST_NAME).read_text()
+            )
+            segments = read_csd(run_dir / manifest.csd_artifact)[1]
+            epochs.append((result, list(written), manifest, segments))
+            written.clear()
+
+        def record(point, target):
+            if point == "replaced":
+                written.append(target.name)
+
+        with ioutil.fault_hook(record):
+            make_runner(run_dir, stream_run_files, on_epoch=on_epoch).run()
+        diagram_file = re.compile(r"(csd-.*|pois-.*)\.json")
+        unchanged = 0
+        for (result, names, manifest, segments), (_, _, before, _) in zip(
+            epochs[1:], epochs
+        ):
+            diagram_writes = [n for n in names if diagram_file.fullmatch(n)]
+            if not result.diagram_changed:
+                unchanged += 1
+                assert diagram_writes == []
+                assert manifest.csd_artifact == before.csd_artifact
+                assert manifest.csd_sha256 == before.csd_sha256
+                continue
+            new_segments = [n for n in names if n.startswith("pois-")]
+            if result.n_new_pois:
+                assert new_segments == [segments[-1].file]
+                assert segments[-1].count == result.n_new_pois
+            else:
+                assert new_segments == []
+            assert manifest.csd_artifact in names
+            assert LATEST_CSD_NAME in names
+        assert unchanged > 0
+        # Every segment on disk is referenced by the committed diagram.
+        assert {p.name for p in run_dir.glob("pois-*.json")} == {
+            segment.file for segment in epochs[-1][3]
+        }
 
 
 class TestServeConditionalReload:
@@ -624,6 +707,34 @@ class TestServeConditionalReload:
             result = service.reload(if_changed=True)
             assert result["reloaded"] is True
             assert service.csd.n_pois == base_csd.n_pois + 50
+
+
+    def test_daemon_on_alias_follows_stream(
+        self, tmp_path, stream_run_files
+    ):
+        """A daemon serving ``csd-latest.json`` and told to reload after
+        every epoch picks up each changed diagram and skips the rest."""
+        run_dir = tmp_path / "run"
+        make_runner(run_dir, stream_run_files).run(max_epochs=0)
+        outcomes = []
+
+        def on_epoch(result):
+            reloaded = service.reload(if_changed=True)["reloaded"]
+            outcomes.append((result.diagram_changed, reloaded))
+            if reloaded:
+                manifest = parse_stream_manifest(
+                    (run_dir / STREAM_MANIFEST_NAME).read_text()
+                )
+                committed = load_csd(run_dir / manifest.csd_artifact)
+                assert diagram_key(service.csd) == diagram_key(committed)
+
+        with RecognitionService(csd_path=run_dir / LATEST_CSD_NAME) as service:
+            make_runner(
+                run_dir, stream_run_files, resume=True, on_epoch=on_epoch
+            ).run()
+        assert all(changed == reloaded for changed, reloaded in outcomes)
+        assert {changed for changed, _ in outcomes} == {True, False}
+        assert service.reloads == sum(changed for changed, _ in outcomes)
 
 
 class TestStreamCLI:

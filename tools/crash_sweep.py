@@ -16,7 +16,9 @@ and asserts the durability contract (``docs/DATA_FORMATS.md``):
 (c) **resume is bit-identical** — a plain ``resume=True`` run lands on
     the reference patterns and the reference artifact bytes
     (SHA-256-compared).  A resumed stream must also leave its
-    ``csd-latest.json`` alias equal to the committed diagram.
+    ``csd-latest.json`` alias equal to the committed diagram, every POI
+    segment that diagram references intact, and no other
+    ``pois-*.json`` segment in the run directory.
 
 Each reference run must also write every artifact exactly once: no
 announced write target may be a ``*.tmp`` sibling (an atomic write
@@ -57,7 +59,7 @@ from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
 from repro.data.city import CityModel
 from repro.data.io import write_pois, write_trips
-from repro.data.persistence import save_csd
+from repro.data.persistence import read_csd, save_csd
 from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator
 from repro.runner import PipelineRunner, Quarantine, StreamRunner
@@ -331,9 +333,10 @@ def _stream_run(work: Workload, run_dir: Path, resume: bool = False):
 
 def stream_state(run_dir: Path, report):
     """Comparable committed state: parsed manifest fields plus the
-    bytes (SHA-256) of every manifest-referenced artifact.  Raises
+    bytes (SHA-256) of every manifest-referenced artifact and of every
+    POI segment the committed diagram references.  Raises
     :class:`SweepFailure` when the ``csd-latest.json`` alias does not
-    hold the committed diagram."""
+    hold the committed diagram or a segment is orphaned."""
     manifest = parse_stream_manifest(
         (run_dir / STREAM_MANIFEST_NAME).read_text(encoding="utf-8"),
         source=str(run_dir / STREAM_MANIFEST_NAME),
@@ -344,11 +347,21 @@ def stream_state(run_dir: Path, report):
             f"{LATEST_CSD_NAME} in {run_dir} is missing or does not hold "
             f"the committed diagram {manifest.csd_artifact}"
         )
-    shas = {
-        manifest.csd_artifact: ioutil.file_sha256(
-            run_dir / manifest.csd_artifact
+    csd_path = run_dir / manifest.csd_artifact
+    # read_csd verifies each segment against the SHA-256 it is listed with.
+    _, segments = read_csd(csd_path)
+    orphans = sorted(
+        {p.name for p in run_dir.glob("pois-*.json")}
+        - {segment.file for segment in segments}
+    )
+    if orphans:
+        raise SweepFailure(
+            f"{run_dir} holds POI segments the committed diagram does "
+            f"not reference: {orphans}"
         )
-    }
+    shas = {manifest.csd_artifact: ioutil.file_sha256(csd_path)}
+    for segment in segments:
+        shas[segment.file] = segment.sha256
     for record in manifest.epochs:
         shas[record.artifact] = ioutil.file_sha256(run_dir / record.artifact)
     patterns = sorted(
