@@ -12,7 +12,11 @@ Times the hottest pipeline stages on the standard bench workload
 * OPTICS (Algorithm 4 line 6): the seed heap walk
   (``tests/test_kernel_equivalence.py::optics_seed_oracle``) vs.
   ``repro.cluster.optics.optics`` on every call one
-  ``counterpart_cluster`` run makes over the recognised workload.
+  ``counterpart_cluster`` run makes over the recognised workload;
+* the constructor's steps on the workload's own inputs — Algorithm 1
+  clustering, Algorithm 2 purification and the Eq. 6-8 merge — and
+  recognition's semantic assembly, each against its per-POI loop
+  oracle from ``tests/test_kernel_equivalence.py``.
 
 Every comparison also verifies the results are identical, then writes
 the measurements to ``BENCH_kernel.json`` at the repo root.  Run with
@@ -40,14 +44,23 @@ from repro import obs
 from repro.cluster.optics import optics
 from repro.core import extraction
 from repro.core.config import MiningConfig
+from repro.core.constructor import popularity_based_clustering
+from repro.core.merging import merge_units
 from repro.core.popularity import compute_popularity
-from repro.core.recognition import CSDRecognizer
+from repro.core.purification import purify
+from repro.core.recognition import CSDRecognizer, vote_stays
 from repro.data.trajectory import NO_SEMANTICS
 from repro.eval.experiments import make_workload
 from repro.eval.reporting import write_report_json
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
-from tests.test_kernel_equivalence import optics_seed_oracle
+from tests.test_kernel_equivalence import (
+    assemble_semantics_oracle,
+    clustering_frontier_oracle,
+    merge_units_oracle,
+    optics_seed_oracle,
+    purify_loop_oracle,
+)
 
 
 def popularity_loop(poi_xy, stay_xy, r3sigma):
@@ -222,6 +235,49 @@ def main(argv=None):
         f"speedup x{opt_speedup:.1f}  identical={opt_equal}"
     )
 
+    # The constructor's steps and recognition's assembly, each replayed
+    # on the inputs the workload's own build and recognition give it.
+    tags = [getattr(p, config.semantic_level) for p in workload.pois]
+    clus_args = (poi_xy, tags, pop_batch, config)
+    (want_clusters, want_left, _, _), t_clus_oracle = timed(
+        clustering_frontier_oracle, *clus_args
+    )
+    (coarse, leftovers), t_clus = timed(popularity_based_clustering, *clus_args)
+    pur_args = (coarse, poi_xy, tags, config.v_min_m2, config.r3sigma_m)
+    want_pure, t_pur_oracle = timed(purify_loop_oracle, *pur_args)
+    pure, t_pur = timed(purify, *pur_args)
+    merge_args = (
+        pure, leftovers, poi_xy, tags, pop_batch,
+        config.merge_cos, config.merge_radius_m,
+    )
+    want_final, t_merge_oracle = timed(merge_units_oracle, *merge_args)
+    final, t_merge = timed(merge_units, *merge_args)
+    votes = vote_stays(csd, recognizer.project_stays(stays), config.r3sigma_m)
+    want_props, t_asm_oracle = timed(
+        assemble_semantics_oracle, recognizer, *votes
+    )
+    props, t_asm = timed(recognizer.assemble_semantics, *votes)
+    constructor_rows = {
+        "clustering": (
+            t_clus_oracle, t_clus,
+            (coarse, leftovers) == (want_clusters, want_left),
+        ),
+        "purification": (t_pur_oracle, t_pur, pure == want_pure),
+        "merging": (t_merge_oracle, t_merge, final == want_final),
+        "assembly": (
+            t_asm_oracle, t_asm,
+            props == want_props and all(
+                (a is NO_SEMANTICS) == (b is NO_SEMANTICS)
+                for a, b in zip(props, want_props)
+            ),
+        ),
+    }
+    for name, (t_oracle, t_kernel, same) in constructor_rows.items():
+        print(
+            f"{name + ':':<14}oracle {t_oracle:.3f}s  kernel {t_kernel:.3f}s  "
+            f"speedup x{t_oracle / t_kernel:.1f}  identical={same}"
+        )
+
     # Observability: time the registry-disabled and registry-enabled
     # paths as one freshly-warmed back-to-back pair.  Comparing against
     # the *earlier* t_rec_batch measurement used to report a negative
@@ -279,6 +335,15 @@ def main(argv=None):
             "speedup": round(opt_speedup, 2),
             "identical": bool(opt_equal),
         },
+        **{
+            name: {
+                "oracle_s": round(t_oracle, 4),
+                "kernel_s": round(t_kernel, 4),
+                "speedup": round(t_oracle / t_kernel, 2),
+                "identical": bool(same),
+            }
+            for name, (t_oracle, t_kernel, same) in constructor_rows.items()
+        },
         "csd_build_s": round(t_build, 4),
         "observability": {
             "recognition_disabled_s": round(t_rec_disabled, 4),
@@ -295,7 +360,10 @@ def main(argv=None):
     if args.metrics_json is not None:
         write_report_json(args.metrics_json, metrics)
         print(f"wrote metrics snapshot {args.metrics_json}")
-    if not (pop_ok and rec_equal and opt_equal and rec_obs == rec_batch):
+    if not (
+        pop_ok and rec_equal and opt_equal and rec_obs == rec_batch
+        and all(same for _, _, same in constructor_rows.values())
+    ):
         raise SystemExit("batched results diverged from the loop reference")
     return report
 

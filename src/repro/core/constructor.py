@@ -13,14 +13,20 @@ corpus of stay points:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.contracts import ArraySpec, array_contract
+from repro.contracts import ArraySpec, SameLength, array_contract
 from repro.core.config import CSDConfig
-from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit, project_pois
-from repro.core.merging import merge_units, unit_distribution
+from repro.core.csd import (
+    UNASSIGNED,
+    CitySemanticDiagram,
+    SemanticUnit,
+    project_pois,
+    tag_codes,
+)
+from repro.core.merging import flatten_units, merge_units, unit_distributions
 from repro.core.popularity import compute_popularity
 from repro.core.purification import purify
 from repro.data.poi import POI
@@ -28,7 +34,7 @@ from repro.data.trajectory import StayPoint
 from repro.geo.index import GridIndex
 from repro.geo.projection import LocalProjection
 from repro.obs import get_registry
-from repro.types import Float64Array, MetersArray
+from repro.types import BoolArray, Float64Array, IndexArray, MetersArray
 
 
 @array_contract(
@@ -66,14 +72,45 @@ def popularity_based_clustering(
     # anchored at an indexed POI, so prefetch them all in one batched
     # CSR query instead of re-querying per visited point.
     nbr_idx, nbr_off = index.query_radius_many(pts, config.eps_p_m)
-    # Integer tag codes so the per-frontier semantics test is an array
-    # compare, not n string comparisons.
-    tag_codes = np.unique(np.asarray(tags, dtype=object), return_inverse=True)[1]
+    # Integer tag codes so the semantics test is an array compare, not
+    # n string comparisons.
+    codes = tag_codes(tags)[1]
+    xs = np.ascontiguousarray(pts[:, 0], dtype=np.float64)
+    ys = np.ascontiguousarray(pts[:, 1], dtype=np.float64)
+    d_v2 = config.d_v_m ** 2
+
+    def seed_compatible(
+        seed: Union[int, IndexArray], candidates: IndexArray
+    ) -> BoolArray:
+        """Algorithm 1 lines 5-6 against the seed, element for element
+        — the same ``lo / hi`` division as :func:`_popularity_compatible`
+        (``lo >= alpha * hi`` is *not* always IEEE-equal).  ``seed`` is
+        one index or one per candidate."""
+        seed_pop, cand_pop = pop[seed], pop[candidates]
+        hi = np.maximum(seed_pop, cand_pop) + config.pop_epsilon
+        lo = np.minimum(seed_pop, cand_pop) + config.pop_epsilon
+        dx = xs[candidates] - xs[seed]
+        dy = ys[candidates] - ys[seed]
+        return (lo / hi >= config.alpha) & (
+            (dx ** 2 + dy ** 2 <= d_v2) | (codes[candidates] == codes[seed])
+        )
+
+    # A seed's first frontier is its own prefetched neighbourhood, so
+    # its test runs once over every CSR pair, leaving each seed's
+    # compatible neighbours as a CSR of their own.  Seeds with none (a
+    # sixth of the POIs at 12k) then skip the BFS entirely.
+    pair_seed = np.repeat(np.arange(n, dtype=np.int64), np.diff(nbr_off))
+    # Each neighbourhood holds its own centre, which passes trivially.
+    pair_ok = seed_compatible(pair_seed, nbr_idx) & (nbr_idx != pair_seed)
+    ok_idx = nbr_idx[pair_ok]
+    ok_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_seed[pair_ok], minlength=n), out=ok_off[1:])
+    has_compatible = ok_off[1:] > ok_off[:-1]
     remaining = np.ones(n, dtype=bool)
     # Per-seed visited marker without a per-seed O(n) allocation:
     # ``stamp[k] == seed`` means k was already considered for this seed.
     stamp = np.full(n, -1, dtype=np.int64)
-    d_v2 = config.d_v_m ** 2
+    count = get_registry().enabled
     clusters: List[List[int]] = []
     leftovers: List[int] = []
     rounds = 0
@@ -83,57 +120,55 @@ def popularity_based_clustering(
         if not remaining[seed]:
             continue
         remaining[seed] = False
-        stamp[seed] = seed
         members = [np.array([seed], dtype=np.int64)]
+        first = nbr_idx[nbr_off[seed] : nbr_off[seed + 1]]
+        if count:
+            n_live = int(np.count_nonzero(remaining[first]))
+            rounds += n_live > 0
+            candidates_tested += n_live
+        if has_compatible[seed]:
+            stamp[first] = seed
+            accepted = ok_idx[ok_off[seed] : ok_off[seed + 1]]
+            accepted = accepted[remaining[accepted]]
+        else:
+            accepted = first[:0]
         # Level-synchronous BFS.  Every candidate is tested against the
         # *seed* (Algorithm 1 anchors the popularity band and the
         # semantics at the seed POI), so acceptance is independent of
         # visit order and whole frontiers can be tested as one array —
         # the cluster is the same closure the old per-point deque walk
         # produced, point for point.
-        frontier = nbr_idx[nbr_off[seed] : nbr_off[seed + 1]]
-        frontier = frontier[remaining[frontier] & (stamp[frontier] != seed)]
-        while len(frontier):
-            rounds += 1
-            candidates_tested += len(frontier)
-            stamp[frontier] = seed
-            hi = np.maximum(pop[seed], pop[frontier]) + config.pop_epsilon
-            lo = np.minimum(pop[seed], pop[frontier]) + config.pop_epsilon
-            # Same division as _popularity_compatible — ``lo >= alpha *
-            # hi`` is *not* always IEEE-equal, and clustering must stay
-            # bit-identical to the scalar walk.
-            ok = lo / hi >= config.alpha
-            delta = pts[frontier] - pts[seed]
-            d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2
-            ok &= (d2 <= d_v2) | (tag_codes[frontier] == tag_codes[seed])
-            accepted = frontier[ok]
-            if len(accepted) == 0:
-                break
+        while len(accepted):
             remaining[accepted] = False
             members.append(accepted)
-            # CSR multi-gather of the accepted points' neighbourhoods.
-            starts = nbr_off[accepted]
-            counts = nbr_off[accepted + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.zeros(len(counts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=base[1:])
-            positions = (
-                np.arange(total, dtype=np.int64)
-                + np.repeat(starts - base, counts)
+            # CSR multi-gather of the accepted points' neighbourhoods
+            # (each holds at least the point itself).
+            ends = nbr_off[accepted + 1]
+            counts = ends - nbr_off[accepted]
+            filled = np.cumsum(counts)
+            positions = np.repeat(ends - filled, counts) + np.arange(
+                filled[-1], dtype=np.int64
             )
             nxt = nbr_idx[positions]
             nxt = nxt[remaining[nxt] & (stamp[nxt] != seed)]
+            if len(nxt) == 0:
+                break
             frontier = np.unique(nxt)
-        cluster = np.concatenate(members)
-        if len(cluster) >= config.min_pts:
-            clusters.append([int(i) for i in np.sort(cluster)])
+            rounds += 1
+            candidates_tested += len(frontier)
+            stamp[frontier] = seed
+            accepted = frontier[seed_compatible(seed, frontier)]
+        if len(members) == 1:
+            cluster = members[0]
         else:
-            leftovers.extend(int(i) for i in cluster)
+            cluster = np.sort(np.concatenate(members))
+        if len(cluster) >= config.min_pts:
+            clusters.append(cluster.tolist())
+        else:
+            leftovers.extend(cluster.tolist())
 
-    reg = get_registry()
-    if reg.enabled:
+    if count:
+        reg = get_registry()
         reg.counter("constructor.clustering.rounds").inc(rounds)
         reg.counter("constructor.clustering.candidates").inc(
             candidates_tested
@@ -157,6 +192,37 @@ def _popularity_compatible(
     hi = max(pop_a, pop_b) + epsilon
     lo = min(pop_a, pop_b) + epsilon
     return lo / hi >= alpha
+
+
+@array_contract(
+    poi_xy=ArraySpec(dtype="float64", cols=2, coerced=True),
+    popularity=ArraySpec(
+        dtype="float64", ndim=1, finite=True, same_length_as="tags"
+    ),
+    ret=SameLength(of="final"),
+)
+def semantic_units(
+    final: Sequence[Sequence[int]],
+    poi_xy: MetersArray,
+    tags: Sequence[str],
+    popularity: Float64Array,
+) -> List[SemanticUnit]:
+    """The :class:`SemanticUnit` of each final membership list, with
+    ids in list order and the Eq. 6 distribution of its members."""
+    distributions = unit_distributions(final, tags, popularity)
+    units: List[SemanticUnit] = []
+    # reprolint: allow-loop -- one output object per unit.
+    for unit_id, (members, distribution) in enumerate(zip(final, distributions)):
+        xy = poi_xy[members]
+        units.append(
+            SemanticUnit(
+                unit_id=unit_id,
+                poi_indices=list(members),
+                centroid_xy=(float(xy[:, 0].mean()), float(xy[:, 1].mean())),
+                semantic_distribution=distribution,
+            )
+        )
+    return units
 
 
 def build_csd(
@@ -219,19 +285,9 @@ def build_csd(
         )
 
     unit_of = np.full(len(pois), UNASSIGNED, dtype=np.int64)
-    units: List[SemanticUnit] = []
-    for unit_id, members in enumerate(final):
-        for i in members:
-            unit_of[i] = unit_id
-        xy = poi_xy[members]
-        units.append(
-            SemanticUnit(
-                unit_id=unit_id,
-                poi_indices=list(members),
-                centroid_xy=(float(xy[:, 0].mean()), float(xy[:, 1].mean())),
-                semantic_distribution=unit_distribution(members, tags, popularity),
-            )
-        )
+    members, owner = flatten_units(final)
+    unit_of[members] = owner
+    units = semantic_units(final, poi_xy, tags, popularity)
     return CitySemanticDiagram(
         pois, projection, poi_xy, popularity, units, unit_of,
         tag_level=config.semantic_level,

@@ -25,6 +25,22 @@ from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
 UNASSIGNED = -1
 
 
+@array_contract(ret=ArraySpec(dtype="int64", ndim=1, item=1))
+def tag_codes(tags: Sequence[str]) -> Tuple[List[str], IndexArray]:
+    """Integer codes for string tags: ``(names, codes)`` with
+    ``names[codes[k]] == tags[k]``.
+
+    ``names`` is ``sorted(set(tags))``, so ascending codes visit tags in
+    string order — the order the tag-keyed scalar definitions iterate.
+    """
+    names = sorted(set(tags))
+    lookup = {tag: code for code, tag in enumerate(names)}
+    codes = np.fromiter(
+        (lookup[tag] for tag in tags), dtype=np.int64, count=len(tags)
+    )
+    return names, codes
+
+
 @dataclass
 class SemanticUnit:
     """One fine-grained semantic unit: a set of POI indices.

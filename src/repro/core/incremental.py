@@ -26,8 +26,10 @@ The updater reuses the package's kernels rather than keeping its own:
 per-POI state is three plain float64/int64 arrays, each grown by one
 ``np.concatenate`` per :meth:`add_pois` batch; a batch's merge-radius
 neighbourhoods come from one :class:`~repro.geo.index.GridIndex` query;
-and a unit's tag distribution is
-:func:`~repro.core.merging.unit_distribution`, the offline merge's own.
+unit tag distributions come from
+:func:`~repro.core.merging.unit_distributions`, the offline merge's own;
+and :meth:`diagram` builds its units with
+:func:`~repro.core.constructor.semantic_units`, as ``build_csd`` does.
 
 The updater never mutates the input diagram; :meth:`diagram` returns a
 fresh :class:`CitySemanticDiagram` view after each batch.
@@ -41,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.contracts import ArraySpec, array_contract
-from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit
+from repro.core.constructor import semantic_units
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram
 from repro.core.merging import cosine_similarity, merge_units, unit_distribution
 from repro.core.purification import purify
 from repro.data.poi import POI
@@ -379,25 +382,12 @@ class IncrementalCSD:
         """
         popularity = self._popularity.copy()
         xy_all = self._xy.copy()
-        units: List[SemanticUnit] = []
-        for unit_id, members in enumerate(self._members):
-            xy = xy_all[members]
-            units.append(
-                SemanticUnit(
-                    unit_id=unit_id,
-                    poi_indices=list(members),
-                    centroid_xy=(float(xy[:, 0].mean()), float(xy[:, 1].mean())),
-                    semantic_distribution=unit_distribution(
-                        members, self._tags, popularity
-                    ),
-                )
-            )
         return CitySemanticDiagram(
             pois=list(self._pois),
             projection=self.base.projection,
             poi_xy=xy_all,
             popularity=popularity,
-            units=units,
+            units=semantic_units(self._members, xy_all, self._tags, popularity),
             unit_of=self._unit_of.copy(),
             tag_level=self.base.tag_level,
         )

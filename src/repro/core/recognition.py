@@ -25,12 +25,13 @@ for every caller that flattens first.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.contracts import ArraySpec, SameLength, array_contract
-from repro.core.csd import UNASSIGNED, CitySemanticDiagram
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram, tag_codes
 from repro.data.trajectory import (
     NO_SEMANTICS,
     SemanticProperty,
@@ -180,6 +181,41 @@ def attach_semantics(
     return out
 
 
+class _TagTables:
+    """The per-diagram lookup tables of :meth:`CSDRecognizer.
+    assemble_semantics`, with tags as integer codes.
+
+    ``poi_codes[i]`` is POI ``i``'s tag; ``qualifies[u, c]`` says tag
+    ``c`` holds at least ``min_tag_share`` of unit ``u``'s distribution
+    (the comparison the tag filter makes); ``dominant[u]`` is unit
+    ``u``'s dominant tag; ``names[c]`` is the string of code ``c``.  A
+    unit without semantics is refused here, since no stay recognised
+    there could be given any.
+    """
+
+    def __init__(self, csd: CitySemanticDiagram, min_tag_share: float) -> None:
+        names, self.poi_codes = tag_codes(csd.poi_tags())
+        lookup = {tag: code for code, tag in enumerate(names)}
+        rows: List[int] = []
+        cols: List[int] = []
+        dominant: List[int] = []
+        # reprolint: allow-loop -- one pass over the diagram's unit
+        # distributions when a recognizer is built.
+        for row, unit in enumerate(csd.units):
+            for tag, share in unit.semantic_distribution.items():  # reprolint: allow-loop
+                if share >= min_tag_share:
+                    rows.append(row)
+                    cols.append(lookup.setdefault(tag, len(lookup)))
+            top = unit.dominant_tag()
+            dominant.append(lookup.setdefault(top, len(lookup)))
+        # A distribution may name tags no POI carries; they extend the
+        # code table past the POI tags.
+        self.names = np.array(list(lookup), dtype=object)
+        self.qualifies = np.zeros((len(csd.units), len(lookup)), dtype=bool)
+        self.qualifies[rows, cols] = True
+        self.dominant = np.asarray(dominant, dtype=np.int64)
+
+
 class CSDRecognizer:
     """Assigns semantic properties to stay points using a CSD.
 
@@ -204,8 +240,8 @@ class CSDRecognizer:
         min_tag_share: float = 0.15,
         query_dtype: str = "float64",
     ) -> None:
-        if r3sigma_m <= 0:
-            raise ValueError("r3sigma_m must be positive")
+        if not 0.0 < r3sigma_m < math.inf:  # also rejects NaN
+            raise ValueError("r3sigma_m must be positive and finite")
         if not 0.0 <= min_tag_share <= 1.0:
             raise ValueError("min_tag_share must be a probability")
         if query_dtype not in ("float64", "float32"):
@@ -214,6 +250,7 @@ class CSDRecognizer:
         self.r3sigma_m = r3sigma_m
         self.min_tag_share = min_tag_share
         self.query_dtype = query_dtype
+        self._tables = _TagTables(csd, min_tag_share)
 
     def recognize_point(self, sp: StayPoint) -> SemanticProperty:
         """Semantic property of one stay point (Algorithm 3 lines 5-11).
@@ -298,30 +335,34 @@ class CSDRecognizer:
         """Marshal :func:`vote_stays` output into semantic properties.
 
         Builds, for every recognised stay, the tag union of the winning
-        unit's in-range POIs filtered by ``min_tag_share``.  This is
-        the Python-object half of recognition (strings and frozensets,
-        no numpy kernel).
+        unit's in-range POIs filtered by ``min_tag_share``, plus the
+        unit's dominant tag.  The union is a ``(stay, tag)`` boolean
+        matrix filled by two fancy-index assignments; only the output
+        frozensets are built in Python.  Unmatched stays get the shared
+        :data:`NO_SEMANTICS` object.
         """
-        n = len(winner_of)
-        out: List[SemanticProperty] = [NO_SEMANTICS] * n
-        tags = self.csd.poi_tags()
-        in_range: List[set[str]] = [set() for _ in range(n)]
-        # reprolint: allow-loop -- tag-set union per stay point; tags are
-        # Python strings, so this marshalling step has no numpy kernel.
-        for stay, poi_idx in zip(win_stay, win_poi):
-            in_range[stay].add(tags[poi_idx])
-        # reprolint: allow-loop -- one iteration per recognised stay to
-        # build its frozenset property; output objects, not kernel math.
-        for stay in np.flatnonzero(winner_of != UNASSIGNED):
-            unit = self.csd.unit(int(winner_of[stay]))
-            distribution = unit.semantic_distribution
-            prop = {
-                tag
-                for tag in in_range[stay]
-                if distribution.get(tag, 0.0) >= self.min_tag_share
-            }
-            prop.add(unit.dominant_tag())
-            out[stay] = frozenset(prop)
+        tables = self._tables
+        out: List[SemanticProperty] = [NO_SEMANTICS] * len(winner_of)
+        recognised = (winner_of != UNASSIGNED).nonzero()[0]
+        if not len(recognised):
+            return out
+        in_range = np.zeros((len(winner_of), len(tables.names)), dtype=bool)
+        # Every pair of one stay has the same winning unit, so repeated
+        # (stay, tag) cells receive the same flag.
+        tag = tables.poi_codes[win_poi]
+        in_range[win_stay, tag] = tables.qualifies[winner_of[win_stay], tag]
+        in_range[recognised, tables.dominant[winner_of[recognised]]] = True
+        stay_at, tag_at = in_range.nonzero()
+        names = tables.names[tag_at].tolist()
+        start = 0
+        # reprolint: allow-loop -- one frozenset per recognised stay;
+        # output objects, not kernel math.
+        for stay, end in zip(
+            recognised.tolist(),
+            stay_at.searchsorted(recognised, side="right").tolist(),
+        ):
+            out[stay] = frozenset(names[start:end])
+            start = end
         return out
 
     def recognize(

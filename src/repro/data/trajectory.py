@@ -7,7 +7,7 @@ Timestamps are POSIX seconds (float) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 SemanticProperty = FrozenSet[str]
@@ -47,7 +47,9 @@ class StayPoint:
 
     def with_semantics(self, semantics: SemanticProperty) -> "StayPoint":
         """Copy of this stay point carrying recognised semantics."""
-        return replace(self, semantics=frozenset(semantics))
+        # Direct construction: ``dataclasses.replace`` re-reads every
+        # field by name and costs twice as much per stay.
+        return StayPoint(self.lon, self.lat, self.t, frozenset(semantics))
 
 
 @dataclass

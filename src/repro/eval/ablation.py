@@ -26,10 +26,10 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.config import CSDConfig, MiningConfig
-from repro.core.constructor import popularity_based_clustering
-from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit, project_pois
+from repro.core.constructor import popularity_based_clustering, semantic_units
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram, project_pois
 from repro.core.extraction import counterpart_cluster
-from repro.core.merging import merge_units, unit_distribution
+from repro.core.merging import flatten_units, merge_units
 from repro.core.popularity import compute_popularity
 from repro.core.purification import purify
 from repro.core.recognition import CSDRecognizer
@@ -86,19 +86,9 @@ def build_csd_ablated(
 
     # The CSD contract is int64 unit ids; dtype=int is int32 on Windows.
     unit_of = np.full(len(pois), UNASSIGNED, dtype=np.int64)
-    units: List[SemanticUnit] = []
-    for unit_id, members in enumerate(clusters):
-        for i in members:
-            unit_of[i] = unit_id
-        xy = poi_xy[members]
-        units.append(
-            SemanticUnit(
-                unit_id,
-                list(members),
-                (float(xy[:, 0].mean()), float(xy[:, 1].mean())),
-                unit_distribution(members, tags, popularity),
-            )
-        )
+    members, owner = flatten_units(clusters)
+    unit_of[members] = owner
+    units = semantic_units(clusters, poi_xy, tags, popularity)
     return CitySemanticDiagram(
         pois, projection, poi_xy, popularity, units, unit_of
     )

@@ -56,6 +56,11 @@ def pairwise_distances(xy: MetersArray) -> Float64Array:
     return np.sqrt((delta ** 2).sum(axis=2))
 
 
+def _check_r3sigma(r3sigma: float) -> None:
+    if not 0.0 < r3sigma < math.inf:  # also rejects NaN
+        raise ValueError("r3sigma must be positive and finite")
+
+
 def gaussian_coefficient(distance_m: float, r3sigma: float) -> float:
     """Gaussian distribution coefficient ``||p, p'||`` of Equation (2).
 
@@ -64,8 +69,7 @@ def gaussian_coefficient(distance_m: float, r3sigma: float) -> float:
     The coefficient models GPS noise around the true location; a stay
     point contributes to the popularity of every POI within ``r3sigma``.
     """
-    if r3sigma <= 0.0:
-        raise ValueError("r3sigma must be positive")
+    _check_r3sigma(r3sigma)
     sigma = r3sigma / 3.0
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     return norm * math.exp(-(distance_m ** 2) / (2.0 * sigma ** 2))
@@ -73,8 +77,7 @@ def gaussian_coefficient(distance_m: float, r3sigma: float) -> float:
 
 def gaussian_coefficients(distances_m: Float64Array, r3sigma: float) -> Float64Array:
     """Vectorised :func:`gaussian_coefficient` over an array of metres."""
-    if r3sigma <= 0.0:
-        raise ValueError("r3sigma must be positive")
+    _check_r3sigma(r3sigma)
     d = np.asarray(distances_m, dtype=float)
     sigma = r3sigma / 3.0
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
@@ -94,8 +97,7 @@ def gaussian_coefficients32(
     error vs. the float64 kernel is bounded by a few 1e-7, far below
     any realistic vote margin.
     """
-    if r3sigma <= 0.0:
-        raise ValueError("r3sigma must be positive")
+    _check_r3sigma(r3sigma)
     d = np.asarray(distances_m, dtype=np.float32)
     sigma = np.float32(r3sigma / 3.0)
     norm = np.float32(1.0) / (sigma * np.float32(math.sqrt(2.0 * math.pi)))

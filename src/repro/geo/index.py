@@ -19,6 +19,8 @@ merging run at hardware speed instead of interpreter speed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.contracts import ArraySpec, CSRSpec, array_contract
@@ -129,8 +131,8 @@ class GridIndex:
         return for that centre.  ``offsets`` has length ``m + 1`` with
         ``offsets[0] == 0``.
         """
-        if radius < 0.0:
-            raise ValueError("radius must be non-negative")
+        if not 0.0 <= radius < math.inf:  # also rejects NaN
+            raise ValueError("radius must be non-negative and finite")
         ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
         m = len(ctr)
         n = len(self._xy)

@@ -11,6 +11,7 @@ from repro.geo.distance import (
     equirectangular_distance,
     gaussian_coefficient,
     gaussian_coefficients,
+    gaussian_coefficients32,
     haversine_distance,
     pairwise_distances,
 )
@@ -92,6 +93,17 @@ class TestGaussianCoefficient:
             gaussian_coefficient(10.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_coefficients(np.array([1.0]), -5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, bad):
+        """A NaN radius compared False against ``<= 0`` and returned NaN
+        weights; an infinite one returned all-zero weights."""
+        with pytest.raises(ValueError, match="r3sigma"):
+            gaussian_coefficient(10.0, bad)
+        with pytest.raises(ValueError, match="r3sigma"):
+            gaussian_coefficients(np.array([1.0]), bad)
+        with pytest.raises(ValueError, match="r3sigma"):
+            gaussian_coefficients32(np.array([1.0], dtype=np.float32), bad)
 
     def test_vectorised_matches_scalar(self):
         d = np.array([0.0, 25.0, 50.0, 99.0])

@@ -44,6 +44,16 @@ class TestBasics:
             idx.query_radius(0, 0, -1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_radius(self, bad):
+        """NaN died in ``int(np.ceil(...))`` with "cannot convert float
+        NaN to integer" and inf with an OverflowError."""
+        idx = GridIndex(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="radius"):
+            idx.query_radius_many(np.zeros((2, 2)), bad)
+        with pytest.raises(ValueError, match="radius"):
+            idx.query_radius(0.0, 0.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coordinates(self, bad):
         xy = np.array([[0.0, 0.0], [bad, 1.0]])
         with pytest.raises(ValueError, match="finite"):

@@ -9,21 +9,47 @@ exactly — no tolerances.
 """
 
 import heapq
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster.optics import OpticsResult, extract_valley_clusters, optics
-from repro.core import extraction
+from repro.core import constructor, extraction, merging, purification
 from repro.core.config import CSDConfig
-from repro.core.constructor import build_csd
-from repro.core.csd import UNASSIGNED
+from repro.core.constructor import (
+    build_csd,
+    popularity_based_clustering,
+    semantic_units,
+)
+from repro.core.csd import UNASSIGNED, SemanticUnit
+from repro.core.merging import (
+    _UnionFind,
+    cosine_similarity,
+    distribution_matrix,
+    flatten_units,
+    merge_units,
+    unit_distributions,
+)
 from repro.core.popularity import compute_popularity
+from repro.core.purification import (
+    is_fine_grained,
+    kl_divergences,
+    purify,
+    semantic_distributions,
+)
 from repro.core.recognition import CSDRecognizer, vote_stays
+from repro.data.persistence import save_csd
 from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
+from repro.geo.stats import medoid_index
 
 MAJORS = [
     "Restaurant",
@@ -351,3 +377,567 @@ class TestOpticsEquivalence:
         assert got_seed == want
         for xy, min_pts, max_eps in calls:
             assert_optics_identical(xy, min_pts, max_eps)
+
+
+# -- constructor and assembly oracles ----------------------------------------
+#
+# The per-POI loops the constructor and recognition's output step ran
+# before they became array kernels, kept verbatim as references.
+
+_KL_EPS = 1e-9
+
+
+def semantic_distributions_oracle(xy, tags, r3sigma):
+    """The scalar ``semantic_distributions`` (Eq. 4): one distance row
+    and one dict accumulation per member."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if n != len(tags):
+        raise ValueError("xy and tags must align")
+    out = []
+    tag_list = list(tags)
+    for i in range(n):
+        d = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+        w = gaussian_coefficients(d, r3sigma)
+        total = float(w.sum())
+        dist = {}
+        for j, tag in enumerate(tag_list):
+            dist[tag] = dist.get(tag, 0.0) + float(w[j])
+        out.append({t: v / total for t, v in dist.items()})
+    return out
+
+
+def kl_divergence_oracle(p, q, support):
+    """The scalar smoothed ``KL(p || q)`` over the tag ``support``."""
+    total = 0.0
+    for s in support:
+        ps = p.get(s, 0.0) + _KL_EPS
+        qs = q.get(s, 0.0) + _KL_EPS
+        total += ps * np.log(ps / qs)
+    return float(total)
+
+
+def purify_loop_oracle(clusters, poi_xy, poi_tags, v_min, r3sigma):
+    """The scalar Algorithm 2: dict distributions, one KL per member."""
+    if v_min < 0:
+        raise ValueError("v_min must be non-negative")
+    tags = list(poi_tags)
+    work = [list(c) for c in clusters if c]
+    units = []
+    while work:
+        cluster = work.pop()
+        xy = poi_xy[cluster]
+        ctags = [tags[i] for i in cluster]
+        if is_fine_grained(xy, ctags, v_min):
+            units.append(cluster)
+            continue
+        dists = semantic_distributions_oracle(xy, ctags, r3sigma)
+        ref = medoid_index(xy)
+        support = sorted(set(ctags))
+        kl = np.array(
+            [kl_divergence_oracle(dists[k], dists[ref], support) for k in range(len(cluster))],
+            dtype=np.float64,
+        )
+        median = float(np.median(kl))
+        moved = [cluster[k] for k in range(len(cluster)) if kl[k] > median]
+        kept = [cluster[k] for k in range(len(cluster)) if kl[k] <= median]
+        if not moved or not kept:
+            units.append(cluster)
+            continue
+        work.append(kept)
+        work.append(moved)
+    return units
+
+
+def unit_distribution_oracle(members, tags, popularity):
+    """The scalar Eq. 6: one dict accumulation per unit."""
+    dist = {}
+    for i in members:
+        w = float(popularity[i]) + 1e-12
+        tag = tags[i]
+        dist[tag] = dist.get(tag, 0.0) + w
+    total = math.fsum(dist.values())
+    return {t: v / total for t, v in dist.items()}
+
+
+def nearby_pairs_oracle(units, poi_xy, radius):
+    """The append-loop ``_nearby_pairs``."""
+    owner_of_flat = []
+    flat = []
+    for u, members in enumerate(units):
+        for i in members:
+            owner_of_flat.append(u)
+            flat.append(i)
+    if not flat:
+        return []
+    flat_xy = poi_xy[flat]
+    owners = np.asarray(owner_of_flat, dtype=np.int64)
+    index = GridIndex(flat_xy, cell_size=max(radius, 1.0))
+    nbr_idx, nbr_off = index.query_radius_many(flat_xy, radius)
+    ua = np.repeat(owners, np.diff(nbr_off))
+    ub = owners[nbr_idx]
+    cross = ua != ub
+    if not cross.any():
+        return []
+    lo = np.minimum(ua[cross], ub[cross])
+    hi = np.maximum(ua[cross], ub[cross])
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return [(int(a), int(b)) for a, b in pairs]
+
+
+def merge_units_oracle(
+    units, leftovers, poi_xy, poi_tags, popularity, cos_threshold, radius
+):
+    """The dict-per-unit merge: one ``cosine_similarity`` per pair."""
+    if not 0.0 <= cos_threshold <= 1.0:
+        raise ValueError("cos_threshold must be in [0, 1]")
+    tags = list(poi_tags)
+    singleton_start = len(units)
+    all_units = [list(u) for u in units] + [[i] for i in leftovers]
+    dists = [unit_distribution_oracle(u, tags, popularity) for u in all_units]
+    uf = _UnionFind(len(all_units))
+    for a, b in nearby_pairs_oracle(all_units, poi_xy, radius):
+        if cosine_similarity(dists[a], dists[b]) >= cos_threshold:
+            uf.union(a, b)
+    merged = {}
+    roots_with_real_unit = set()
+    for u in range(len(all_units)):
+        root = uf.find(u)
+        merged.setdefault(root, []).extend(all_units[u])
+        if u < singleton_start:
+            roots_with_real_unit.add(root)
+    return [
+        sorted(members)
+        for root, members in sorted(merged.items())
+        if root in roots_with_real_unit
+    ]
+
+
+def semantic_units_oracle(final, poi_xy, tags, popularity):
+    """``build_csd``'s per-unit loop: ``unit_of`` filled POI by POI."""
+    unit_of = np.full(len(tags), UNASSIGNED, dtype=np.int64)
+    units = []
+    for unit_id, members in enumerate(final):
+        for i in members:
+            unit_of[i] = unit_id
+        xy = poi_xy[members]
+        units.append(
+            SemanticUnit(
+                unit_id=unit_id,
+                poi_indices=list(members),
+                centroid_xy=(float(xy[:, 0].mean()), float(xy[:, 1].mean())),
+                semantic_distribution=unit_distribution_oracle(
+                    members, tags, popularity
+                ),
+            )
+        )
+    return units, unit_of
+
+
+def clustering_frontier_oracle(poi_xy, poi_tags, popularity, config):
+    """Algorithm 1 with every frontier, the first included, tested
+    round by round.  Returns ``(clusters, leftovers, rounds,
+    candidates)``."""
+    pts = np.asarray(poi_xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    tags = list(poi_tags)
+    pop = np.asarray(popularity, dtype=float)
+    if n == 0:
+        return [], [], 0, 0
+    index = GridIndex(pts, cell_size=max(config.eps_p_m, 1.0))
+    nbr_idx, nbr_off = index.query_radius_many(pts, config.eps_p_m)
+    tag_codes = np.unique(np.asarray(tags, dtype=object), return_inverse=True)[1]
+    remaining = np.ones(n, dtype=bool)
+    stamp = np.full(n, -1, dtype=np.int64)
+    d_v2 = config.d_v_m ** 2
+    clusters = []
+    leftovers = []
+    rounds = 0
+    candidates_tested = 0
+    for seed in range(n):
+        if not remaining[seed]:
+            continue
+        remaining[seed] = False
+        stamp[seed] = seed
+        members = [np.array([seed], dtype=np.int64)]
+        frontier = nbr_idx[nbr_off[seed] : nbr_off[seed + 1]]
+        frontier = frontier[remaining[frontier] & (stamp[frontier] != seed)]
+        while len(frontier):
+            rounds += 1
+            candidates_tested += len(frontier)
+            stamp[frontier] = seed
+            hi = np.maximum(pop[seed], pop[frontier]) + config.pop_epsilon
+            lo = np.minimum(pop[seed], pop[frontier]) + config.pop_epsilon
+            ok = lo / hi >= config.alpha
+            delta = pts[frontier] - pts[seed]
+            d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2
+            ok &= (d2 <= d_v2) | (tag_codes[frontier] == tag_codes[seed])
+            accepted = frontier[ok]
+            if len(accepted) == 0:
+                break
+            remaining[accepted] = False
+            members.append(accepted)
+            starts = nbr_off[accepted]
+            counts = nbr_off[accepted + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                break
+            base = np.zeros(len(counts), dtype=np.int64)
+            np.cumsum(counts[:-1], out=base[1:])
+            positions = (
+                np.arange(total, dtype=np.int64)
+                + np.repeat(starts - base, counts)
+            )
+            nxt = nbr_idx[positions]
+            nxt = nxt[remaining[nxt] & (stamp[nxt] != seed)]
+            frontier = np.unique(nxt)
+        cluster = np.concatenate(members)
+        if len(cluster) >= config.min_pts:
+            clusters.append([int(i) for i in np.sort(cluster)])
+        else:
+            leftovers.extend(int(i) for i in cluster)
+    leftovers.extend(int(i) for i in np.flatnonzero(remaining))
+    return clusters, sorted(leftovers), rounds, candidates_tested
+
+
+def assemble_semantics_oracle(recognizer, winner_of, win_stay, win_poi):
+    """The per-hit set loop of ``CSDRecognizer.assemble_semantics``."""
+    n = len(winner_of)
+    out = [NO_SEMANTICS] * n
+    tags = recognizer.csd.poi_tags()
+    in_range = [set() for _ in range(n)]
+    for stay, poi_idx in zip(win_stay, win_poi):
+        in_range[stay].add(tags[poi_idx])
+    for stay in np.flatnonzero(winner_of != UNASSIGNED):
+        unit = recognizer.csd.unit(int(winner_of[stay]))
+        distribution = unit.semantic_distribution
+        prop = {
+            tag
+            for tag in in_range[stay]
+            if distribution.get(tag, 0.0) >= recognizer.min_tag_share
+        }
+        prop.add(unit.dominant_tag())
+        out[stay] = frozenset(prop)
+    return out
+
+
+def lattice_cluster(rng, n):
+    """Members on a coarse lattice with duplicated points: equal
+    distances, so equal local distributions and equal divergences."""
+    pts = np.round(rng.normal(0.0, rng.choice([8.0, 30.0, 90.0]), (n, 2)) / 5.0) * 5.0
+    dup = rng.integers(0, n, n // 3)
+    pts[rng.integers(0, n, len(dup))] = pts[dup]
+    return pts
+
+
+def random_tags(rng, n, k):
+    return ["ABCDEFGHIJKL"[int(t)] for t in rng.integers(0, k, n)]
+
+
+class TestPurificationEquivalence:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_distributions_and_divergences_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 160))
+        xy = lattice_cluster(rng, n)
+        # Up to 12 tags: at 8 or more a pairwise row sum would reorder
+        # the divergence terms.
+        tags = random_tags(rng, n, int(rng.integers(1, 13)))
+        support = sorted(set(tags))
+        codes = np.array([support.index(t) for t in tags], dtype=np.int64)
+        r3sigma = float(rng.choice([30.0, 100.0]))
+        got = semantic_distributions(xy, codes, len(support), r3sigma)
+        want = semantic_distributions_oracle(xy, tags, r3sigma)
+        for row, dist in zip(got.tolist(), want):
+            assert row == [dist.get(s, 0.0) for s in support]
+        ref = medoid_index(xy)
+        kl = kl_divergences(got, ref)
+        assert kl.tolist() == [
+            kl_divergence_oracle(d, want[ref], support) for d in want
+        ]
+
+    def test_row_blocks_do_not_change_distributions(self, monkeypatch):
+        """Blocking the rows (memory bound) and taking the row totals as
+        one axis sum must give what one row at a time gives."""
+        rng = np.random.default_rng(5)
+        xy = lattice_cluster(rng, 300)
+        tags = random_tags(rng, 300, 4)
+        support = sorted(set(tags))
+        codes = np.array([support.index(t) for t in tags], dtype=np.int64)
+        want = semantic_distributions(xy, codes, len(support), 100.0)
+        monkeypatch.setattr(purification, "_BLOCK_ELEMENTS", 7 * 300 + 5)
+        got = semantic_distributions(xy, codes, len(support), 100.0)
+        assert np.array_equal(got, want)
+        oracle = semantic_distributions_oracle(xy, tags, 100.0)
+        assert got.tolist() == [[d.get(s, 0.0) for s in support] for d in oracle]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_purify_bit_identical(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(20, 400))
+        xy = lattice_cluster(rng, n)
+        tags = random_tags(rng, n, int(rng.integers(2, 13)))
+        cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, 5)), replace=False))
+        order = rng.permutation(n)
+        clusters = [c.tolist() for c in np.split(order, cuts)]
+        v_min = float(rng.choice([0.0, 50.0, 300.0]))
+        got = purify(clusters, xy, tags, v_min, 100.0)
+        assert got == purify_loop_oracle(clusters, xy, tags, v_min, 100.0)
+
+    def test_median_ties_split_identically(self):
+        """Duplicated points tie their divergences; where ties sit on the
+        median, ``kl > median`` must move exactly the oracle's members."""
+        tied = 0
+        for seed in range(40):
+            rng = np.random.default_rng(900 + seed)
+            n = int(rng.integers(6, 40))
+            xy = np.round(rng.normal(0.0, 40.0, (n, 2)) / 20.0) * 20.0
+            xy[rng.integers(0, n, n // 2)] = xy[rng.integers(0, n, n // 2)]
+            tags = random_tags(rng, n, 3)
+            support = sorted(set(tags))
+            codes = np.array([support.index(t) for t in tags], dtype=np.int64)
+            kl = kl_divergences(
+                semantic_distributions(xy, codes, len(support), 100.0),
+                medoid_index(xy),
+            )
+            tied += int(np.count_nonzero(kl == np.median(kl)) > 1)
+            clusters = [list(range(n))]
+            assert purify(clusters, xy, tags, 0.0, 100.0) == purify_loop_oracle(
+                clusters, xy, tags, 0.0, 100.0
+            )
+        assert tied >= 5  # the fixture really exercises median ties
+
+
+def random_units(rng, n_pois, n_tags):
+    xy = rng.uniform(0.0, 400.0, (n_pois, 2))
+    tags = random_tags(rng, n_pois, n_tags)
+    popularity = np.round(rng.exponential(2.0, n_pois), 1)
+    popularity[rng.random(n_pois) < 0.2] = 0.0
+    order = rng.permutation(n_pois)
+    n_left = int(rng.integers(0, n_pois // 3 + 1))
+    cuts = np.sort(
+        rng.choice(np.arange(1, n_pois - n_left), int(rng.integers(1, 30)), replace=False)
+    )
+    units = [c.tolist() for c in np.split(order[: n_pois - n_left], cuts)]
+    return xy, tags, popularity, units, sorted(order[n_pois - n_left :].tolist())
+
+
+class TestMergingEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unit_distributions_match_dict_loop(self, seed):
+        """Same values and the same key order (``save_csd`` writes the
+        dicts as they are)."""
+        rng = np.random.default_rng(seed)
+        xy, tags, pop, units, _ = random_units(rng, 200, int(rng.integers(1, 7)))
+        got = unit_distributions(units, tags, pop)
+        want = [unit_distribution_oracle(u, tags, pop) for u in units]
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_cosines_match_cosine_similarity(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        xy, tags, pop, units, _ = random_units(rng, 200, 6)
+        names = sorted(set(tags))
+        codes = np.array([names.index(t) for t in tags], dtype=np.int64)
+        members, owner = flatten_units(units)
+        dist = distribution_matrix(
+            owner, codes[members], pop[members] + 1e-12, len(units), len(names)
+        )
+        a, b = np.triu_indices(len(units), k=1)
+        dicts = [unit_distribution_oracle(u, tags, pop) for u in units]
+        want = [cosine_similarity(dicts[i], dicts[j]) for i, j in zip(a, b)]
+        assert merging._pair_cosines(dist, a, b).tolist() == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_merge_bit_identical(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        xy, tags, pop, units, left = random_units(
+            rng, int(rng.integers(30, 300)), int(rng.integers(1, 5))
+        )
+        cos = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
+        radius = float(rng.choice([10.0, 30.0, 80.0]))
+        assert merge_units(units, left, xy, tags, pop, cos, radius) == (
+            merge_units_oracle(units, left, xy, tags, pop, cos, radius)
+        )
+
+    def test_threshold_one_ulp_from_a_cosine(self):
+        """Thresholds on and one ulp either side of a pair's cosine: the
+        merge flips exactly where the oracle's does."""
+        xy = np.array([[0.0, 0.0], [5.0, 0.0], [20.0, 0.0], [25.0, 0.0]])
+        tags = ["A", "B", "A", "B"]
+        pop = np.array([3.0, 1.1, 2.9, 1.0])
+        units = [[0, 1], [2, 3]]
+        dicts = [unit_distribution_oracle(u, tags, pop) for u in units]
+        cos = cosine_similarity(dicts[0], dicts[1])
+        assert cos < 1.0
+        outcomes = []
+        for threshold in (np.nextafter(cos, 0.0), cos, np.nextafter(cos, 2.0)):
+            got = merge_units(units, [], xy, tags, pop, float(threshold), 30.0)
+            assert got == merge_units_oracle(
+                units, [], xy, tags, pop, float(threshold), 30.0
+            )
+            outcomes.append(len(got))
+        assert outcomes == [1, 1, 2]
+
+    def test_semantic_units_match_per_unit_loop(self):
+        rng = np.random.default_rng(4)
+        xy, tags, pop, units, _ = random_units(rng, 250, 5)
+        got = semantic_units(units, xy, tags, pop)
+        want, want_unit_of = semantic_units_oracle(units, xy, tags, pop)
+        assert [
+            (u.unit_id, u.poi_indices, u.centroid_xy, list(u.semantic_distribution.items()))
+            for u in got
+        ] == [
+            (u.unit_id, u.poi_indices, u.centroid_xy, list(u.semantic_distribution.items()))
+            for u in want
+        ]
+        members, owner = flatten_units(units)
+        unit_of = np.full(len(tags), UNASSIGNED, dtype=np.int64)
+        unit_of[members] = owner
+        assert np.array_equal(unit_of, want_unit_of)
+
+
+def random_city(rng, n):
+    """POIs around a few venues with banded popularity: seeds with and
+    without compatible neighbours, stacked (``d <= d_v``) mixed tags."""
+    centres = rng.uniform(-600.0, 600.0, (int(rng.integers(2, 12)), 2))
+    xy = centres[rng.integers(0, len(centres), n)] + rng.normal(0.0, 25.0, (n, 2))
+    stray = rng.random(n) < 0.2
+    xy[stray] = rng.uniform(-700.0, 700.0, (int(stray.sum()), 2))
+    pop = np.round(rng.lognormal(1.0, 1.0, n), 1)
+    pop[rng.random(n) < 0.1] = 0.0
+    return xy, random_tags(rng, n, int(rng.integers(1, 5))), pop
+
+
+class TestClusteringEquivalence:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_clusters_and_counters_identical(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        xy, tags, pop = random_city(rng, int(rng.integers(1, 700)))
+        config = CSDConfig(
+            alpha=float(rng.choice([0.3, 0.7, 0.95])),
+            min_pts=int(rng.choice([1, 3, 5])),
+            d_v_m=float(rng.choice([0.0, 15.0])),
+        )
+        registry = obs.get_registry()
+        registry.reset()
+        obs.enable()
+        try:
+            clusters, leftovers = popularity_based_clustering(xy, tags, pop, config)
+            counters = registry.snapshot()["counters"]
+        finally:
+            obs.disable()
+            registry.reset()
+        want = clustering_frontier_oracle(xy, tags, pop, config)
+        assert (clusters, leftovers) == want[:2]
+        assert counters.get("constructor.clustering.rounds", 0) == want[2]
+        assert counters.get("constructor.clustering.candidates", 0) == want[3]
+
+    def test_registry_off_gives_same_clusters(self):
+        rng = np.random.default_rng(8)
+        xy, tags, pop = random_city(rng, 500)
+        config = CSDConfig(alpha=0.7)
+        got = popularity_based_clustering(xy, tags, pop, config)
+        assert got == clustering_frontier_oracle(xy, tags, pop, config)[:2]
+
+
+class TestAssemblyEquivalence:
+    @pytest.mark.parametrize("share", [0.0, 0.15, 0.5, 1.0])
+    def test_small_workload_bit_identical(
+        self, small_csd, small_csd_config, flat_stays, share
+    ):
+        recognizer = CSDRecognizer(
+            small_csd, small_csd_config.r3sigma_m, min_tag_share=share
+        )
+        votes = vote_stays(
+            small_csd, recognizer.project_stays(flat_stays), recognizer.r3sigma_m
+        )
+        got = recognizer.assemble_semantics(*votes)
+        want = assemble_semantics_oracle(recognizer, *votes)
+        assert got == want
+        if share == 0.0:
+            assert any(len(p) > 1 for p in got)  # tag unions are exercised
+        # Unmatched stays carry the shared object the counters test.
+        assert all((p is NO_SEMANTICS) == (w is NO_SEMANTICS) for p, w in zip(got, want))
+
+    def test_one_stay_batches(self, random_csd, corpus):
+        recognizer = CSDRecognizer(random_csd, 100.0)
+        for sp in corpus:
+            votes = vote_stays(
+                random_csd, recognizer.project_stays([sp]), recognizer.r3sigma_m
+            )
+            got = recognizer.assemble_semantics(*votes)
+            assert got == assemble_semantics_oracle(recognizer, *votes)
+            assert (got[0] is NO_SEMANTICS) == (votes[0][0] == UNASSIGNED)
+
+
+class TestConstructorEquivalence:
+    def test_build_csd_matches_loop_constructor(
+        self, small_pois, small_trajectories, small_csd_config, small_city,
+        monkeypatch, tmp_path,
+    ):
+        """The whole constructor, every step swapped for its oracle,
+        writes the same diagram bytes."""
+        stays = [sp for st in small_trajectories for sp in st.stay_points]
+        args = (small_pois, stays, small_csd_config, small_city.projection)
+        (tmp_path / "kernel").mkdir()
+        (tmp_path / "oracle").mkdir()
+        save_csd(tmp_path / "kernel" / "csd.json", build_csd(*args))
+
+        def oracle_units(final, poi_xy, tags, popularity):
+            return semantic_units_oracle(final, poi_xy, tags, popularity)[0]
+
+        monkeypatch.setattr(
+            constructor,
+            "popularity_based_clustering",
+            lambda *a: clustering_frontier_oracle(*a)[:2],
+        )
+        monkeypatch.setattr(constructor, "purify", purify_loop_oracle)
+        monkeypatch.setattr(constructor, "merge_units", merge_units_oracle)
+        monkeypatch.setattr(constructor, "semantic_units", oracle_units)
+        save_csd(tmp_path / "oracle" / "csd.json", build_csd(*args))
+        files = sorted(p.name for p in (tmp_path / "kernel").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "oracle").iterdir())
+        for name in files:
+            assert (tmp_path / "kernel" / name).read_bytes() == (
+                tmp_path / "oracle" / name
+            ).read_bytes()
+
+
+_BUILD_SMALL_CSD = """
+import sys
+from pathlib import Path
+from repro.core.config import CSDConfig
+from repro.core.constructor import build_csd
+from repro.data.city import CityModel
+from repro.data.persistence import save_csd
+from repro.data.poi import POIGenerator
+from repro.data.taxi import ShanghaiTaxiSimulator
+
+city = CityModel.generate(extent_m=3_000.0, block_size_m=400.0, seed=3)
+pois = POIGenerator(city, seed=5).generate(3_000)
+taxi = ShanghaiTaxiSimulator(city, seed=9).simulate(n_passengers=80, days=5)
+stays = [sp for st in taxi.mining_trajectories() for sp in st.stay_points]
+csd = build_csd(pois, stays, CSDConfig(alpha=0.7), city.projection)
+save_csd(Path(sys.argv[1]) / "csd.json", csd)
+"""
+
+
+def test_save_csd_bytes_independent_of_hash_seed(tmp_path):
+    """The ``small`` diagram under two string-hash seeds: tag sets and
+    dicts iterate differently, the saved bytes must not."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH", "")) if p
+        )
+        subprocess.run(
+            [sys.executable, "-c", _BUILD_SMALL_CSD, str(out)],
+            check=True, env=env, timeout=300,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.purification import (
     is_fine_grained,
-    kl_divergence,
+    kl_divergences,
     purify,
     semantic_distributions,
 )
@@ -14,41 +14,38 @@ from repro.core.purification import (
 class TestDistributions:
     def test_single_tag_distribution(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0]])
-        dists = semantic_distributions(xy, ["A", "A"], r3sigma=100.0)
-        for d in dists:
-            assert d == pytest.approx({"A": 1.0})
+        dists = semantic_distributions(xy, np.array([0, 0]), 1, r3sigma=100.0)
+        assert dists.shape == (2, 1)
+        assert dists == pytest.approx(np.ones((2, 1)))
 
     def test_distribution_normalised(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
-        dists = semantic_distributions(xy, ["A", "B", "A"], 100.0)
-        for d in dists:
-            assert sum(d.values()) == pytest.approx(1.0)
+        dists = semantic_distributions(xy, np.array([0, 1, 0]), 2, 100.0)
+        assert dists.sum(axis=1) == pytest.approx(np.ones(3))
 
     def test_nearby_tags_weigh_more(self):
         xy = np.array([[0.0, 0.0], [5.0, 0.0], [90.0, 0.0]])
-        dists = semantic_distributions(xy, ["A", "B", "C"], 100.0)
+        dists = semantic_distributions(xy, np.array([0, 1, 2]), 3, 100.0)
         # From POI 0's view, B (5 m) outweighs C (90 m).
-        assert dists[0]["B"] > dists[0]["C"]
+        assert dists[0, 1] > dists[0, 2]
 
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(ValueError):
-            semantic_distributions(np.zeros((2, 2)), ["A"], 100.0)
+            semantic_distributions(np.zeros((2, 2)), np.array([0]), 1, 100.0)
 
 
 class TestKL:
     def test_identical_distributions_zero(self):
-        p = {"A": 0.5, "B": 0.5}
-        assert kl_divergence(p, dict(p), ["A", "B"]) == pytest.approx(0.0, abs=1e-6)
+        dists = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert kl_divergences(dists, 1) == pytest.approx([0.0, 0.0], abs=1e-6)
 
     def test_diverging_distributions_positive(self):
-        p = {"A": 0.9, "B": 0.1}
-        q = {"A": 0.1, "B": 0.9}
-        assert kl_divergence(p, q, ["A", "B"]) > 0.5
+        dists = np.array([[0.9, 0.1], [0.1, 0.9]])
+        assert kl_divergences(dists, 1)[0] > 0.5
 
     def test_zero_probability_is_finite(self):
-        p = {"A": 1.0}
-        q = {"B": 1.0}
-        value = kl_divergence(p, q, ["A", "B"])
+        dists = np.array([[1.0, 0.0], [0.0, 1.0]])
+        value = kl_divergences(dists, 1)[0]
         assert np.isfinite(value)
         assert value > 0
 

@@ -1,5 +1,7 @@
 """Unit tests for semantic recognition (Algorithm 3)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ class TestRecognizePoint:
     def test_rejects_bad_radius(self, two_unit_csd):
         with pytest.raises(ValueError):
             CSDRecognizer(two_unit_csd, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius(self, two_unit_csd, bad):
+        with pytest.raises(ValueError, match="r3sigma_m"):
+            CSDRecognizer(two_unit_csd, bad)
 
     def test_rejects_bad_tag_share(self, two_unit_csd):
         with pytest.raises(ValueError):
