@@ -32,7 +32,7 @@ import io
 import sys
 import urllib.request
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro import ioutil, obs
 from repro.baselines.registry import APPROACHES, approach_by_name, run_approach
@@ -47,9 +47,9 @@ from repro.data.geojson import (
     write_geojson,
 )
 from repro.data.io import (
+    MalformedRowError,
     iter_trips,
     read_pois,
-    read_trips,
     write_pois,
     write_trips,
 )
@@ -59,12 +59,7 @@ from repro.serve import RecognitionService, ServeConfig, make_server
 from repro.stream import EpochResult
 from repro.viz.svg import render_csd_svg, render_patterns_svg, save_svg
 from repro.data.poi import POIGenerator
-from repro.data.taxi import (
-    ShanghaiTaxiSimulator,
-    TaxiTrip,
-    trips_to_mining_trajectories,
-)
-from repro.data.trajectory import SemanticTrajectory
+from repro.data.taxi import ShanghaiTaxiSimulator, trips_to_mining_trajectories
 from repro.eval.metrics import summarize_patterns
 from repro.eval.reporting import format_table
 from repro.geo.projection import LocalProjection
@@ -99,12 +94,6 @@ def _build_configs(args: argparse.Namespace) -> None:
         args.config_parser.error(str(exc))
 
 
-def _trips_to_trajectories(
-    trips: Sequence[TaxiTrip],
-) -> List[SemanticTrajectory]:
-    return trips_to_mining_trajectories(trips)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     """``repro simulate``: write a synthetic POI + trip workload."""
     out = Path(args.out)
@@ -124,8 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_build_csd(args: argparse.Namespace) -> int:
     """``repro build-csd``: construct, report, and export the CSD."""
     pois = read_pois(args.pois)
-    trips = read_trips(args.trips)
-    trajectories = _trips_to_trajectories(trips)
+    trajectories = trips_to_mining_trajectories(list(iter_trips(args.trips)))
     stays = [sp for st in trajectories for sp in st.stay_points]
     csd = build_csd(pois, stays, args.csd_config)
     stats = csd.describe()
@@ -152,8 +140,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     pois = read_pois(args.pois)
-    trips = read_trips(args.trips)
-    trajectories = _trips_to_trajectories(trips)
+    trajectories = trips_to_mining_trajectories(list(iter_trips(args.trips)))
     csd = load_csd(args.load_csd) if args.load_csd else None
     patterns = run_approach(
         approach, pois, trajectories,
@@ -208,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trips = list(
             iter_trips(args.trips, on_bad_row=quarantine.sink("trips"))
         )
-        trajectories = _trips_to_trajectories(trips)
+        trajectories = trips_to_mining_trajectories(trips)
         runner = PipelineRunner(
             run_dir,
             args.csd_config,
@@ -239,8 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """``repro evaluate``: the Section 5 metric table, all approaches."""
     pois = read_pois(args.pois)
-    trips = read_trips(args.trips)
-    trajectories = _trips_to_trajectories(trips)
+    trajectories = trips_to_mining_trajectories(list(iter_trips(args.trips)))
     lonlat = [(p.lon, p.lat) for p in pois]
     projection = LocalProjection.for_points(lonlat)
     rows = []
@@ -565,6 +551,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         _metrics_begin()
     try:
         code = int(args.func(args))
+    except MalformedRowError as exc:
+        # Bad input data, like a rejected flag, is the user's to fix:
+        # one line naming the file, row and reason, not a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        code = 1
     finally:
         if args.metrics_json:
             _metrics_write(args.metrics_json)

@@ -72,7 +72,6 @@ class MiningConfig:
     support: int = 50               # sigma, minimum supporting trajectories
     delta_t_s: float = 3600.0       # temporal constraint, seconds
     rho: float = 0.002              # density threshold, points per m^2
-    eps_t_m: float = 100.0          # location proximity for containment (Def. 7)
     min_length: int = 2             # shortest pattern to report
     max_length: int = 5             # PrefixSpan recursion bound
     optics_max_eps_m: float = 1_000.0  # OPTICS default maximum distance
@@ -84,9 +83,7 @@ class MiningConfig:
         _require_finite(self)
         if not self.support >= 1:
             raise ValueError("support must be at least 1")
-        if not (
-            self.delta_t_s > 0 and self.eps_t_m > 0 and self.optics_max_eps_m > 0
-        ):
+        if not (self.delta_t_s > 0 and self.optics_max_eps_m > 0):
             raise ValueError("temporal/spatial bounds must be positive")
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")

@@ -7,22 +7,20 @@ Semantic properties are serialised as ``|``-joined sorted tags; a
 literal ``|`` or ``\\`` inside a tag is backslash-escaped so every tag
 set round-trips exactly (``docs/DATA_FORMATS.md``).
 
-All files are read and written as UTF-8 regardless of platform: venue
-and POI names carry non-ASCII characters, and the platform-default
-codec (cp1252 on Windows) would silently mangle them across machines.
+All files are written as UTF-8 regardless of platform: venue and POI
+names carry non-ASCII characters, and the platform-default codec
+(cp1252 on Windows) would silently mangle them across machines.
+Readers also accept the byte-order mark that spreadsheet programs put
+in front of a "CSV UTF-8" export.
 
-Two reader families exist:
-
-- ``read_*`` load a whole file and **raise** :class:`MalformedRowError`
-  on the first bad record — the right contract for artifacts this
-  package wrote itself;
-- ``iter_*`` are streaming generators for *raw* corpora: each record is
-  validated, malformed rows (bad floats, missing columns, non-finite
-  coordinates, negative dwell) are routed to an ``on_bad_row`` sink
-  with the row number and reason instead of aborting the run, and the
-  ``ingest.rows`` / ``ingest.quarantined`` counters are emitted through
-  :mod:`repro.obs`.  The fault-tolerant pipeline runner
-  (:mod:`repro.runner`) plugs its quarantine file in as the sink.
+Every reader runs over one loop, :func:`_records`.  It finds columns
+by header name and validates each data row.  A malformed row (a bad
+number, a missing column, a non-finite or out-of-range coordinate, a
+negative dwell) goes to an ``on_bad_row`` sink with its row number and
+reason, or raises :class:`MalformedRowError` without one.  Only raw
+trips take a sink (:class:`repro.runner.Quarantine`); POI tables and
+the package's own trajectory artifacts must be intact.  Every reader
+emits the ``ingest.rows`` / ``ingest.quarantined`` counters.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -42,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -52,6 +52,7 @@ from repro.ioutil import atomic_write_text
 from repro.obs import get_registry
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 _TAG_SEP = "|"
 _TAG_ESC = "\\"
@@ -117,22 +118,15 @@ BadRowSink = Callable[[QuarantinedRow], None]
 class MalformedRowError(ValueError):
     """A CSV record failed validation and no quarantine sink was given."""
 
-    def __init__(self, row: QuarantinedRow) -> None:
+    def __init__(self, path: PathLike, row: QuarantinedRow) -> None:
         super().__init__(
-            f"row {row.row_number}: {row.reason} (raw: {row.raw!r})"
+            f"{path}: row {row.row_number}: {row.reason} (raw: {row.raw!r})"
         )
+        self.path = path
         self.row = row
 
 
-def _require(row: Dict[str, Optional[str]], field: str) -> str:
-    value = row.get(field)
-    if value is None:
-        raise ValueError(f"missing column {field!r}")
-    return value
-
-
-def _finite_float(row: Dict[str, Optional[str]], field: str) -> float:
-    text = _require(row, field)
+def _finite_float(text: str, field: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -143,10 +137,10 @@ def _finite_float(row: Dict[str, Optional[str]], field: str) -> float:
 
 
 def _coordinate(
-    row: Dict[str, Optional[str]], lon_field: str, lat_field: str
+    lon_text: str, lat_text: str, lon_field: str, lat_field: str
 ) -> Tuple[float, float]:
-    lon = _finite_float(row, lon_field)
-    lat = _finite_float(row, lat_field)
+    lon = _finite_float(lon_text, lon_field)
+    lat = _finite_float(lat_text, lat_field)
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude {lon!r} out of range in {lon_field!r}")
     if not -90.0 <= lat <= 90.0:
@@ -154,25 +148,62 @@ def _coordinate(
     return lon, lat
 
 
-def _raw_text(row: Dict[str, Optional[str]]) -> str:
-    return ",".join("" if v is None else str(v) for v in row.values())
+def _integer(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid integer {field} {text!r}") from None
 
 
-def _dispatch_bad_row(
-    bad: QuarantinedRow, on_bad_row: Optional[BadRowSink]
-) -> None:
-    get_registry().counter("ingest.quarantined").inc()
-    if on_bad_row is None:
-        raise MalformedRowError(bad)
-    on_bad_row(bad)
+def _records(
+    path: PathLike,
+    fields: Sequence[str],
+    parse: Callable[..., T],
+    on_bad_row: Optional[BadRowSink] = None,
+) -> Iterator[T]:
+    """Validated records of a CSV file, one per data row.
+
+    ``parse`` receives the row's values of ``fields`` as positional
+    arguments and raises ``ValueError(reason)`` for a bad row.  A row
+    lacking one of ``fields`` is bad with reason ``missing column``,
+    naming the first such field, so list ``fields`` in the order
+    ``parse`` validates them.  A bad row goes to ``on_bad_row``, or
+    raises :class:`MalformedRowError` when there is no sink.  Blank
+    lines are skipped and not numbered.
+    """
+    reg = get_registry()
+    n_rows = reg.counter("ingest.rows")
+    n_quarantined = reg.counter("ingest.quarantined")
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        rows = (row for row in csv.reader(f) if row)
+        column = {name: k for k, name in enumerate(next(rows, []))}
+        index = [column.get(name, -1) for name in fields]
+        # Every row lacks a field the header lacks.
+        width = math.inf if -1 in index else max(index) + 1
+        pick = operator.itemgetter(*index)
+        for row_number, row in enumerate(rows, start=1):
+            n_rows.inc()
+            try:
+                if len(row) < width:
+                    first = next(
+                        i for i, k in enumerate(index) if not 0 <= k < len(row)
+                    )
+                    raise ValueError(f"missing column {fields[first]!r}")
+                record = parse(*pick(row))
+            except ValueError as exc:
+                bad = QuarantinedRow(row_number, str(exc), ",".join(row))
+                n_quarantined.inc()
+                if on_bad_row is None:
+                    raise MalformedRowError(path, bad) from None
+                on_bad_row(bad)
+                continue
+            yield record
 
 
 def _atomic_csv(path: PathLike, emit: "Callable[[Any], None]") -> None:
     """Build a CSV payload in memory and write it atomically.
 
-    ``csv.writer`` over ``StringIO`` emits the same ``\\r\\n``
-    terminators as the old ``open(path, "w", newline="")`` spelling, so
-    artifact bytes (hence checkpoint SHA-256 digests) are unchanged;
+    ``csv.writer`` emits ``\\r\\n`` terminators, and
     :func:`repro.ioutil.atomic_write_text` writes them without newline
     translation.  Artifacts here are modest (bounded corpora or epoch
     slices), so buffering whole files trades negligible memory for
@@ -199,16 +230,11 @@ def write_pois(path: PathLike, pois: Sequence[POI]) -> None:
     _atomic_csv(path, emit)
 
 
-def _poi_problem(header: Sequence[str], row: Sequence[str]) -> str:
-    """Why :func:`read_pois` rejected ``row`` (error path only)."""
-    record: Dict[str, Optional[str]] = dict(zip(header, row))
-    try:
-        for name in POI_FIELDS:
-            _require(record, name)
-        _coordinate(record, "lon", "lat")
-    except ValueError as exc:
-        return str(exc)
-    return f"invalid integer poi_id {record['poi_id']!r}"
+def _poi(
+    poi_id: str, lon: str, lat: str, major: str, minor: str, name: str
+) -> POI:
+    x, y = _coordinate(lon, lat, "lon", "lat")
+    return POI(_integer(poi_id, "poi_id"), x, y, major, minor, name)
 
 
 def read_pois(path: PathLike) -> List[POI]:
@@ -218,35 +244,7 @@ def read_pois(path: PathLike) -> List[POI]:
     the first bad record: a missing column, a non-integer ``poi_id``,
     or a coordinate that is unparseable, non-finite or out of range.
     """
-    out: List[POI] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        col = {name: k for k, name in enumerate(header)}
-        missing = any(name not in col for name in POI_FIELDS)
-        i_id, i_lon, i_lat, i_major, i_minor, i_name = (
-            col.get(name, 0) for name in POI_FIELDS
-        )
-        # Blank lines are skipped and not counted, as csv.DictReader does.
-        for row_number, row in enumerate((r for r in reader if r), start=1):
-            # Fast path; _poi_problem works out the reason for a failure.
-            try:
-                if missing:
-                    raise ValueError
-                lon = float(row[i_lon])
-                lat = float(row[i_lat])
-                # The chained comparison is False for NaN and +-inf too.
-                if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-                    raise ValueError
-                poi_id = int(row[i_id])
-                out.append(
-                    POI(poi_id, lon, lat, row[i_major], row[i_minor], row[i_name])
-                )
-            except (ValueError, IndexError):
-                reason = _poi_problem(header, row)
-                bad = QuarantinedRow(row_number, reason, ",".join(row))
-                _dispatch_bad_row(bad, None)
-    return out
+    return list(_records(path, POI_FIELDS, _poi))
 
 
 # -- taxi trips ---------------------------------------------------------------
@@ -255,6 +253,14 @@ TRIP_FIELDS = [
     "trip_id", "passenger_id",
     "pickup_lon", "pickup_lat", "pickup_t",
     "dropoff_lon", "dropoff_lat", "dropoff_t",
+    "pickup_truth", "dropoff_truth",
+]
+
+#: :data:`TRIP_FIELDS` in the order :func:`_trip` validates them.
+_TRIP_CHECKS = [
+    "trip_id", "passenger_id",
+    "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat",
+    "pickup_t", "dropoff_t",
     "pickup_truth", "dropoff_truth",
 ]
 
@@ -277,39 +283,33 @@ def write_trips(path: PathLike, trips: Iterable[TaxiTrip]) -> None:
     _atomic_csv(path, emit)
 
 
-def _parse_trip(row: Dict[str, Optional[str]]) -> TaxiTrip:
-    """One validated trip record; raises ``ValueError`` with the reason."""
-    trip_text = _require(row, "trip_id")
-    try:
-        trip_id = int(trip_text)
-    except ValueError:
-        raise ValueError(f"invalid integer trip_id {trip_text!r}") from None
-    pid_text = _require(row, "passenger_id")
-    if pid_text == "":
-        passenger_id: Optional[int] = None
-    else:
-        try:
-            passenger_id = int(pid_text)
-        except ValueError:
-            raise ValueError(
-                f"invalid integer passenger_id {pid_text!r}"
-            ) from None
-    pickup_lon, pickup_lat = _coordinate(row, "pickup_lon", "pickup_lat")
-    dropoff_lon, dropoff_lat = _coordinate(row, "dropoff_lon", "dropoff_lat")
-    pickup_t = _finite_float(row, "pickup_t")
-    dropoff_t = _finite_float(row, "dropoff_t")
-    if dropoff_t < pickup_t:
+def _trip(
+    trip_id: str, passenger_id: str,
+    pickup_lon: str, pickup_lat: str, dropoff_lon: str, dropoff_lat: str,
+    pickup_t: str, dropoff_t: str,
+    pickup_truth: str, dropoff_truth: str,
+) -> TaxiTrip:
+    tid = _integer(trip_id, "trip_id")
+    pid = _integer(passenger_id, "passenger_id") if passenger_id else None
+    p_lon, p_lat = _coordinate(
+        pickup_lon, pickup_lat, "pickup_lon", "pickup_lat"
+    )
+    d_lon, d_lat = _coordinate(
+        dropoff_lon, dropoff_lat, "dropoff_lon", "dropoff_lat"
+    )
+    p_t = _finite_float(pickup_t, "pickup_t")
+    d_t = _finite_float(dropoff_t, "dropoff_t")
+    if d_t < p_t:
         raise ValueError(
-            f"negative dwell: dropoff_t {dropoff_t!r} precedes "
-            f"pickup_t {pickup_t!r}"
+            f"negative dwell: dropoff_t {d_t!r} precedes pickup_t {p_t!r}"
         )
     return TaxiTrip(
-        trip_id=trip_id,
-        passenger_id=passenger_id,
-        pickup=StayPoint(pickup_lon, pickup_lat, pickup_t),
-        dropoff=StayPoint(dropoff_lon, dropoff_lat, dropoff_t),
-        pickup_truth=_require(row, "pickup_truth"),
-        dropoff_truth=_require(row, "dropoff_truth"),
+        trip_id=tid,
+        passenger_id=pid,
+        pickup=StayPoint(p_lon, p_lat, p_t),
+        dropoff=StayPoint(d_lon, d_lat, d_t),
+        pickup_truth=pickup_truth,
+        dropoff_truth=dropoff_truth,
     )
 
 
@@ -322,35 +322,9 @@ def iter_trips(
     or out-of-range coordinates, negative dwell (``dropoff_t <
     pickup_t``) — go to ``on_bad_row`` with their 1-based data-row
     number and a reason; without a sink the first bad row raises
-    :class:`MalformedRowError`.  Emits ``ingest.rows`` /
-    ``ingest.quarantined`` counters through :mod:`repro.obs`.
+    :class:`MalformedRowError`.  The file is read lazily, row by row.
     """
-    reg = get_registry()
-    rows = reg.counter("ingest.rows")
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row_number, row in enumerate(reader, start=1):
-            rows.inc()
-            try:
-                trip = _parse_trip(row)
-            except ValueError as exc:
-                _dispatch_bad_row(
-                    QuarantinedRow(row_number, str(exc), _raw_text(row)),
-                    on_bad_row,
-                )
-                continue
-            yield trip
-
-
-def read_trips(
-    path: PathLike, on_bad_row: Optional[BadRowSink] = None
-) -> List[TaxiTrip]:
-    """Read taxi trips written by :func:`write_trips`.
-
-    Strict by default: raises :class:`MalformedRowError` on the first
-    invalid record; pass ``on_bad_row`` to quarantine instead.
-    """
-    return list(iter_trips(path, on_bad_row))
+    return _records(path, _TRIP_CHECKS, _trip, on_bad_row)
 
 
 # -- semantic trajectories -----------------------------------------------------
@@ -386,102 +360,35 @@ def write_semantic_trajectories(
     _atomic_csv(path, emit)
 
 
-def _parse_traj_row(
-    row: Dict[str, Optional[str]]
+def _stay(
+    traj_id: str, order: str, lon: str, lat: str, t: str, semantics: str
 ) -> Tuple[int, int, Optional[StayPoint]]:
     """``(traj_id, order, stay_point)``; empty-trajectory markers parse
     to ``(traj_id, -1, None)``."""
-    traj_text = _require(row, "traj_id")
-    try:
-        traj_id = int(traj_text)
-    except ValueError:
-        raise ValueError(f"invalid integer traj_id {traj_text!r}") from None
-    order_text = _require(row, "order")
-    if order_text == _EMPTY_TRAJ_ORDER:
-        return traj_id, -1, None
-    try:
-        order = int(order_text)
-    except ValueError:
-        raise ValueError(f"invalid integer order {order_text!r}") from None
-    if order < 0:
-        raise ValueError(f"negative order {order!r}")
-    lon, lat = _coordinate(row, "lon", "lat")
-    t = _finite_float(row, "t")
-    sp = StayPoint(lon, lat, t, _str_to_tags(_require(row, "semantics")))
-    return traj_id, order, sp
+    tid = _integer(traj_id, "traj_id")
+    if order == _EMPTY_TRAJ_ORDER:
+        return tid, -1, None
+    position = _integer(order, "order")
+    if position < 0:
+        raise ValueError(f"negative order {position!r}")
+    x, y = _coordinate(lon, lat, "lon", "lat")
+    sp = StayPoint(x, y, _finite_float(t, "t"), _str_to_tags(semantics))
+    return tid, position, sp
 
 
-def iter_semantic_trajectories(
-    path: PathLike, on_bad_row: Optional[BadRowSink] = None
-) -> Iterator[SemanticTrajectory]:
-    """Stream trajectories written by :func:`write_semantic_trajectories`.
-
-    Rows belonging to one trajectory must be contiguous in the file (as
-    the writer emits them); stay points are ordered by their ``order``
-    column within each trajectory.  Validation and quarantine semantics
-    match :func:`iter_trips`.  A quarantined row drops only that stay
-    point, never the whole trajectory.
-    """
-    reg = get_registry()
-    rows = reg.counter("ingest.rows")
-    current_id: Optional[int] = None
-    current: List[Tuple[int, StayPoint]] = []
-
-    def flush(traj_id: int) -> SemanticTrajectory:
-        current.sort(key=lambda pair: pair[0])
-        return SemanticTrajectory(traj_id, [sp for _o, sp in current])
-
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row_number, row in enumerate(reader, start=1):
-            rows.inc()
-            try:
-                traj_id, order, sp = _parse_traj_row(row)
-            except ValueError as exc:
-                _dispatch_bad_row(
-                    QuarantinedRow(row_number, str(exc), _raw_text(row)),
-                    on_bad_row,
-                )
-                continue
-            if traj_id != current_id:
-                if current_id is not None:
-                    yield flush(current_id)
-                current_id = traj_id
-                current = []
-            if sp is not None:
-                current.append((order, sp))
-    if current_id is not None:
-        yield flush(current_id)
-
-
-def read_semantic_trajectories(
-    path: PathLike, on_bad_row: Optional[BadRowSink] = None
-) -> List[SemanticTrajectory]:
+def read_semantic_trajectories(path: PathLike) -> List[SemanticTrajectory]:
     """Read trajectories written by :func:`write_semantic_trajectories`.
 
-    Unlike the streaming iterator this loader tolerates rows of one
-    trajectory being scattered through the file: trajectories are
-    ordered by id and stay points by ``order``.  Zero-stay-point
-    trajectories written by the marker row are preserved.
+    Rows of one trajectory may be scattered through the file:
+    trajectories are ordered by id and stay points by ``order``.
+    Zero-stay-point trajectories written by the marker row are
+    preserved.  Raises :class:`MalformedRowError` on the first bad row.
     """
-    reg = get_registry()
-    rows = reg.counter("ingest.rows")
     by_id: Dict[int, List[Tuple[int, StayPoint]]] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row_number, row in enumerate(reader, start=1):
-            rows.inc()
-            try:
-                traj_id, order, sp = _parse_traj_row(row)
-            except ValueError as exc:
-                _dispatch_bad_row(
-                    QuarantinedRow(row_number, str(exc), _raw_text(row)),
-                    on_bad_row,
-                )
-                continue
-            slot = by_id.setdefault(traj_id, [])
-            if sp is not None:
-                slot.append((order, sp))
+    for traj_id, order, sp in _records(path, TRAJ_FIELDS, _stay):
+        slot = by_id.setdefault(traj_id, [])
+        if sp is not None:
+            slot.append((order, sp))
     out: List[SemanticTrajectory] = []
     for traj_id in sorted(by_id):
         pairs = sorted(by_id[traj_id], key=lambda pair: pair[0])

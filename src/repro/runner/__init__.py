@@ -1,7 +1,7 @@
 """repro.runner — fault-tolerant, resumable pipeline execution.
 
 The robustness layer over the Pervasive Miner stages: streaming
-validated ingestion with record quarantine (``repro.data.io.iter_*`` +
+validated ingestion with record quarantine (``repro.data.io.iter_trips`` +
 :class:`Quarantine`), checkpoints with a strict-JSON manifest,
 crash/resume with bit-identical results, and retry-with-backoff
 checkpoint writes.  Both runners

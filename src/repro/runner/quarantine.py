@@ -9,8 +9,8 @@ the raw text, so the run completes *and* the loss is fully auditable
 (and re-ingestable after repair).
 
 The writer implements the :data:`repro.data.io.BadRowSink` protocol —
-pass ``quarantine.sink("trips.csv")`` as ``on_bad_row`` to any
-``iter_*`` reader.
+pass ``quarantine.sink("trips.csv")`` as ``on_bad_row`` to
+:func:`repro.data.io.iter_trips`.
 """
 
 from __future__ import annotations

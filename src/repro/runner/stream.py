@@ -388,7 +388,7 @@ class StreamRunner:
             if skipping:
                 return
             if self.on_bad_row is None:
-                raise MalformedRowError(row)
+                raise MalformedRowError(self.trips_path, row)
             self.on_bad_row(row)
 
         stream = iter_trips(self.trips_path, on_bad_row=guarded_sink)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.serve.batcher import BatcherClosed, MicroBatcher, ServerOverloaded
 from repro.serve.cache import CacheKey, CellCache
-from repro.serve.server import CSDHTTPServer, make_server, run_server
+from repro.serve.server import CSDHTTPServer, make_server
 from repro.serve.service import RecognitionService, ServeConfig
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "ServeConfig",
     "ServerOverloaded",
     "make_server",
-    "run_server",
 ]

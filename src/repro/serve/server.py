@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
@@ -333,16 +332,3 @@ def make_server(
     """
     return CSDHTTPServer((host, port), service, quiet=quiet)
 
-
-def run_server(
-    server: CSDHTTPServer, *, in_thread: bool = False
-) -> Optional[threading.Thread]:
-    """Serve until shutdown; optionally on a named background thread."""
-    if not in_thread:
-        server.serve_forever()
-        return None
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-serve-http", daemon=True
-    )
-    thread.start()
-    return thread

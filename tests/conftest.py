@@ -66,6 +66,19 @@ def diagram_key(csd):
     )
 
 
+def fine_key(patterns):
+    """Exact content of fine-grained patterns, for equality checks."""
+    return [
+        (
+            p.items,
+            tuple(p.member_ids),
+            tuple(p.representatives),
+            tuple(tuple(group) for group in p.groups),
+        )
+        for p in patterns
+    ]
+
+
 @pytest.fixture(scope="session")
 def small_city():
     return CityModel.generate(extent_m=3_000.0, block_size_m=400.0, seed=3)

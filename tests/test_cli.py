@@ -201,6 +201,84 @@ class TestRun:
         assert args.quarantine is None
 
 
+def with_bad_row(source, target, row):
+    """Copy ``source`` with ``row`` inserted as data row 3."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, row)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+class TestMalformedInput:
+    """A malformed row that no quarantine takes ends the command with
+    exit 1 and one stderr line naming the file, row and reason."""
+
+    BAD_POI = "77,abc,31.0,Restaurant,Cafe,x"
+    BAD_TRIP = "9999,,121.0,31.0,500.0,121.0,31.0,100.0,R,R"
+
+    @pytest.fixture(scope="class")
+    def base_csd(self, data_dir, tmp_path_factory):
+        saved = tmp_path_factory.mktemp("cli-base") / "csd.json"
+        assert main([
+            "build-csd", "--pois", str(data_dir / "pois.csv"),
+            "--trips", str(data_dir / "trips.csv"), "--save", str(saved),
+        ]) == 0
+        return saved
+
+    @pytest.mark.parametrize("command", ["build-csd", "mine", "evaluate"])
+    @pytest.mark.parametrize(
+        "bad_file, reason",
+        [
+            ("pois", "invalid float 'abc' in column 'lon'"),
+            ("trips", "negative dwell"),
+        ],
+    )
+    def test_batch_commands(
+        self, data_dir, tmp_path, capsys, command, bad_file, reason
+    ):
+        paths = {
+            "pois": data_dir / "pois.csv", "trips": data_dir / "trips.csv"
+        }
+        paths[bad_file] = with_bad_row(
+            paths[bad_file], tmp_path / f"bad-{bad_file}.csv",
+            self.BAD_POI if bad_file == "pois" else self.BAD_TRIP,
+        )
+        rc = main([
+            command, "--pois", str(paths["pois"]),
+            "--trips", str(paths["trips"]),
+        ])
+        self.assert_reported(rc, capsys, paths[bad_file], reason)
+
+    @pytest.mark.parametrize("command", ["run", "stream"])
+    def test_runners_on_bad_pois(
+        self, data_dir, base_csd, tmp_path, capsys, command
+    ):
+        pois = with_bad_row(
+            data_dir / "pois.csv", tmp_path / "bad-pois.csv", self.BAD_POI
+        )
+        argv = [
+            command, "--pois", str(pois),
+            "--trips", str(data_dir / "trips.csv"),
+            "--run-dir", str(tmp_path / "run"),
+        ]
+        if command == "stream":
+            argv += ["--csd", str(base_csd)]
+        rc = main(argv)
+        self.assert_reported(
+            rc, capsys, pois, "invalid float 'abc' in column 'lon'"
+        )
+
+    @staticmethod
+    def assert_reported(rc, capsys, path, reason):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err
+        assert "row 3" in err
+        assert reason in err
+
+
 class TestCheckins:
     def test_prints_both_cities(self, capsys):
         rc = main(["checkins", "--activities", "20000", "--top", "5"])

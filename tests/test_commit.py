@@ -28,13 +28,13 @@ CSD_CONFIG = CSDConfig(alpha=0.7)
 #: ``config_hash`` of a batch run with CSD_CONFIG and
 #: MiningConfig(support=10, rho=0.001).
 BATCH_CONFIG_HASH = (
-    "db6d12c14426da68f47b772c3cc20af23fd7acd110c24259f55131be434b756a"
+    "c02f1dc216aca043c71fecb2cac25aac296c3a6d9d5cebe99c043a9f14c76053"
 )
 #: ``config_hash`` of a stream run with CSD_CONFIG,
 #: MiningConfig(support=8, rho=0.001), window_epochs=3,
 #: staleness_threshold=0.01, epoch_trips=500 and poi_batch=100.
 STREAM_CONFIG_HASH = (
-    "fc06b83800c6b2dd2e1e640d69f4dce91b063346c3b06c9ca90a1b18046e0c2c"
+    "797e508d23b931a2a21b167ee9940c2dc35d6cbefe3211109670f5dc5e9df821"
 )
 
 

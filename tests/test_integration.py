@@ -8,11 +8,15 @@ from repro.data.io import (
     read_semantic_trajectories,
     write_semantic_trajectories,
 )
+from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import dominant_tag
 from repro.eval.metrics import (
     pattern_semantic_consistency,
     pattern_spatial_sparsity,
 )
+from repro.serve import RecognitionService, ServeConfig
+from repro.stream import StreamEngine
+from tests.conftest import fine_key
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +84,49 @@ class TestEndToEnd:
         back = read_semantic_trajectories(path)
         assert len(back) == 50
         assert back[0].stay_points == mining_result.recognized[0].stay_points
+
+
+def semantics_of(trajectories):
+    return [
+        (st.traj_id, [sp.semantics for sp in st.stay_points])
+        for st in trajectories
+    ]
+
+
+class TestOneAnswer:
+    """Batch, stream and serve give the same answer for the same input:
+    ``PervasiveMiner.mine``, one ``StreamEngine`` epoch holding every
+    trip, and ``RecognitionService.recognize_many`` over the same
+    diagram."""
+
+    def test_batch_stream_and_serve_agree(
+        self, small_csd, small_taxi, small_pois, small_csd_config
+    ):
+        mining = MiningConfig(support=8, rho=0.001)
+        trajectories = trips_to_mining_trajectories(small_taxi.trips)
+        batch = PervasiveMiner(small_csd_config, mining).mine(
+            small_pois, trajectories, csd=small_csd
+        )
+        engine = StreamEngine(
+            small_csd, small_csd_config, mining, window_epochs=1
+        )
+        epoch = engine.process_epoch(small_taxi.trips)
+        service = RecognitionService(
+            csd=small_csd,
+            config=ServeConfig(r3sigma_m=small_csd_config.r3sigma_m),
+        )
+        try:
+            served = service.recognize_many(
+                [(sp.lon, sp.lat) for st in trajectories
+                 for sp in st.stay_points]
+            )
+        finally:
+            service.close()
+
+        assert semantics_of(epoch.recognized) == semantics_of(batch.recognized)
+        assert served == [
+            sp.semantics for st in batch.recognized for sp in st.stay_points
+        ]
+        assert any(served), "the corpus must recognise some stays"
+        assert fine_key(engine.fine_patterns()) == fine_key(batch.patterns)
+        assert batch.patterns, "the fixture must emit fine-grained patterns"

@@ -5,11 +5,9 @@ import pytest
 from repro import obs
 from repro.data.io import (
     MalformedRowError,
-    iter_semantic_trajectories,
     iter_trips,
     read_pois,
     read_semantic_trajectories,
-    read_trips,
     write_pois,
     write_semantic_trajectories,
     write_trips,
@@ -85,14 +83,14 @@ class TestTripRoundTrip:
     def test_roundtrip(self, tmp_path, small_taxi):
         path = tmp_path / "trips.csv"
         write_trips(path, small_taxi.trips[:200])
-        back = read_trips(path)
+        back = list(iter_trips(path))
         assert back == small_taxi.trips[:200]
 
     def test_anonymous_passenger_roundtrip(self, tmp_path, small_taxi):
         anon = [t for t in small_taxi.trips if t.passenger_id is None][:5]
         path = tmp_path / "anon.csv"
         write_trips(path, anon)
-        back = read_trips(path)
+        back = list(iter_trips(path))
         assert all(t.passenger_id is None for t in back)
 
 
@@ -149,9 +147,6 @@ class TestTrajectoryRoundTrip:
         back = read_semantic_trajectories(path)
         assert [st.traj_id for st in back] == [0, 1, 2]
         assert [len(st.stay_points) for st in back] == [1, 0, 1]
-        streamed = list(iter_semantic_trajectories(path))
-        assert [st.traj_id for st in streamed] == [0, 1, 2]
-        assert [len(st.stay_points) for st in streamed] == [1, 0, 1]
 
     def test_scattered_rows_reassemble_in_order(self, tmp_path):
         """The whole-file loader tolerates interleaved trajectories."""
@@ -168,6 +163,28 @@ class TestTrajectoryRoundTrip:
         assert [st.traj_id for st in back] == [0, 1]
         assert [sp.t for sp in back[0].stay_points] == [0.0, 1.0]
         assert [sp.t for sp in back[1].stay_points] == [10.0, 11.0]
+
+
+class TestByteOrderMark:
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark;
+    the readers must see the first header name through it."""
+
+    @staticmethod
+    def with_bom(path):
+        bom = path.with_name("bom-" + path.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return bom
+
+    def test_poi_file(self, tmp_path, small_pois):
+        path = tmp_path / "pois.csv"
+        write_pois(path, small_pois[:50])
+        assert read_pois(self.with_bom(path)) == read_pois(path)
+
+    def test_trip_file(self, tmp_path, small_taxi):
+        path = tmp_path / "trips.csv"
+        write_trips(path, small_taxi.trips[:50])
+        bom = self.with_bom(path)
+        assert list(iter_trips(bom)) == list(iter_trips(path))
 
 
 def _trip_rows(rows):
@@ -216,32 +233,28 @@ class TestStreamingValidation:
             encoding="utf-8",
         )
         with pytest.raises(MalformedRowError, match="row 2"):
-            read_trips(path)
+            list(iter_trips(path))
+
+    def test_quarantined_raw_is_the_row_as_written(self, tmp_path):
+        """``raw`` holds a short or long row's own fields, and a short
+        row names the first column it lacks in validation order."""
+        short = "1,,121.0,31.0,100.0,121.0"
+        long = "x,,121.0,31.0,100.0,121.0,31.0,200.0,R,R,extra"
+        path = tmp_path / "trips.csv"
+        path.write_text(_trip_rows([short, long]), encoding="utf-8")
+        quarantined = []
+        assert list(iter_trips(path, on_bad_row=quarantined.append)) == []
+        assert [(q.row_number, q.reason, q.raw) for q in quarantined] == [
+            (1, "missing column 'dropoff_lat'", short),
+            (2, "invalid integer trip_id 'x'", long),
+        ]
 
     def test_equal_timestamps_are_a_legal_dwell(self, tmp_path):
         row = "0,,121.0,31.0,100.0,121.1,31.1,100.0,R,R"
         path = tmp_path / "trips.csv"
         path.write_text(_trip_rows([row]), encoding="utf-8")
-        trips = read_trips(path)
+        trips = list(iter_trips(path))
         assert trips[0].duration_s == 0.0
-
-    def test_bad_trajectory_stay_drops_point_not_trajectory(self, tmp_path):
-        path = tmp_path / "st.csv"
-        path.write_text(
-            "traj_id,order,lon,lat,t,semantics\n"
-            "0,0,121.0,31.0,0.0,A\n"
-            "0,1,broken,31.0,1.0,A\n"
-            "0,2,121.2,31.2,2.0,A\n",
-            encoding="utf-8",
-        )
-        quarantined = []
-        out = list(
-            iter_semantic_trajectories(path, on_bad_row=quarantined.append)
-        )
-        assert len(out) == 1
-        assert [sp.t for sp in out[0].stay_points] == [0.0, 2.0]
-        assert len(quarantined) == 1
-        assert quarantined[0].row_number == 2
 
     def test_ingest_counters_emitted(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -267,4 +280,19 @@ class TestStreamingValidation:
     def test_streaming_and_eager_readers_agree(self, tmp_path, small_taxi):
         path = tmp_path / "trips.csv"
         write_trips(path, small_taxi.trips[:100])
-        assert list(iter_trips(path)) == read_trips(path)
+        stream = iter_trips(path)
+        one_by_one = [next(stream) for _ in range(100)]
+        assert next(stream, None) is None
+        assert one_by_one == list(iter_trips(path)) == small_taxi.trips[:100]
+
+    def test_iter_trips_is_lazy(self, tmp_path, small_taxi):
+        """The first trip is yielded before the malformed last row is
+        reached."""
+        path = tmp_path / "trips.csv"
+        write_trips(path, small_taxi.trips[:100])
+        with open(path, "a", encoding="utf-8", newline="") as f:
+            f.write("not-an-int,,121.0,31.0,100.0,121.0,31.0,200.0,R,R\r\n")
+        stream = iter_trips(path)
+        assert next(stream) == small_taxi.trips[0]
+        with pytest.raises(MalformedRowError, match="row 101"):
+            list(stream)

@@ -38,7 +38,7 @@ from repro.ioutil import SimulatedCrash
 from repro.runner.stream import LATEST_CSD_NAME, STREAM_MANIFEST_NAME
 from repro.serve import RecognitionService
 from repro.stream import StreamEngine
-from tests.conftest import CrashAt, diagram_key
+from tests.conftest import CrashAt, diagram_key, fine_key
 
 
 def window_key(miner):
@@ -142,19 +142,6 @@ def stream_inputs(small_pois, small_trajectories, small_csd_config, small_city):
         small_pois[:n_base], stays, small_csd_config, small_city.projection
     )
     return base_csd, small_pois[n_base:]
-
-
-def fine_key(patterns):
-    """Exact content of fine-grained patterns, for equality checks."""
-    return [
-        (
-            p.items,
-            tuple(p.member_ids),
-            tuple(p.representatives),
-            tuple(tuple(group) for group in p.groups),
-        )
-        for p in patterns
-    ]
 
 
 def epoch_batches(items, n_epochs):
