@@ -1,11 +1,12 @@
-"""Shared coarse-pattern refinement scaffolding for Splitter and SDBSCAN.
+"""The combination sweep Splitter and SDBSCAN share.
 
-Both baselines follow the same recipe — PrefixSpan coarse patterns, an
-exchangeable per-position clustering step, and a combination sweep —
-and differ only in the clustering strategy (``labeler``).  Per the
-paper, the support threshold ``sigma``, temporal constraint ``delta_t``
-and density threshold ``rho`` are universal across all six approaches;
-here ``rho`` acts as a post-filter on the mean group density.
+Both baselines take Algorithm 4's front half from
+:mod:`repro.core.extraction` and replace its OPTICS step and seed sweep
+with an exchangeable per-position clusterer (``labeler``) and a count of
+label combinations; they differ only in the clusterer.  Per the paper,
+the support threshold ``sigma``, temporal constraint ``delta_t`` and
+density threshold ``rho`` are universal across all six approaches; here
+``rho`` acts as a post-filter on the mean group density.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ import numpy as np
 from repro.core.config import MiningConfig
 from repro.core.extraction import (
     FineGrainedPattern,
-    _projection_for,
-    _temporal_occurrence,
+    coarse_patterns,
+    matched_columns,
+    projection_for,
     representative_stay_point,
+    temporal_occurrences,
 )
-from repro.data.trajectory import SemanticTrajectory, StayPoint, as_tag_sequence
+from repro.data.trajectory import SemanticTrajectory
 from repro.geo.projection import LocalProjection
 from repro.geo.stats import spatial_density
-from repro.mining.prefixspan import prefixspan
 from repro.types import IndexArray, MetersArray
 
 #: A labeler maps the k-th matched points (metres) to cluster labels;
@@ -46,39 +48,16 @@ def refine_with_labeler(
     ``sigma`` members and mean group density at least ``rho`` survive.
     """
     if projection is None:
-        projection = _projection_for(database)
-    coarse = prefixspan(
-        [as_tag_sequence(st) for st in database],
-        min_support=config.support,
-        min_length=config.min_length,
-        max_length=config.max_length,
-    )
+        projection = projection_for(database)
     out: List[FineGrainedPattern] = []
-    for pattern in coarse:
-        occurrences: List[Tuple[int, Tuple[int, ...]]] = []
-        for seq_idx, _positions in pattern.occurrences:
-            matched = _temporal_occurrence(
-                database[seq_idx], pattern.items, config.delta_t_s
-            )
-            if matched is not None:
-                occurrences.append((seq_idx, matched))
+    for pattern in coarse_patterns(database, config):
+        occurrences = temporal_occurrences(
+            pattern, database, config.delta_t_s
+        )
         if len(occurrences) < config.support:
             continue
-
         m = len(pattern.items)
-        stays: List[List[StayPoint]] = []
-        xy: List[MetersArray] = []
-        for k in range(m):
-            column = [
-                database[seq_idx][positions[k]]
-                for seq_idx, positions in occurrences
-            ]
-            stays.append(column)
-            xy.append(
-                projection.to_meters_array(
-                    [(sp.lon, sp.lat) for sp in column]
-                )
-            )
+        stays, xy = matched_columns(occurrences, database, projection)
         labels = [labeler(xy[k], config) for k in range(m)]
 
         combos: Dict[Tuple[int, ...], List[int]] = defaultdict(list)

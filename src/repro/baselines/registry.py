@@ -86,22 +86,18 @@ def run_approach(
     csd_config: Optional[CSDConfig] = None,
     mining_config: Optional[MiningConfig] = None,
     csd: Optional[CitySemanticDiagram] = None,
-    recognized: Optional[List[SemanticTrajectory]] = None,
 ) -> List[FineGrainedPattern]:
     """Run one approach end to end.
 
-    ``csd`` and ``recognized`` allow reuse across parameter sweeps: the
-    recognition output only depends on the recognizer, so a sweep over
-    mining parameters recognises once per recognizer.
+    A prebuilt ``csd`` skips the constructor of a CSD-based approach.
     """
     csd_config = csd_config or CSDConfig()
     mining_config = mining_config or MiningConfig()
     reg = get_registry()
     with reg.span("pipeline"):
-        if recognized is None:
-            recognized = recognize_for(
-                approach.recognizer, pois, trajectories, csd_config, csd
-            )
+        recognized = recognize_for(
+            approach.recognizer, pois, trajectories, csd_config, csd
+        )
         extractor = _EXTRACTORS[approach.extractor]
         with reg.span("extraction"):
             return extractor(recognized, mining_config)

@@ -3,41 +3,34 @@
 The hybrid algorithm the paper competes against: hot regions are
 detected by clustering the *stay points* (DBSCAN), and each stay point
 inside a hot region is annotated "based on the spatial overlapping
-examination" against the POI background.  Three annotation modes are
-provided:
+examination" against the POI background: it takes the tags of the POIs
+overlapping its own neighbourhood.  This is the per-point database
+query of [21]; in semantically complex areas nearby stay points see
+different POI subsets and get *different* tags — the "uncontrolled
+purity" / weak-consistency failure the paper attributes to ROI.
 
-- ``"overlap"`` (default) — each stay point takes the tags of the POIs
-  overlapping its own neighbourhood.  This is the per-point database
-  query of [21]; in semantically complex areas nearby stay points see
-  different POI subsets and get *different* tags — the "uncontrolled
-  purity" / weak-consistency failure the paper attributes to ROI.
-- ``"region-majority"`` — one label per region: the most common nearby
-  POI category.  Stable but coarse; mislabels mixed regions wholesale.
-- ``"region-union"`` — one label per region: every nearby category.
-
-Stay points outside all hot regions fall back to the nearest POI's tag
-within ``fallback_radius_m``.
+Stay points outside all hot regions, and those whose neighbourhood
+holds no POI, fall back to the nearest POI's tag within
+``fallback_radius_m``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.cluster.dbscan import dbscan
+from repro.core.recognition import attach_semantics
 from repro.data.poi import POI, poi_lonlat_array
 from repro.data.trajectory import (
     NO_SEMANTICS,
     SemanticProperty,
     SemanticTrajectory,
-    StayPoint,
 )
 from repro.geo.index import GridIndex
 from repro.geo.projection import LocalProjection
-from repro.types import Float64Array, IndexArray, MetersArray
-
-ANNOTATION_MODES = ("overlap", "region-majority", "region-union")
+from repro.types import Float64Array
 
 
 class ROIRecognizer:
@@ -50,41 +43,31 @@ class ROIRecognizer:
     eps_m / min_pts:
         DBSCAN parameters for hot-region detection over stay points.
     overlap_radius_m:
-        Per-point annotation radius in ``"overlap"`` mode, and the
-        vote radius of the region modes.
+        Per-point annotation radius.
     fallback_radius_m:
         Nearest-POI search radius for stay points outside all regions.
-    annotation:
-        One of :data:`ANNOTATION_MODES`.
     """
 
     def __init__(
         self,
         pois: Sequence[POI],
-        projection: Optional[LocalProjection] = None,
         eps_m: float = 100.0,
         min_pts: int = 10,
         overlap_radius_m: float = 50.0,
         fallback_radius_m: float = 100.0,
-        annotation: str = "overlap",
     ) -> None:
-        if annotation not in ANNOTATION_MODES:
-            raise ValueError(f"annotation must be one of {ANNOTATION_MODES}")
         if eps_m <= 0 or overlap_radius_m <= 0 or fallback_radius_m <= 0:
             raise ValueError("radii must be positive")
         if min_pts < 1:
             raise ValueError("min_pts must be at least 1")
         self.pois = list(pois)
         lonlat = poi_lonlat_array(self.pois)
-        if projection is None:
-            projection = LocalProjection.for_points(lonlat)
-        self.projection = projection
-        self.poi_xy = projection.to_meters_array(lonlat)
+        self.projection = LocalProjection.for_points(lonlat)
+        self.poi_xy = self.projection.to_meters_array(lonlat)
         self.eps_m = eps_m
         self.min_pts = min_pts
         self.overlap_radius_m = overlap_radius_m
         self.fallback_radius_m = fallback_radius_m
-        self.annotation = annotation
         self._poi_index = GridIndex(self.poi_xy, cell_size=100.0)
 
     def recognize(
@@ -105,29 +88,13 @@ class ROIRecognizer:
             if len(stays)
             else np.empty(0, dtype=np.int64)
         )
-        region_tags: Dict[int, SemanticProperty] = {}
-        if self.annotation != "overlap":
-            region_tags = self._annotate_regions(stay_xy, labels)
-
-        out: List[SemanticTrajectory] = []
-        cursor = 0
-        for st in trajectories:
-            new_stays: List[StayPoint] = []
-            for sp in st.stay_points:
-                label = int(labels[cursor])
-                xy = stay_xy[cursor]
-                cursor += 1
-                if label == -1:
-                    semantics = self._nearest_poi_tags(xy)
-                elif self.annotation == "overlap":
-                    semantics = self._overlap_tags(xy)
-                else:
-                    semantics = region_tags.get(label, NO_SEMANTICS)
-                if not semantics:
-                    semantics = self._nearest_poi_tags(xy)
-                new_stays.append(sp.with_semantics(semantics))
-            out.append(SemanticTrajectory(st.traj_id, new_stays))
-        return out
+        props: List[SemanticProperty] = []
+        for label, xy in zip(labels, stay_xy):
+            semantics = (
+                self._overlap_tags(xy) if label != -1 else NO_SEMANTICS
+            )
+            props.append(semantics or self._nearest_poi_tags(xy))
+        return attach_semantics(trajectories, props)
 
     # -- internals -------------------------------------------------------
 
@@ -139,31 +106,6 @@ class ROIRecognizer:
         if len(hits) == 0:
             return NO_SEMANTICS
         return frozenset(self.pois[int(i)].major for i in hits)
-
-    def _annotate_regions(
-        self, stay_xy: MetersArray, labels: IndexArray
-    ) -> Dict[int, SemanticProperty]:
-        """Region id -> one semantic attribute from nearby POI votes."""
-        counts_by_region: Dict[int, Dict[str, int]] = {}
-        for (x, y), label in zip(stay_xy, labels):
-            if label == -1:
-                continue
-            bucket = counts_by_region.setdefault(int(label), {})
-            for poi_idx in self._poi_index.query_radius(
-                x, y, self.overlap_radius_m
-            ):
-                tag = self.pois[int(poi_idx)].major
-                bucket[tag] = bucket.get(tag, 0) + 1
-        out: Dict[int, SemanticProperty] = {}
-        for region, counts in counts_by_region.items():
-            if not counts:
-                continue
-            if self.annotation == "region-majority":
-                top = min(counts, key=lambda t: (-counts[t], t))
-                out[region] = frozenset((top,))
-            else:
-                out[region] = frozenset(counts)
-        return out
 
     def _nearest_poi_tags(self, xy: Float64Array) -> SemanticProperty:
         hits = self._poi_index.query_radius(

@@ -22,8 +22,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import MiningConfig
-from repro.core.extraction import FineGrainedPattern, representative_stay_point
-from repro.data.trajectory import SemanticTrajectory, StayPoint
+from repro.core.extraction import (
+    FineGrainedPattern,
+    Occurrence,
+    matched_columns,
+    projection_for,
+    representative_stay_point,
+)
+from repro.data.trajectory import SemanticTrajectory
 from repro.geo.projection import LocalProjection
 from repro.mining.prefixspan import prefixspan
 from repro.types import Float64Array, MetersArray
@@ -110,12 +116,7 @@ def tpattern_extract(
     """
     config = config or MiningConfig()
     if projection is None:
-        lonlat = [
-            (sp.lon, sp.lat) for st in database for sp in st.stay_points
-        ]
-        if not lonlat:
-            raise ValueError("cannot mine an empty trajectory database")
-        projection = LocalProjection.for_points(lonlat)
+        projection = projection_for(database)
 
     all_xy = [
         projection.to_meters_array([(sp.lon, sp.lat) for sp in st.stay_points])
@@ -143,7 +144,7 @@ def tpattern_extract(
     )
     out: List[FineGrainedPattern] = []
     for pattern in coarse:
-        members: List[Tuple[int, Tuple[int, ...]]] = []
+        members: List[Occurrence] = []
         for seq_idx, positions in pattern.occurrences:
             times = [database[seq_idx][p].t for p in positions]
             if all(
@@ -153,22 +154,14 @@ def tpattern_extract(
                 members.append((seq_idx, positions))
         if len(members) < config.support:
             continue
-        groups: List[List[StayPoint]] = []
-        reps: List[StayPoint] = []
-        for k in range(len(pattern.items)):
-            group = [
-                database[seq_idx][positions[k]]
-                for seq_idx, positions in members
-            ]
-            xy = projection.to_meters_array(
-                [(sp.lon, sp.lat) for sp in group]
-            )
-            groups.append(group)
-            reps.append(representative_stay_point(group, xy))
+        groups, xy = matched_columns(members, database, projection)
         out.append(
             FineGrainedPattern(
                 items=pattern.items,
-                representatives=reps,
+                representatives=[
+                    representative_stay_point(group, group_xy)
+                    for group, group_xy in zip(groups, xy)
+                ],
                 member_ids=[seq_idx for seq_idx, _p in members],
                 groups=groups,
             )

@@ -5,14 +5,14 @@ configuration of distance threshold": it starts from a default maximum
 distance and the support threshold as the minimum cluster size, computes
 the reachability ordering, and then picks a distance cut with
 sufficiently high density.  We implement the classic ordering pass plus
-two extraction strategies:
+two extractions from its reachability plot:
 
+- :func:`extract_valley_clusters` — the per-cluster adaptive cut the
+  miner uses (through :func:`optics_auto_clusters`): the plot is split
+  at dominant peaks until every valley is one cluster;
 - :func:`extract_dbscan_clustering` — the standard DBSCAN-equivalent cut
-  at a caller-supplied ``eps'``;
-- :func:`auto_threshold` — the self-tuning cut used by the miner: a
-  robust multiple of the median finite reachability, which lands inside
-  the valley between intra-cluster distances (tens of metres here) and
-  inter-cluster jumps (hundreds of metres).
+  at a caller-supplied ``eps'``, which the tests use to check the
+  ordering against an independent DBSCAN.
 """
 
 from __future__ import annotations
@@ -164,20 +164,6 @@ def extract_dbscan_clustering(
         else:
             labels[idx] = cluster_id
     return labels
-
-
-def auto_threshold(result: OpticsResult, factor: float = 3.0) -> float:
-    """Self-tuning ``eps'``: ``factor`` times the median finite reachability.
-
-    Intra-cluster reachabilities dominate the finite part of the plot for
-    dense data, so a small multiple of their median sits in the valley
-    below the inter-cluster jumps.  Falls back to 1.0 m when nothing is
-    reachable (all-noise input).
-    """
-    finite = result.reachability[np.isfinite(result.reachability)]
-    if len(finite) == 0:
-        return 1.0
-    return float(np.median(finite) * factor)
 
 
 def extract_valley_clusters(

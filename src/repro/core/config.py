@@ -75,8 +75,8 @@ class MiningConfig:
     min_length: int = 2             # shortest pattern to report
     max_length: int = 5             # PrefixSpan recursion bound
     optics_max_eps_m: float = 1_000.0  # OPTICS default maximum distance
-    #: eps' = factor x median finite reachability (self-tuning cut of
-    #: Algorithm 4's OPTICS step).
+    #: Valley split ratio of Algorithm 4's OPTICS step: a reachability
+    #: peak above factor x the segment median splits the cluster.
     optics_threshold_factor: float = 3.0
 
     def __post_init__(self) -> None:

@@ -245,10 +245,7 @@ def build_csd(
     stay_xy = projection.to_meters_array(stay_lonlat)
     with reg.timer("constructor.popularity"):
         popularity = compute_popularity(poi_xy, stay_xy, config.r3sigma_m)
-    if config.semantic_level == "major":
-        tags = [p.major for p in pois]
-    else:
-        tags = [p.minor for p in pois]
+    tags = [p.tag(config.semantic_level) for p in pois]
 
     with reg.timer("constructor.clustering"):
         coarse, leftovers = popularity_based_clustering(

@@ -103,8 +103,7 @@ class CitySemanticDiagram:
 
     def poi_tag(self, poi_index: int) -> str:
         """The semantic tag of a POI at this diagram's granularity."""
-        poi = self.pois[poi_index]
-        return poi.major if self.tag_level == "major" else poi.minor
+        return self.pois[poi_index].tag(self.tag_level)
 
     # -- queries -------------------------------------------------------
 

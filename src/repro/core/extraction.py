@@ -17,7 +17,7 @@ each coarse pattern, CounterpartCluster:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,14 +68,9 @@ def counterpart_cluster(
     config = config or MiningConfig()
     reg = get_registry()
     if projection is None:
-        projection = _projection_for(database)
+        projection = projection_for(database)
     with reg.timer("extraction.prefixspan"):
-        coarse = prefixspan(
-            [as_tag_sequence(st) for st in database],
-            min_support=config.support,
-            min_length=config.min_length,
-            max_length=config.max_length,
-        )
+        coarse = coarse_patterns(database, config)
     out = refine_patterns(coarse, database, config, projection)
     if reg.enabled:
         reg.counter("extraction.sequences.mined").inc(len(database))
@@ -87,8 +82,8 @@ def counterpart_cluster(
 def refine_patterns(
     coarse: Sequence[FrequentSequence],
     database: Sequence[SemanticTrajectory],
-    config: Optional[MiningConfig] = None,
-    projection: Optional[LocalProjection] = None,
+    config: MiningConfig,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """Algorithm 4 refinement (lines 4-20) of pre-mined coarse patterns.
 
@@ -98,9 +93,6 @@ def refine_patterns(
     streaming pipeline's windowed miner, whose occurrences are keyed by
     stable sequence id — remap to positions first.
     """
-    config = config or MiningConfig()
-    if projection is None:
-        projection = _projection_for(database)
     out: List[FineGrainedPattern] = []
     with get_registry().timer("extraction.refinement"):
         for pattern in coarse:
@@ -110,15 +102,76 @@ def refine_patterns(
     return out
 
 
-def _projection_for(
+# -- Algorithm 4's front half, which every extractor of Section 5 shares --
+
+
+def projection_for(
     database: Sequence[SemanticTrajectory],
 ) -> LocalProjection:
+    """The local metric projection anchored on ``database``'s stays;
+    raises ``ValueError`` on a database without stay points."""
     lonlat = [
         (sp.lon, sp.lat) for st in database for sp in st.stay_points
     ]
     if not lonlat:
         raise ValueError("cannot mine an empty trajectory database")
     return LocalProjection.for_points(lonlat)
+
+
+def coarse_patterns(
+    database: Sequence[SemanticTrajectory], config: MiningConfig
+) -> List[FrequentSequence]:
+    """Line 2: PrefixSpan's frequent tag sequences of ``database``,
+    occurrences keyed by positional index."""
+    return prefixspan(
+        [as_tag_sequence(st) for st in database],
+        min_support=config.support,
+        min_length=config.min_length,
+        max_length=config.max_length,
+    )
+
+
+#: A supporter's index into the database and its matched positions.
+Occurrence = Tuple[int, Tuple[int, ...]]
+
+
+def temporal_occurrences(
+    coarse: FrequentSequence,
+    database: Sequence[SemanticTrajectory],
+    delta_t_s: float,
+) -> List[Occurrence]:
+    """The supporters of ``coarse`` re-matched under the temporal
+    constraint; a supporter with no time-feasible occurrence drops out.
+    """
+    out: List[Occurrence] = []
+    for seq_idx, _positions in coarse.occurrences:
+        matched = _temporal_occurrence(
+            database[seq_idx], coarse.items, delta_t_s
+        )
+        if matched is not None:
+            out.append((seq_idx, matched))
+    return out
+
+
+def matched_columns(
+    occurrences: Sequence[Occurrence],
+    database: Sequence[SemanticTrajectory],
+    projection: LocalProjection,
+) -> Tuple[List[List[StayPoint]], List[MetersArray]]:
+    """The matched stay points at each pattern position ``k``, in
+    ``occurrences`` order, and their ``(n, 2)`` metre coordinates."""
+    stays = [
+        [
+            database[seq_idx][position]
+            for (seq_idx, _), position in zip(occurrences, column)
+        ]
+        for column in zip(*(positions for _, positions in occurrences))
+    ]
+    xy = [
+        projection.to_meters_array([(sp.lon, sp.lat) for sp in column])
+        for column in stays
+    ]
+    return stays, xy
 
 
 def _temporal_occurrence(
@@ -163,15 +216,7 @@ def _refine_coarse_pattern(
     """The per-pattern body of Algorithm 4 (lines 4-20)."""
     m = len(coarse.items)
     reg = get_registry()
-    # Re-match every supporter under the temporal constraint; supporters
-    # with no time-feasible occurrence drop out of the coarse pattern.
-    occurrences = []
-    for seq_idx, _positions in coarse.occurrences:
-        matched = _temporal_occurrence(
-            database[seq_idx], coarse.items, config.delta_t_s
-        )
-        if matched is not None:
-            occurrences.append((seq_idx, matched))
+    occurrences = temporal_occurrences(coarse, database, config.delta_t_s)
     n_occ = len(occurrences)
     if reg.enabled:
         reg.counter("extraction.supporters.dropped_temporal").inc(
@@ -182,20 +227,7 @@ def _refine_coarse_pattern(
             reg.counter("extraction.patterns.pruned").inc(1)
         return []
 
-    # Matched stay points and their metre coordinates, per position k.
-    stays: List[List[StayPoint]] = []
-    xy: List[MetersArray] = []
-    times = np.empty((n_occ, m), dtype=np.float64)
-    for k in range(m):
-        column = [
-            database[seq_idx][positions[k]]
-            for seq_idx, positions in occurrences
-        ]
-        stays.append(column)
-        xy.append(
-            projection.to_meters_array([(sp.lon, sp.lat) for sp in column])
-        )
-        times[:, k] = [sp.t for sp in column]
+    stays, xy = matched_columns(occurrences, database, projection)
 
     # Line 6: OPTICS clusters of the k-th points, min size = sigma.
     labels = [
@@ -227,7 +259,7 @@ def _refine_coarse_pattern(
                 candidates = {
                     j
                     for j in candidates
-                    if times[j, k] - times[j, k - 1] <= config.delta_t_s
+                    if stays[k][j].t - stays[k - 1][j].t <= config.delta_t_s
                 }
             group_xy = xy[k][sorted(candidates)]
             if spatial_density(group_xy) < config.rho:

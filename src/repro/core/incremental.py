@@ -142,7 +142,7 @@ class IncrementalCSD:
     # -- updates ---------------------------------------------------------
 
     def _tag(self, poi: POI) -> str:
-        return poi.major if self.base.tag_level == "major" else poi.minor
+        return poi.tag(self.base.tag_level)
 
     def add_poi(self, poi: POI, popularity: float = 0.0) -> int:
         """Insert one POI; returns its unit id or ``UNASSIGNED``.

@@ -44,6 +44,10 @@ class POI:
         """Semantic property: the major category as a one-tag set."""
         return frozenset((self.major,))
 
+    def tag(self, level: str) -> str:
+        """The category at semantic ``level``, ``"major"`` or ``"minor"``."""
+        return self.major if level == "major" else self.minor
+
     def lonlat(self) -> LonLat:
         return (self.lon, self.lat)
 

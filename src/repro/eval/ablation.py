@@ -32,7 +32,7 @@ from repro.core.extraction import counterpart_cluster
 from repro.core.merging import flatten_units, merge_units
 from repro.core.popularity import compute_popularity
 from repro.core.purification import purify
-from repro.core.recognition import CSDRecognizer
+from repro.core.recognition import CSDRecognizer, attach_semantics
 from repro.data.poi import POI
 from repro.data.trajectory import (
     NO_SEMANTICS,
@@ -69,7 +69,7 @@ def build_csd_ablated(
         if index is not None:
             for i, (x, y) in enumerate(poi_xy):
                 popularity[i] = index.count_within(x, y, config.r3sigma_m)
-    tags = [p.major for p in pois]
+    tags = [p.tag(config.semantic_level) for p in pois]
 
     clusters, leftovers = popularity_based_clustering(
         poi_xy, tags, popularity, config
@@ -90,7 +90,8 @@ def build_csd_ablated(
     unit_of[members] = owner
     units = semantic_units(clusters, poi_xy, tags, popularity)
     return CitySemanticDiagram(
-        pois, projection, poi_xy, popularity, units, unit_of
+        pois, projection, poi_xy, popularity, units, unit_of,
+        tag_level=config.semantic_level,
     )
 
 
@@ -113,13 +114,14 @@ class NearestPOIRecognizer:
     def recognize(
         self, trajectories: Sequence[SemanticTrajectory]
     ) -> List[SemanticTrajectory]:
-        return [
-            SemanticTrajectory(
-                st.traj_id,
-                [sp.with_semantics(self.recognize_point(sp)) for sp in st],
-            )
-            for st in trajectories
-        ]
+        return attach_semantics(
+            trajectories,
+            [
+                self.recognize_point(sp)
+                for st in trajectories
+                for sp in st.stay_points
+            ],
+        )
 
 
 @dataclass

@@ -15,7 +15,9 @@ directory under one protocol:
   shapes the result, and the SHA-256 of every artifact it references;
 - **resume** reads the manifest (:func:`read_manifest`), refuses one
   written for a different computation, and trusts an artifact only
-  when it is intact (:func:`artifact_intact`).
+  when it is intact (:func:`artifact_intact`);
+- **after a commit**, the runner's artifacts it no longer references
+  are deleted (:func:`remove_unreferenced`).
 
 Faults are injected through :mod:`repro.ioutil`'s write hook
 (:func:`repro.ioutil.fault_hook`): a hook raising
@@ -30,7 +32,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, TypeVar
+from typing import Any, Callable, Collection, Dict, Mapping, Optional, TypeVar
 
 from repro.ioutil import file_sha256, strict_json_dump, strict_json_loads
 from repro.obs import get_registry
@@ -150,3 +152,13 @@ def read_manifest(
 def artifact_intact(path: Path, sha256: Optional[str]) -> bool:
     """True when ``path`` exists and its bytes hash to ``sha256``."""
     return path.exists() and file_sha256(path) == sha256
+
+
+def remove_unreferenced(
+    run_dir: Path, pattern: str, keep: Collection[str]
+) -> None:
+    """Delete the files in ``run_dir`` matching the glob ``pattern``
+    whose run-directory-relative names are not in ``keep``."""
+    for path in run_dir.glob(pattern):
+        if path.relative_to(run_dir).as_posix() not in keep:
+            path.unlink(missing_ok=True)

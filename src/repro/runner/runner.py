@@ -7,6 +7,7 @@ the first two steps, inside a run directory::
     run_dir/
       manifest.json     # config hash, input digest, artifact SHA-256s
       csd.json          # save_csd() after the constructor
+      pois-<sha256>.json  # the POI segment csd.json references
       recognized.csv    # write_semantic_trajectories() after recognition
       quarantine.csv    # malformed input rows (written by the caller)
 
@@ -63,6 +64,7 @@ from repro.runner.commit import (
     config_hash,
     parse_manifest_document,
     read_manifest,
+    remove_unreferenced,
     write_manifest,
 )
 
@@ -234,15 +236,17 @@ class PipelineRunner:
         return load(path)
 
     def _commit(
-        self, manifest: Manifest, artifact: str, save: Callable[[Path], None]
-    ) -> None:
+        self, manifest: Manifest, artifact: str, save: Callable[[Path], T]
+    ) -> T:
         """Write ``artifact`` with ``save``, then record its SHA-256 in
-        the manifest — that manifest write is the step's commit."""
+        the manifest — that manifest write is the step's commit.
+        Returns what ``save`` returned."""
         path = self.run_dir / artifact
-        checkpoint(lambda: save(path))
+        saved = checkpoint(lambda: save(path))
         manifest.artifacts[artifact] = file_sha256(path)
         self._save_manifest(manifest)
         get_registry().counter("pipeline.runner.stages.run").inc()
+        return saved
 
     # -- public API ----------------------------------------------------
 
@@ -298,8 +302,11 @@ class PipelineRunner:
                         sp for st in trajectories for sp in st.stay_points
                     ]
                     csd = self._miner.build_diagram(pois, stay_points)
-                self._commit(
+                segments = self._commit(
                     manifest, CSD_ARTIFACT, lambda path: save_csd(path, csd)
+                )
+                remove_unreferenced(
+                    self.run_dir, "pois-*.json", {s.file for s in segments}
                 )
 
             recognized = self._checkpointed(

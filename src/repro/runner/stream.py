@@ -25,10 +25,10 @@ Commit protocol, per epoch:
 3. atomically write the manifest referencing the new artifacts, with
    SHA-256 digests, consumed-input cursors, and the updater's online
    state (pending POIs, dirty units) — **this write is the commit**;
-4. best-effort cleanup of a superseded diagram document and retired
-   epochs, then, if the diagram changed, refresh the
-   ``csd-latest.json`` alias.  POI segments are never superseded
-   within a run, so cleanup never touches them.
+4. best-effort cleanup of the artifacts the manifest no longer
+   references — a superseded diagram document, retired epochs; POI
+   segments are never superseded within a run — then, if the diagram
+   changed, refresh the ``csd-latest.json`` alias.
 
 A run killed at any point resumes from the last committed epoch:
 ``resume=True`` reloads the diagram, restores the updater's online
@@ -37,6 +37,8 @@ the miner's maintenance invariant), and skips the consumed input rows.
 Every start, fresh or resumed, also republishes the alias when it is
 missing or does not match the committed diagram, so a crash between a
 commit and its alias copy never leaves a daemon on a stale diagram.
+It then runs step 4's cleanup, which also removes an earlier run's
+artifacts a fresh start replaces, and any a crash before step 4 leaked.
 Epoch processing is deterministic, so a replayed half-finished epoch
 rewrites byte-identical artifacts and the final patterns equal an
 uninterrupted run's — ``tools/crash_sweep.py`` asserts this at every
@@ -89,6 +91,7 @@ from repro.runner.commit import (
     config_hash,
     parse_manifest_document,
     read_manifest,
+    remove_unreferenced,
     write_manifest,
 )
 from repro.stream.engine import EpochResult, StreamEngine
@@ -366,6 +369,17 @@ class StreamRunner:
             lambda: ioutil.atomic_write(self.run_dir / LATEST_CSD_NAME, _copy)
         )
 
+    def _remove_unreferenced(self, manifest: StreamManifest) -> None:
+        """Delete the diagram documents, POI segments and epoch files
+        of this run directory that ``manifest`` does not reference."""
+        epochs = {record.artifact for record in manifest.epochs}
+        for pattern, keep in (
+            ("csd-[0-9]*.json", {manifest.csd_artifact}),
+            ("pois-*.json", {segment.file for segment in self._segments}),
+            (f"{EPOCH_DIR}/epoch-*.csv", epochs),
+        ):
+            remove_unreferenced(self.run_dir, pattern, keep)
+
     def _csd_artifact_name(self, committed_epochs: int) -> str:
         return f"csd-{committed_epochs:06d}.json"
 
@@ -428,6 +442,9 @@ class StreamRunner:
             self.run_dir / LATEST_CSD_NAME, manifest.csd_sha256
         ):
             self._publish_latest(manifest.csd_artifact)
+        # Only with the alias on the committed diagram may the segments
+        # an older alias referenced go.
+        self._remove_unreferenced(manifest)
         if reg.enabled:
             reg.gauge("stream.runner.resumed").set(1.0 if resuming else 0.0)
 
@@ -460,7 +477,6 @@ class StreamRunner:
                     )
                 )
                 epoch_sha = file_sha256(epoch_path)
-                superseded_csd = manifest.csd_artifact
                 if result.diagram_changed:
                     csd_artifact = self._csd_artifact_name(
                         result.epoch_index + 1
@@ -478,11 +494,6 @@ class StreamRunner:
                     sha256=epoch_sha,
                 )
                 live = set(engine.window_epoch_ids())
-                retired_records = [
-                    record
-                    for index, record in records.items()
-                    if index not in live
-                ]
                 records = {
                     index: record
                     for index, record in records.items()
@@ -502,12 +513,10 @@ class StreamRunner:
                 # until this atomic write lands.
                 self._save_manifest(manifest)
 
-            # Post-commit cleanup (best-effort; a crash here only
-            # leaks files the next cleanup cannot see).
-            if superseded_csd != manifest.csd_artifact:
-                (self.run_dir / superseded_csd).unlink(missing_ok=True)
-            for record in retired_records:
-                (self.run_dir / record.artifact).unlink(missing_ok=True)
+            # Post-commit cleanup of the superseded diagram document and
+            # retired epochs (a crash here leaks them until the next
+            # start).
+            self._remove_unreferenced(manifest)
             if result.diagram_changed:
                 self._publish_latest(manifest.csd_artifact)
 

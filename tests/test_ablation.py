@@ -1,5 +1,7 @@
 """Tests for the ablation harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import MiningConfig
@@ -34,16 +36,24 @@ class TestBuildAblated:
             sp for st in ablation_workload.trajectories
             for sp in st.stay_points
         ]
-        standard = build_csd(
-            ablation_workload.pois, stays,
-            ablation_workload.csd_config, ablation_workload.projection,
-        )
-        ablated = build_csd_ablated(
-            ablation_workload.pois, stays,
-            ablation_workload.csd_config, ablation_workload.projection,
-        )
-        assert ablated.n_units == standard.n_units
-        assert list(ablated.unit_of) == list(standard.unit_of)
+        for level in ("major", "minor"):
+            config = dataclasses.replace(
+                ablation_workload.csd_config, semantic_level=level
+            )
+            standard = build_csd(
+                ablation_workload.pois, stays,
+                config, ablation_workload.projection,
+            )
+            ablated = build_csd_ablated(
+                ablation_workload.pois, stays,
+                config, ablation_workload.projection,
+            )
+            assert ablated.tag_level == standard.tag_level == level
+            assert ablated.n_units == standard.n_units
+            assert list(ablated.unit_of) == list(standard.unit_of)
+            assert [u.semantic_distribution for u in ablated.units] == [
+                u.semantic_distribution for u in standard.units
+            ]
 
     def test_no_merging_assigns_fewer(self, ablation_workload):
         stays = [

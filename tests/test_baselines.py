@@ -53,26 +53,6 @@ class TestROIRecognizer:
         tags = out[0].stay_points[0].semantics
         assert tags == {"Restaurant", "Sports"}
 
-    def test_region_majority_mode(self):
-        pois = make_pois(121.47, "Restaurant", 8, 0) + make_pois(
-            121.4701, "Sports", 3, 8
-        )
-        rec = ROIRecognizer(
-            pois, eps_m=100, min_pts=5, annotation="region-majority"
-        )
-        out = rec.recognize(self._trajs(121.47))
-        assert out[0].stay_points[0].semantics == {"Restaurant"}
-
-    def test_region_union_mode(self):
-        pois = make_pois(121.47, "Restaurant", 8, 0) + make_pois(
-            121.4701, "Sports", 3, 8
-        )
-        rec = ROIRecognizer(
-            pois, eps_m=100, min_pts=5, annotation="region-union"
-        )
-        out = rec.recognize(self._trajs(121.47))
-        assert out[0].stay_points[0].semantics == {"Restaurant", "Sports"}
-
     def test_fallback_to_nearest_poi(self):
         pois = make_pois(121.47, "Restaurant", 5, 0)
         rec = ROIRecognizer(pois, eps_m=50, min_pts=30)  # no hot region
@@ -87,8 +67,6 @@ class TestROIRecognizer:
 
     def test_rejects_bad_args(self):
         pois = make_pois(121.47, "Restaurant", 3, 0)
-        with pytest.raises(ValueError):
-            ROIRecognizer(pois, annotation="nope")
         with pytest.raises(ValueError):
             ROIRecognizer(pois, eps_m=0)
         with pytest.raises(ValueError):

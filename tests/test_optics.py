@@ -5,7 +5,6 @@ import pytest
 
 from repro.cluster.dbscan import dbscan
 from repro.cluster.optics import (
-    auto_threshold,
     extract_dbscan_clustering,
     extract_valley_clusters,
     optics,
@@ -70,11 +69,6 @@ class TestExtraction:
         pts = make_blobs()
         labels = optics_auto_clusters(pts, min_pts=5, max_eps=1000)
         assert len(set(labels) - {-1}) == 3
-
-    def test_auto_threshold_fallback_on_unreachable(self):
-        pts = np.array([[0.0, 0.0], [1e6, 1e6]])
-        result = optics(pts, min_pts=2, max_eps=10.0)
-        assert auto_threshold(result) == 1.0
 
 
 class TestValleyExtraction:

@@ -49,7 +49,7 @@ class TestRunApproach:
     @pytest.mark.parametrize("extractor", ["PM", "Splitter", "SDBSCAN"])
     def test_csd_approaches_run(
         self, extractor, small_pois, small_trajectories, small_csd,
-        small_csd_config, small_mining_config, small_recognized,
+        small_csd_config, small_mining_config,
     ):
         patterns = run_approach(
             Approach("CSD", extractor),
@@ -57,7 +57,7 @@ class TestRunApproach:
             small_trajectories,
             small_csd_config,
             small_mining_config,
-            recognized=small_recognized,
+            csd=small_csd,
         )
         assert isinstance(patterns, list)
         for p in patterns:

@@ -23,6 +23,7 @@ from repro.core import recognition
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
+from repro.data.persistence import read_csd
 from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import SemanticTrajectory, StayPoint
 from repro.ioutil import SimulatedCrash, file_sha256
@@ -180,6 +181,21 @@ class TestCrashResume:
         assert pattern_key(result.patterns) == pattern_key(
             reference.patterns
         )
+
+    def test_fresh_run_removes_previous_run_segments(
+        self, tmp_path, small_pois, small_trajectories, workload
+    ):
+        """A fresh run over an old run directory leaves only the POI
+        segment its own diagram references."""
+        cc, mc, _ = workload
+        run_dir = tmp_path / "rerun"
+        PipelineRunner(run_dir, cc, mc).run(small_pois, small_trajectories)
+        half = small_pois[: len(small_pois) // 2]
+        PipelineRunner(run_dir, cc, mc).run(half, small_trajectories)
+        _, segments = read_csd(run_dir / CSD_ARTIFACT)
+        assert [p.name for p in run_dir.glob("pois-*.json")] == [
+            segment.file for segment in segments
+        ]
 
     def test_tampered_artifact_is_recomputed_not_trusted(
         self, tmp_path, small_pois, small_trajectories, workload

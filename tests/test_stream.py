@@ -465,6 +465,26 @@ class TestStreamRunner:
             run_dir / manifest.csd_artifact
         ).read_bytes()
 
+    def test_fresh_start_removes_previous_run_artifacts(
+        self, tmp_path, stream_run_files
+    ):
+        """Starting over in a finished run's directory leaves only what
+        the new manifest references: no older diagram documents, POI
+        segments or epoch files."""
+        run_dir = tmp_path / "run"
+        make_runner(run_dir, stream_run_files).run()
+        report = make_runner(run_dir, stream_run_files).run(max_epochs=0)
+        manifest, _ = final_state(run_dir, report)
+        _, segments = read_csd(run_dir / manifest.csd_artifact)
+        expected = {
+            STREAM_MANIFEST_NAME,
+            LATEST_CSD_NAME,
+            manifest.csd_artifact,
+            *(segment.file for segment in segments),
+        }
+        assert {p.name for p in run_dir.glob("*.json")} == expected
+        assert list((run_dir / "epochs").iterdir()) == []
+
     @pytest.mark.parametrize("nth", [1, 2])
     def test_resume_repairs_alias_after_crash_at_publish(
         self, tmp_path, stream_run_files, nth
