@@ -43,7 +43,7 @@ def test_dbscan_throughput(benchmark, cloud):
 
 
 def test_optics_throughput(benchmark, cloud):
-    labels = benchmark(optics_auto_clusters, cloud, 10, 1000.0)
+    labels = benchmark(optics_auto_clusters, cloud, 10)
     assert len(set(labels) - {-1}) >= 25
 
 

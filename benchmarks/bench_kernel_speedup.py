@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))  # the seed OPTICS oracle lives in tests/
 
 from repro import obs
-from repro.cluster.optics import optics
+from repro.cluster.optics import MAX_EPS_M, optics
 from repro.core import extraction
 from repro.core.config import MiningConfig
 from repro.core.constructor import popularity_based_clustering
@@ -123,9 +123,9 @@ def capture_optics_calls(recognized, mining_config, projection):
     calls = []
     wrapped = extraction.optics_auto_clusters
 
-    def recording(xy, min_pts, max_eps, threshold_factor):
-        calls.append((xy, min_pts, max_eps))
-        return wrapped(xy, min_pts, max_eps, threshold_factor)
+    def recording(xy, min_pts):
+        calls.append((xy, min_pts, MAX_EPS_M))
+        return wrapped(xy, min_pts)
 
     extraction.optics_auto_clusters = recording
     try:

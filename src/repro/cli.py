@@ -209,9 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"{quarantine.count} rows quarantined)")
     if quarantine.count:
         print(f"quarantined rows -> {quarantine_path}")
-    lonlat = [(p.lon, p.lat) for p in pois]
-    projection = LocalProjection.for_points(lonlat)
-    rows = summarize(result.patterns, projection)
+    rows = summarize(result.patterns, result.csd.projection)
     print(format_table(
         ["route", "support", "len", "bucket", "span_m"],
         [(r.route, r.support, r.length, r.bucket, round(r.span_m))
@@ -227,14 +225,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """``repro evaluate``: the Section 5 metric table, all approaches."""
     pois = read_pois(args.pois)
     trajectories = trips_to_mining_trajectories(list(iter_trips(args.trips)))
-    lonlat = [(p.lon, p.lat) for p in pois]
-    projection = LocalProjection.for_points(lonlat)
+    # One diagram serves every CSD approach; its projection (anchored on
+    # the POIs) also measures every approach's patterns.
+    stays = [sp for st in trajectories for sp in st.stay_points]
+    csd = build_csd(pois, stays, args.csd_config)
     rows = []
     for approach in APPROACHES:
         patterns = run_approach(
-            approach, pois, trajectories, args.csd_config, args.mining_config
+            approach, pois, trajectories, args.csd_config, args.mining_config,
+            csd=csd,
         )
-        metrics = summarize_patterns(approach.name, patterns, projection)
+        metrics = summarize_patterns(approach.name, patterns, csd.projection)
         rows.append(metrics.as_row())
     print(format_table(
         ["approach", "#patterns", "coverage", "avg sparsity", "avg consistency"],
@@ -268,7 +269,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
-        query_dtype=args.query_dtype,
     )
     obs.enable()
     service = RecognitionService(csd_path=args.csd, config=config)
@@ -468,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission-queue bound; beyond it requests get 503")
     p.add_argument("--cache-size", type=int, default=65536,
                    help="LRU entries; 0 disables the cache")
-    p.add_argument("--query-dtype", choices=["float64", "float32"],
-                   default="float64",
-                   help="recognition kernel precision")
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request to stderr")
     p.set_defaults(func=cmd_serve)

@@ -8,20 +8,22 @@ closer than the bandwidth merge into one cluster.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.geo.index import GridIndex
 from repro.types import Float64Array, IndexArray, MetersArray, MetersXY
 
+#: Mode-ascent steps per point before it stops where it is.
+MAX_ITER = 100
+#: A shift shorter than this (metres) counts as converged.
+TOL_M = 1e-3
+
 
 def mean_shift(
     xy: MetersArray,
     bandwidth: float,
-    max_iter: int = 100,
-    tol: float = 1e-3,
-    index: Optional[GridIndex] = None,
 ) -> Tuple[IndexArray, Float64Array]:
     """Cluster by mode seeking; returns ``(labels, modes)``.
 
@@ -34,18 +36,17 @@ def mean_shift(
         raise ValueError("bandwidth must be positive")
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
-    if index is None:
-        index = GridIndex(pts, cell_size=bandwidth)
+    index = GridIndex(pts, cell_size=bandwidth)
 
     shifted = pts.copy()
     for i in range(n):
         x, y = pts[i]
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             hits = index.query_radius(x, y, bandwidth)
             if len(hits) == 0:
                 break
             mx, my = pts[hits].mean(axis=0)
-            if (mx - x) ** 2 + (my - y) ** 2 < tol * tol:
+            if (mx - x) ** 2 + (my - y) ** 2 < TOL_M * TOL_M:
                 x, y = mx, my
                 break
             x, y = mx, my

@@ -26,6 +26,12 @@ from repro.types import Float64Array, IndexArray, MetersArray
 
 _INF = np.inf
 
+#: Algorithm 4's default maximum OPTICS distance, in metres.
+MAX_EPS_M = 1_000.0
+#: Valley split ratio of Algorithm 4's OPTICS step: a reachability peak
+#: above this factor times the segment median splits the cluster.
+VALLEY_SPLIT_RATIO = 3.0
+
 
 @dataclass
 class OpticsResult:
@@ -167,7 +173,7 @@ def extract_dbscan_clustering(
 
 
 def extract_valley_clusters(
-    result: OpticsResult, min_pts: int, split_ratio: float = 3.0
+    result: OpticsResult, min_pts: int, split_ratio: float = VALLEY_SPLIT_RATIO
 ) -> IndexArray:
     """Per-cluster adaptive extraction from the reachability plot.
 
@@ -218,16 +224,11 @@ def extract_valley_clusters(
     return labels
 
 
-def optics_auto_clusters(
-    xy: MetersArray,
-    min_pts: int,
-    max_eps: float = 1_000.0,
-    threshold_factor: float = 3.0,
-) -> IndexArray:
+def optics_auto_clusters(xy: MetersArray, min_pts: int) -> IndexArray:
     """One-call OPTICS clustering with per-cluster adaptive extraction.
 
-    This is the exact routine Algorithm 4 line 6 invokes;
-    ``threshold_factor`` is the valley split ratio.
+    This is the exact routine Algorithm 4 line 6 invokes: OPTICS out to
+    :data:`MAX_EPS_M`, then the :data:`VALLEY_SPLIT_RATIO` valley cut.
     """
-    result = optics(xy, min_pts=min_pts, max_eps=max_eps)
-    return extract_valley_clusters(result, min_pts, threshold_factor)
+    result = optics(xy, min_pts=min_pts, max_eps=MAX_EPS_M)
+    return extract_valley_clusters(result, min_pts)

@@ -39,10 +39,6 @@ class CSDConfig:
     v_min_m2: float = 300.0         # spatial variance bound (Def. 3 / Alg. 2)
     merge_cos: float = 0.9          # unit-merge cosine threshold (Eq. 8)
     merge_radius_m: float = 30.0    # "nearby" for unit merging
-    #: Additive smoothing of the Algorithm 1 popularity-ratio test; one
-    #: distant stay point contributes ~1e-5, so 1e-3 only defuses the
-    #: ratio where both POIs are essentially unvisited.
-    pop_epsilon: float = 1e-3
     #: Semantic granularity: ``"major"`` (15 categories, the paper's
     #: evaluation level) or ``"minor"`` (98 categories — patterns like
     #: ``Residence -> Noodle House``).  Finer tags need denser POIs per
@@ -74,17 +70,13 @@ class MiningConfig:
     rho: float = 0.002              # density threshold, points per m^2
     min_length: int = 2             # shortest pattern to report
     max_length: int = 5             # PrefixSpan recursion bound
-    optics_max_eps_m: float = 1_000.0  # OPTICS default maximum distance
-    #: Valley split ratio of Algorithm 4's OPTICS step: a reachability
-    #: peak above factor x the segment median splits the cluster.
-    optics_threshold_factor: float = 3.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if not self.support >= 1:
             raise ValueError("support must be at least 1")
-        if not (self.delta_t_s > 0 and self.optics_max_eps_m > 0):
-            raise ValueError("temporal/spatial bounds must be positive")
+        if not self.delta_t_s > 0:
+            raise ValueError("delta_t_s must be positive")
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
         if not 1 <= self.min_length <= self.max_length:

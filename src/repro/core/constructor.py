@@ -36,6 +36,11 @@ from repro.geo.projection import LocalProjection
 from repro.obs import get_registry
 from repro.types import BoolArray, Float64Array, IndexArray, MetersArray
 
+#: Additive smoothing of the Algorithm 1 popularity-ratio test; one
+#: distant stay point contributes ~1e-5, so 1e-3 only defuses the ratio
+#: where both POIs are essentially unvisited.
+POP_EPSILON = 1e-3
+
 
 @array_contract(
     poi_xy=ArraySpec(dtype="float64", cols=2, coerced=True),
@@ -87,8 +92,8 @@ def popularity_based_clustering(
         (``lo >= alpha * hi`` is *not* always IEEE-equal).  ``seed`` is
         one index or one per candidate."""
         seed_pop, cand_pop = pop[seed], pop[candidates]
-        hi = np.maximum(seed_pop, cand_pop) + config.pop_epsilon
-        lo = np.minimum(seed_pop, cand_pop) + config.pop_epsilon
+        hi = np.maximum(seed_pop, cand_pop) + POP_EPSILON
+        lo = np.minimum(seed_pop, cand_pop) + POP_EPSILON
         dx = xs[candidates] - xs[seed]
         dy = ys[candidates] - ys[seed]
         return (lo / hi >= config.alpha) & (

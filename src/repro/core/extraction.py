@@ -230,15 +230,7 @@ def _refine_coarse_pattern(
     stays, xy = matched_columns(occurrences, database, projection)
 
     # Line 6: OPTICS clusters of the k-th points, min size = sigma.
-    labels = [
-        optics_auto_clusters(
-            xy[k],
-            min_pts=config.support,
-            max_eps=config.optics_max_eps_m,
-            threshold_factor=config.optics_threshold_factor,
-        )
-        for k in range(m)
-    ]
+    labels = [optics_auto_clusters(xy[k], min_pts=config.support) for k in range(m)]
 
     alive = set(range(n_occ))
     out: List[FineGrainedPattern] = []

@@ -38,7 +38,7 @@ fresh :class:`CitySemanticDiagram` view after each batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -144,37 +144,28 @@ class IncrementalCSD:
     def _tag(self, poi: POI) -> str:
         return poi.tag(self.base.tag_level)
 
-    def add_poi(self, poi: POI, popularity: float = 0.0) -> int:
-        """Insert one POI; returns its unit id or ``UNASSIGNED``.
+    def add_poi(self, poi: POI) -> int:
+        """Insert one POI; returns its unit id or ``UNASSIGNED``."""
+        return self.add_pois([poi])[0]
 
-        ``popularity`` is the caller's estimate (0 for a brand-new
-        venue; it only matters for future distribution updates).
-        """
-        return self.add_pois([poi], [popularity])[0]
-
-    def add_pois(
-        self, pois: Sequence[POI], popularities: Optional[Sequence[float]] = None
-    ) -> List[int]:
+    def add_pois(self, pois: Sequence[POI]) -> List[int]:
         """Insert POIs in order; returns the assigned unit ids.
 
-        Each POI joins the nearest compatible unit as it would in a
-        one-at-a-time insert: POIs later in the batch are still
-        ``UNASSIGNED`` when an earlier one is placed, so they never
-        count as its neighbours, while an earlier absorbed POI extends
-        a unit's reach for the later ones.
+        A new POI enters with popularity 0: no stay point has been
+        counted against it yet.  Each POI joins the nearest compatible
+        unit as it would in a one-at-a-time insert: POIs later in the
+        batch are still ``UNASSIGNED`` when an earlier one is placed, so
+        they never count as its neighbours, while an earlier absorbed
+        POI extends a unit's reach for the later ones.
         """
-        if popularities is not None and len(popularities) != len(pois):
-            raise ValueError("popularities must align with pois")
         start = len(self._pois)
         new_xy = self.base.projection.to_meters_array([(p.lon, p.lat) for p in pois])
-        if popularities is None:
-            new_pop = np.zeros(len(pois), dtype=np.float64)
-        else:
-            new_pop = np.asarray(popularities, dtype=np.float64)
         self._pois.extend(pois)
         self._tags.extend(self._tag(p) for p in pois)
         self._xy = np.concatenate([self._xy, new_xy])
-        self._popularity = np.concatenate([self._popularity, new_pop])
+        self._popularity = np.concatenate(
+            [self._popularity, np.zeros(len(pois), dtype=np.float64)]
+        )
         self._unit_of = np.concatenate(
             [self._unit_of, np.full(len(pois), UNASSIGNED, dtype=np.int64)]
         )

@@ -38,41 +38,14 @@ from repro.data.trajectory import (
     SemanticTrajectory,
     StayPoint,
 )
-from repro.geo.distance import gaussian_coefficients, gaussian_coefficients32
+from repro.geo.distance import gaussian_coefficients
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
-from repro.types import Float64Array, IndexArray, MetersArray
+from repro.types import IndexArray, MetersArray
 
 #: Stay points per :func:`vote_stays` call inside
 #: :meth:`CSDRecognizer.recognize_points`; bounds the kernel's peak
 #: memory (hit pairs scale with the block, not the corpus).
 RECOGNITION_BLOCK = 8192
-
-
-@array_contract(
-    poi_xy=ArraySpec(dtype="float32", cols=2),
-    stay_xy=ArraySpec(dtype="float32", cols=2, same_length_as="poi_xy"),
-    popularity=ArraySpec(
-        dtype="float32", ndim=1, same_length_as="poi_xy"
-    ),
-    ret=ArraySpec(dtype="float32", ndim=1, finite=True),
-)
-def _vote_scores_f32(
-    poi_xy: "np.ndarray[tuple[int, int], np.dtype[np.float32]]",
-    stay_xy: "np.ndarray[tuple[int, int], np.dtype[np.float32]]",
-    popularity: "np.ndarray[tuple[int], np.dtype[np.float32]]",
-    r3sigma_m: float,
-) -> "np.ndarray[tuple[int], np.dtype[np.float32]]":
-    """Single-precision vote scores for gathered (POI, stay) hit pairs.
-
-    The opt-in fast path of :func:`vote_stays`: distance, Gaussian
-    coefficient, and popularity weighting all evaluate in ``float32``
-    (half the memory traffic of the default kernel).  The contract pins
-    every array to ``float32`` so an accidental ``float64`` upcast —
-    which would silently erase the speedup — fails loudly under
-    ``REPRO_SANITIZE=1``.
-    """
-    d = np.sqrt(((poi_xy - stay_xy) ** 2).sum(axis=1))
-    return popularity * gaussian_coefficients32(d, r3sigma_m)
 
 
 @array_contract(
@@ -87,7 +60,6 @@ def vote_stays(
     source: CitySemanticDiagram,
     xy: MetersArray,
     r3sigma_m: float,
-    use_float32: bool = False,
 ) -> Tuple[IndexArray, IndexArray, IndexArray]:
     """The numeric half of Algorithm 3 over projected stay coordinates.
 
@@ -100,11 +72,7 @@ def vote_stays(
     Returns ``(winner_of, win_stay, win_poi)``: the winning unit id per
     stay (``UNASSIGNED`` where no unit-assigned POI is in range), plus
     the ``(stay, poi)`` hit pairs belonging to each stay's winning unit
-    — everything the semantic assembly step needs.  ``use_float32``
-    evaluates the vote scores in single precision
-    (:func:`_vote_scores_f32`); winners are unchanged whenever the vote
-    margin exceeds float32 noise (asserted on the standard workload by
-    ``tests/test_kernel_equivalence.py``).
+    — everything the semantic assembly step needs.
     """
     pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
@@ -123,23 +91,8 @@ def vote_stays(
     hit_idx = hit_idx[keep]
     stay_of = stay_of[keep]
     unit_ids = unit_ids[keep]
-    if use_float32:
-        # bincount below upcasts weights to float64 regardless; casting
-        # here keeps the accumulation in float64 while the heavy part
-        # (gather/distance/exp) ran in single precision.
-        scores: Float64Array = _vote_scores_f32(
-            source.poi_xy[hit_idx].astype(np.float32),
-            pts[stay_of].astype(np.float32),
-            source.popularity[hit_idx].astype(np.float32),
-            r3sigma_m,
-        ).astype(np.float64)
-    else:
-        d = np.sqrt(
-            ((source.poi_xy[hit_idx] - pts[stay_of]) ** 2).sum(axis=1)
-        )
-        scores = source.popularity[hit_idx] * gaussian_coefficients(
-            d, r3sigma_m
-        )
+    d = np.sqrt(((source.poi_xy[hit_idx] - pts[stay_of]) ** 2).sum(axis=1))
+    scores = source.popularity[hit_idx] * gaussian_coefficients(d, r3sigma_m)
     reg = get_registry()
     if reg.enabled:
         reg.counter("recognition.votes.cast").inc(int(len(scores)))
@@ -226,11 +179,8 @@ class CSDRecognizer:
     sub-2% minority tags; without the filter a stray office POI inside
     a hospital unit would pollute every stay point recognised there.
 
-    ``query_dtype`` selects the voting kernel's precision:
-    ``"float64"`` (default) is bit-identical to the scalar oracle;
-    ``"float32"`` halves the kernel's memory traffic and is validated
-    to produce identical unit assignments on the standard workload
-    (see ``docs/PERFORMANCE.md`` for when the opt-in is safe).
+    Votes are always evaluated in ``float64``; ``query_dtype`` accepts
+    only that value and stays as a name because existing callers pass it.
     """
 
     def __init__(
@@ -244,12 +194,11 @@ class CSDRecognizer:
             raise ValueError("r3sigma_m must be positive and finite")
         if not 0.0 <= min_tag_share <= 1.0:
             raise ValueError("min_tag_share must be a probability")
-        if query_dtype not in ("float64", "float32"):
-            raise ValueError("query_dtype must be 'float64' or 'float32'")
+        if query_dtype != "float64":
+            raise ValueError("query_dtype must be 'float64'")
         self.csd = csd
         self.r3sigma_m = r3sigma_m
         self.min_tag_share = min_tag_share
-        self.query_dtype = query_dtype
         self._tables = _TagTables(csd, min_tag_share)
 
     def recognize_point(self, sp: StayPoint) -> SemanticProperty:
@@ -314,9 +263,7 @@ class CSDRecognizer:
             xy = self.project_stays(
                 stay_points[start : start + RECOGNITION_BLOCK]
             )
-            winner_of, win_stay, win_poi = vote_stays(
-                self.csd, xy, self.r3sigma_m, self.query_dtype == "float32"
-            )
+            winner_of, win_stay, win_poi = vote_stays(self.csd, xy, self.r3sigma_m)
             out.extend(self.assemble_semantics(winner_of, win_stay, win_poi))
         return out
 

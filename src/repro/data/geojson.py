@@ -21,6 +21,9 @@ from repro.types import Float64Array, LonLatArray
 
 PathLike = Union[str, Path]
 
+#: Units with fewer POIs than this export (and render) as points.
+MIN_HULL_SIZE = 3
+
 
 def _convex_hull(xy: LonLatArray) -> LonLatArray:
     """Andrew's monotone chain convex hull of an ``(n, 2)`` array."""
@@ -48,10 +51,10 @@ def _convex_hull(xy: LonLatArray) -> LonLatArray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
 
 
-def csd_to_geojson(csd: CitySemanticDiagram, min_unit_size: int = 3) -> dict:
+def csd_to_geojson(csd: CitySemanticDiagram) -> dict:
     """FeatureCollection of unit hull polygons (the Figure 6 view).
 
-    Units smaller than ``min_unit_size`` export as points.
+    Units smaller than :data:`MIN_HULL_SIZE` export as points.
     """
     features = []
     for unit in csd.units:
@@ -65,7 +68,7 @@ def csd_to_geojson(csd: CitySemanticDiagram, min_unit_size: int = 3) -> dict:
             "dominant_tag": unit.dominant_tag(),
             "tags": sorted(unit.tags),
         }
-        if len(unit) >= min_unit_size:
+        if len(unit) >= MIN_HULL_SIZE:
             hull = _convex_hull(lonlat)
             if len(hull) >= 3:
                 ring = hull.tolist() + [hull[0].tolist()]

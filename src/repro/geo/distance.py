@@ -83,22 +83,3 @@ def gaussian_coefficients(distances_m: Float64Array, r3sigma: float) -> Float64A
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     return norm * np.exp(-(d ** 2) / (2.0 * sigma ** 2))
 
-
-def gaussian_coefficients32(
-    distances_m: "np.ndarray[tuple[int, ...], np.dtype[np.float32]]",
-    r3sigma: float,
-) -> "np.ndarray[tuple[int, ...], np.dtype[np.float32]]":
-    """Single-precision :func:`gaussian_coefficients`.
-
-    The whole evaluation (square, scale, exp) stays in ``float32`` —
-    :func:`gaussian_coefficients` would silently upcast to ``float64``
-    via ``np.asarray(..., dtype=float)``.  Backs the opt-in float32
-    recognition query path (``docs/PERFORMANCE.md``); the relative
-    error vs. the float64 kernel is bounded by a few 1e-7, far below
-    any realistic vote margin.
-    """
-    _check_r3sigma(r3sigma)
-    d = np.asarray(distances_m, dtype=np.float32)
-    sigma = np.float32(r3sigma / 3.0)
-    norm = np.float32(1.0) / (sigma * np.float32(math.sqrt(2.0 * math.pi)))
-    return norm * np.exp(-(d ** 2) / (np.float32(2.0) * sigma ** 2))

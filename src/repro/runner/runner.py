@@ -116,12 +116,12 @@ class Manifest:
         )
 
 
-def parse_manifest(text: str, *, source: str = MANIFEST_NAME) -> Manifest:
+def parse_manifest(text: str) -> Manifest:
     """Parse a ``manifest.json`` document (see
     :func:`~repro.runner.commit.parse_manifest_document` for the
     errors it raises)."""
     return Manifest.from_document(
-        parse_manifest_document(text, MANIFEST_VERSION, source=source)
+        parse_manifest_document(text, MANIFEST_VERSION, source=MANIFEST_NAME)
     )
 
 

@@ -38,6 +38,13 @@ from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry, monotonic_s
 
 __all__ = ["MicroBatcher", "ServerOverloaded", "BatcherClosed"]
 
+#: Safety net for a requester waiting on its batch: a dispatch thread
+#: stuck longer than this fails the request instead of hanging the
+#: client connection forever.
+RESULT_TIMEOUT_S = 60.0
+#: How long :meth:`MicroBatcher.close` waits for the dispatch thread.
+CLOSE_TIMEOUT_S = 5.0
+
 
 class ServerOverloaded(RuntimeError):
     """Admission queue full: the request was shed (HTTP 503)."""
@@ -75,10 +82,6 @@ class MicroBatcher:
     queue_limit:
         Admission-queue bound; submissions beyond it shed with
         :class:`ServerOverloaded`.
-    result_timeout_s:
-        Safety net for a requester waiting on its batch; a dispatch
-        thread stuck longer than this fails the request rather than
-        hanging the client connection forever.
     """
 
     def __init__(
@@ -86,7 +89,6 @@ class MicroBatcher:
         recognize_batch: Callable[[Sequence[StayPoint]], List[SemanticProperty]],
         max_batch: int = 64,
         queue_limit: int = 1024,
-        result_timeout_s: float = 60.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -94,7 +96,6 @@ class MicroBatcher:
             raise ValueError("queue_limit must be at least 1")
         self._recognize_batch = recognize_batch
         self.max_batch = int(max_batch)
-        self.result_timeout_s = float(result_timeout_s)
         self._queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=int(queue_limit))
         self._closed = False
         self.batches_dispatched = 0
@@ -127,10 +128,8 @@ class MicroBatcher:
             ) from None
         if reg.enabled:
             reg.gauge("serve.queue.depth").set(float(self._queue.qsize()))
-        if not pending.event.wait(timeout=self.result_timeout_s):
-            raise TimeoutError(
-                f"batch dispatch exceeded {self.result_timeout_s}s"
-            )
+        if not pending.event.wait(timeout=RESULT_TIMEOUT_S):
+            raise TimeoutError(f"batch dispatch exceeded {RESULT_TIMEOUT_S}s")
         if pending.error is not None:
             raise pending.error
         assert pending.result is not None
@@ -193,7 +192,7 @@ class MicroBatcher:
 
     # -- lifecycle -----------------------------------------------------
 
-    def close(self, timeout_s: float = 5.0) -> None:
+    def close(self) -> None:
         """Stop accepting work, drain in-flight batches, join the thread.
 
         Idempotent.  Requests queued but not yet collected are still
@@ -201,7 +200,7 @@ class MicroBatcher:
         the closed flag on an empty poll).
         """
         self._closed = True
-        self._thread.join(timeout=timeout_s)
+        self._thread.join(timeout=CLOSE_TIMEOUT_S)
 
     @property
     def closed(self) -> bool:

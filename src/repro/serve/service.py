@@ -46,11 +46,13 @@ __all__ = ["ServeConfig", "RecognitionService"]
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables of the serving engine (CLI flags map 1:1 onto these)."""
+    """Tunables of the serving engine; the first three are CLI flags."""
 
     max_batch: int = 64
     queue_limit: int = 1024
     cache_size: int = 65536
+    #: Passed on to :class:`~repro.core.recognition.CSDRecognizer`,
+    #: which accepts only ``"float64"``.
     query_dtype: str = "float64"
     r3sigma_m: float = 100.0
     min_tag_share: float = 0.15
@@ -253,7 +255,6 @@ class RecognitionService:
         return {
             "csd": {k: v for k, v in csd.describe().items()},
             "csd_path": str(self.csd_path) if self.csd_path else None,
-            "query_dtype": self.recognizer.query_dtype,
             "reloads": self.reloads,
             "cache": self.cache.stats(),
             "batcher": self.batcher.stats(),

@@ -152,7 +152,6 @@ class StreamEngine:
         self,
         trips: Sequence[TaxiTrip],
         new_pois: Sequence[POI] = (),
-        poi_popularities: Optional[Sequence[float]] = None,
     ) -> EpochResult:
         """Ingest one epoch; returns the post-slide window state."""
         reg = get_registry()
@@ -164,7 +163,7 @@ class StreamEngine:
             repair: Optional[RepairReport] = None
             diagram_changed = False
             if new_pois:
-                self.updater.add_pois(new_pois, poi_popularities)
+                self.updater.add_pois(new_pois)
                 diagram_changed = True
                 reg.counter("stream.pois.ingested").inc(len(new_pois))
             if (

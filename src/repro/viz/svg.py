@@ -16,12 +16,17 @@ import numpy as np
 from repro.core.csd import CitySemanticDiagram
 from repro.core.extraction import FineGrainedPattern
 from repro.core.patterns import pattern_time_bucket, route_label
-from repro.data.geojson import _convex_hull
+from repro.data.geojson import MIN_HULL_SIZE, _convex_hull
 from repro.geo.projection import LocalProjection
 from repro.ioutil import atomic_write_text
 from repro.types import Float64Array, MetersArray, MetersXY
 
 PathLike = Union[str, Path]
+
+#: Width of every rendered SVG, in pixels; the height follows the extent.
+WIDTH_PX = 900
+#: Blank border around the drawing, in pixels.
+MARGIN_PX = 20
 
 #: Stable colour per major category (hex, chosen for mutual contrast).
 CATEGORY_COLORS: Dict[str, str] = {
@@ -56,22 +61,17 @@ BUCKET_COLORS: Dict[str, str] = {
 class _Canvas:
     """Maps metre coordinates into an SVG viewport and collects shapes."""
 
-    def __init__(
-        self, xy_min: Float64Array, xy_max: Float64Array,
-        width: int, margin: int = 20,
-    ) -> None:
-        self.margin = margin
+    def __init__(self, xy_min: Float64Array, xy_max: Float64Array) -> None:
         span = np.maximum(xy_max - xy_min, 1.0)
-        self.scale = (width - 2 * margin) / float(span.max())
+        self.scale = (WIDTH_PX - 2 * MARGIN_PX) / float(span.max())
         self.origin = xy_min
-        self.width = width
-        self.height = int(span[1] * self.scale) + 2 * margin
+        self.height = int(span[1] * self.scale) + 2 * MARGIN_PX
         self.elements: List[str] = []
 
     def project(self, x: float, y: float) -> MetersXY:
-        px = self.margin + (x - self.origin[0]) * self.scale
+        px = MARGIN_PX + (x - self.origin[0]) * self.scale
         # SVG y grows downward; flip north up.
-        py = self.height - self.margin - (y - self.origin[1]) * self.scale
+        py = self.height - MARGIN_PX - (y - self.origin[1]) * self.scale
         return px, py
 
     def polygon(self, xy: MetersArray, fill: str, title: str) -> None:
@@ -108,8 +108,8 @@ class _Canvas:
         body = "\n".join(self.elements)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
+            f'width="{WIDTH_PX}" height="{self.height}" '
+            f'viewBox="0 0 {WIDTH_PX} {self.height}">\n'
             '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
             'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
             '<path d="M 0 0 L 10 5 L 0 10 z" fill="context-stroke"/>'
@@ -119,21 +119,17 @@ class _Canvas:
         )
 
 
-def render_csd_svg(
-    csd: CitySemanticDiagram, width: int = 900, min_unit_size: int = 3
-) -> str:
+def render_csd_svg(csd: CitySemanticDiagram) -> str:
     """The Figure 6 view: unit hulls coloured by dominant category."""
     if csd.n_pois == 0:
         raise ValueError("cannot render an empty diagram")
-    canvas = _Canvas(
-        csd.poi_xy.min(axis=0), csd.poi_xy.max(axis=0), width
-    )
+    canvas = _Canvas(csd.poi_xy.min(axis=0), csd.poi_xy.max(axis=0))
     for unit in csd.units:
         xy = csd.poi_xy[unit.poi_indices]
         tag = unit.dominant_tag()
         color = CATEGORY_COLORS.get(tag, _FALLBACK_COLOR)
         title = f"unit {unit.unit_id}: {tag} ({len(unit)} POIs)"
-        if len(unit) >= min_unit_size:
+        if len(unit) >= MIN_HULL_SIZE:
             hull = _convex_hull(xy)
             if len(hull) >= 3:
                 canvas.polygon(hull, color, title)
@@ -146,7 +142,6 @@ def render_csd_svg(
 def render_patterns_svg(
     patterns: Sequence[FineGrainedPattern],
     projection: LocalProjection,
-    width: int = 900,
     color_by: str = "bucket",
 ) -> str:
     """The Figure 14 view: pattern arrows over the city extent.
@@ -164,7 +159,7 @@ def render_patterns_svg(
         )
         for p in patterns
     ])
-    canvas = _Canvas(all_xy.min(axis=0), all_xy.max(axis=0), width)
+    canvas = _Canvas(all_xy.min(axis=0), all_xy.max(axis=0))
     max_support = max(p.support for p in patterns)
     for p in patterns:
         xy = projection.to_meters_array(

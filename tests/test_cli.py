@@ -201,6 +201,58 @@ class TestRun:
         assert args.quarantine is None
 
 
+class TestEvaluate:
+    def test_one_diagram_same_table(self, data_dir, monkeypatch, capsys):
+        """``repro evaluate`` builds the diagram once for all three CSD
+        approaches and prints the table that building it per approach,
+        measured on a projection anchored at the POIs, gives."""
+        from repro.baselines import registry
+        from repro.baselines.registry import APPROACHES, run_approach
+        from repro.cli import _build_configs
+        from repro.data.io import iter_trips, read_pois
+        from repro.data.taxi import trips_to_mining_trajectories
+        from repro.eval.metrics import summarize_patterns
+        from repro.eval.reporting import format_table
+        from repro.geo.projection import LocalProjection
+
+        argv = [
+            "evaluate", "--pois", str(data_dir / "pois.csv"),
+            "--trips", str(data_dir / "trips.csv"), "--support", "8",
+        ]
+        args = build_parser().parse_args(argv)
+        _build_configs(args)
+        pois = read_pois(args.pois)
+        trajectories = trips_to_mining_trajectories(list(iter_trips(args.trips)))
+        projection = LocalProjection.for_points([(p.lon, p.lat) for p in pois])
+        expected = format_table(
+            ["approach", "#patterns", "coverage", "avg sparsity", "avg consistency"],
+            [
+                summarize_patterns(
+                    approach.name,
+                    run_approach(
+                        approach, pois, trajectories,
+                        args.csd_config, args.mining_config,
+                    ),
+                    projection,
+                ).as_row()
+                for approach in APPROACHES
+            ],
+        )
+
+        builds = []
+        real_build = registry.build_csd
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr("repro.cli.build_csd", counting_build)
+        monkeypatch.setattr(registry, "build_csd", counting_build)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        assert len(builds) == 1
+
+
 def with_bad_row(source, target, row):
     """Copy ``source`` with ``row`` inserted as data row 3."""
     lines = source.read_text(encoding="utf-8").splitlines()

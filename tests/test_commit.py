@@ -28,13 +28,13 @@ CSD_CONFIG = CSDConfig(alpha=0.7)
 #: ``config_hash`` of a batch run with CSD_CONFIG and
 #: MiningConfig(support=10, rho=0.001).
 BATCH_CONFIG_HASH = (
-    "c02f1dc216aca043c71fecb2cac25aac296c3a6d9d5cebe99c043a9f14c76053"
+    "2ccd292656e2322457f2e9243ad96bf4bf4a05772c085e2e69f484bb15b9cd52"
 )
 #: ``config_hash`` of a stream run with CSD_CONFIG,
 #: MiningConfig(support=8, rho=0.001), window_epochs=3,
 #: staleness_threshold=0.01, epoch_trips=500 and poi_batch=100.
 STREAM_CONFIG_HASH = (
-    "797e508d23b931a2a21b167ee9940c2dc35d6cbefe3211109670f5dc5e9df821"
+    "6132b316ec8beb222d9b9e4db60d655ec51ceed6f229bba8ef4e4b925490d13e"
 )
 
 

@@ -11,7 +11,6 @@ from repro.geo.distance import (
     equirectangular_distance,
     gaussian_coefficient,
     gaussian_coefficients,
-    gaussian_coefficients32,
     haversine_distance,
     pairwise_distances,
 )
@@ -102,8 +101,6 @@ class TestGaussianCoefficient:
             gaussian_coefficient(10.0, bad)
         with pytest.raises(ValueError, match="r3sigma"):
             gaussian_coefficients(np.array([1.0]), bad)
-        with pytest.raises(ValueError, match="r3sigma"):
-            gaussian_coefficients32(np.array([1.0], dtype=np.float32), bad)
 
     def test_vectorised_matches_scalar(self):
         d = np.array([0.0, 25.0, 50.0, 99.0])

@@ -72,13 +72,6 @@ class TestOnlineInsertion:
         assert len(ids) == 2 and ids[1] == UNASSIGNED
         assert updater.n_added == 2
 
-    def test_popularities_must_align(self, base_csd):
-        updater = IncrementalCSD(base_csd)
-        with pytest.raises(ValueError):
-            updater.add_pois(
-                [POI(1, 121.47, 31.23, "Restaurant", "Cafe")], [1.0, 2.0]
-            )
-
     def test_rejects_bad_thresholds(self, base_csd):
         with pytest.raises(ValueError):
             IncrementalCSD(base_csd, merge_radius_m=0.0)

@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster.optics import OpticsResult, extract_valley_clusters, optics
+from repro.cluster.optics import (
+    MAX_EPS_M,
+    OpticsResult,
+    extract_valley_clusters,
+    optics,
+)
 from repro.core import constructor, extraction, merging, purification
 from repro.core.config import CSDConfig
 from repro.core.constructor import (
@@ -287,36 +292,6 @@ class TestRecognitionEquivalence:
         assert flat == recognizer.recognize_points(corpus)
 
 
-class TestFloat32Voting:
-    def test_float32_identical_unit_assignments(
-        self, small_csd, small_csd_config, flat_stays
-    ):
-        """The standard workload's vote margins dwarf float32 noise, so
-        the fast path must pick the same winning unit for every stay."""
-        recognizer = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
-        xy = recognizer.project_stays(flat_stays)
-        w64, _, _ = vote_stays(small_csd, xy, recognizer.r3sigma_m)
-        w32, _, _ = vote_stays(
-            small_csd, xy, recognizer.r3sigma_m, use_float32=True
-        )
-        np.testing.assert_array_equal(w32, w64)
-
-    def test_float32_recognizer_matches_float64(
-        self, small_csd, small_csd_config, flat_stays
-    ):
-        base = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
-        fast = CSDRecognizer(
-            small_csd, small_csd_config.r3sigma_m, query_dtype="float32"
-        )
-        assert fast.recognize_points(flat_stays) == base.recognize_points(
-            flat_stays
-        )
-
-    def test_rejects_unknown_query_dtype(self, small_csd):
-        with pytest.raises(ValueError, match="query_dtype"):
-            CSDRecognizer(small_csd, 100.0, query_dtype="float16")
-
-
 def assert_optics_identical(pts, min_pts, max_eps):
     want = optics_seed_oracle(pts, min_pts, max_eps)
     got = optics(pts, min_pts, max_eps)
@@ -364,10 +339,10 @@ class TestOpticsEquivalence:
         the seed OPTICS or the kernel, over every captured call."""
         calls = []
 
-        def seed_auto_clusters(xy, min_pts, max_eps, threshold_factor):
-            calls.append((xy, min_pts, max_eps))
-            result = OpticsResult(*optics_seed_oracle(xy, min_pts, max_eps))
-            return extract_valley_clusters(result, min_pts, threshold_factor)
+        def seed_auto_clusters(xy, min_pts):
+            calls.append((xy, min_pts, MAX_EPS_M))
+            result = OpticsResult(*optics_seed_oracle(xy, min_pts, MAX_EPS_M))
+            return extract_valley_clusters(result, min_pts)
 
         args = (small_recognized, small_mining_config, small_csd.projection)
         want = extraction.counterpart_cluster(*args)
@@ -566,8 +541,8 @@ def clustering_frontier_oracle(poi_xy, poi_tags, popularity, config):
             rounds += 1
             candidates_tested += len(frontier)
             stamp[frontier] = seed
-            hi = np.maximum(pop[seed], pop[frontier]) + config.pop_epsilon
-            lo = np.minimum(pop[seed], pop[frontier]) + config.pop_epsilon
+            hi = np.maximum(pop[seed], pop[frontier]) + constructor.POP_EPSILON
+            lo = np.minimum(pop[seed], pop[frontier]) + constructor.POP_EPSILON
             ok = lo / hi >= config.alpha
             delta = pts[frontier] - pts[seed]
             d2 = delta[:, 0] ** 2 + delta[:, 1] ** 2

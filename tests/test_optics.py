@@ -67,7 +67,7 @@ class TestExtraction:
 
     def test_auto_threshold_separates_blobs(self):
         pts = make_blobs()
-        labels = optics_auto_clusters(pts, min_pts=5, max_eps=1000)
+        labels = optics_auto_clusters(pts, min_pts=5)
         assert len(set(labels) - {-1}) == 3
 
 
@@ -75,7 +75,7 @@ class TestValleyExtraction:
     def test_heterogeneous_densities(self):
         """The fixed-eps failure case: one tight, one wide cluster."""
         pts = make_blobs(sigmas=(8.0, 80.0, 15.0), n=60)
-        labels = optics_auto_clusters(pts, min_pts=20, max_eps=1000)
+        labels = optics_auto_clusters(pts, min_pts=20)
         clusters = set(labels) - {-1}
         assert len(clusters) == 3
         # Each true blob maps dominantly to a single label.
@@ -86,7 +86,7 @@ class TestValleyExtraction:
 
     def test_small_segments_are_noise(self):
         pts = np.vstack([make_blobs(n=40), [[3000.0, 3000.0], [3001.0, 3001.0]]])
-        labels = optics_auto_clusters(pts, min_pts=10, max_eps=1000)
+        labels = optics_auto_clusters(pts, min_pts=10)
         assert labels[-1] == -1 and labels[-2] == -1
 
     def test_rejects_bad_split_ratio(self):
@@ -101,5 +101,5 @@ class TestValleyExtraction:
     def test_single_dense_cluster_not_split(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(0, 20, (100, 2))
-        labels = optics_auto_clusters(pts, min_pts=10, max_eps=1000)
+        labels = optics_auto_clusters(pts, min_pts=10)
         assert len(set(labels) - {-1}) == 1

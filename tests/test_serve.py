@@ -1,7 +1,7 @@
 """Tests for repro.serve: batcher, cache, service, and the HTTP daemon.
 
 The load-bearing property is **bit-identity**: any point answered
-through the serving stack — micro-batched, cached, either dtype — must
+through the serving stack — micro-batched or cached — must
 return exactly what a sequential ``CSDRecognizer.recognize_point`` call
 on the same diagram returns.  Concurrency, backpressure, reload
 invalidation, and the repeat-scrape ``/metrics`` contract are the other
@@ -54,8 +54,8 @@ def stays(small_trajectories):
     return pts[:200]
 
 
-def _sequential_oracle(csd, stays, query_dtype="float64"):
-    recognizer = CSDRecognizer(csd, query_dtype=query_dtype)
+def _sequential_oracle(csd, stays):
+    recognizer = CSDRecognizer(csd)
     return [recognizer.recognize_point(sp) for sp in stays]
 
 
@@ -71,14 +71,14 @@ class TestMicroBatcher:
                            lat=small_csd.pois[0].lat, t=0.0)
             assert mb.submit(sp) == recognizer.recognize_point(sp)
 
-    @pytest.mark.parametrize("query_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("query_dtype", ["float64"])
     def test_concurrent_submits_bit_identical(
         self, small_csd, stays, query_dtype
     ):
         """64 threads hammering submit() must each get exactly the
         sequential answer for their point — batching is invisible."""
         recognizer = CSDRecognizer(small_csd, query_dtype=query_dtype)
-        expected = _sequential_oracle(small_csd, stays, query_dtype)
+        expected = _sequential_oracle(small_csd, stays)
         results = [None] * len(stays)
         errors = []
         with MicroBatcher(recognizer.recognize_points, max_batch=32) as mb:
@@ -276,14 +276,14 @@ class TestCellCache:
 
 
 class TestRecognitionService:
-    @pytest.mark.parametrize("query_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("query_dtype", ["float64"])
     @pytest.mark.parametrize("cache_size", [0, 65536])
     def test_recognize_one_bit_identical(
         self, small_csd, stays, query_dtype, cache_size
     ):
-        """The full service path (cache × dtype grid) equals the
-        sequential oracle — the ISSUE's acceptance matrix."""
-        expected = _sequential_oracle(small_csd, stays, query_dtype)
+        """The full service path, with and without the cache, equals
+        the sequential oracle."""
+        expected = _sequential_oracle(small_csd, stays)
         config = ServeConfig(query_dtype=query_dtype, cache_size=cache_size)
         with RecognitionService(csd=small_csd, config=config) as service:
             got = [service.recognize_one(sp.lon, sp.lat) for sp in stays]
@@ -292,6 +292,16 @@ class TestRecognitionService:
             again = [service.recognize_one(sp.lon, sp.lat) for sp in stays]
         assert got == expected
         assert again == expected
+
+    def test_query_dtype_float32_refused(self, small_csd):
+        """Votes are float64 only: both entry points that take a
+        ``query_dtype`` refuse any other value instead of ignoring it."""
+        with pytest.raises(ValueError, match="query_dtype"):
+            CSDRecognizer(small_csd, query_dtype="float32")
+        with pytest.raises(ValueError, match="query_dtype"):
+            RecognitionService(
+                csd=small_csd, config=ServeConfig(query_dtype="float32")
+            )
 
     def test_concurrent_service_calls_bit_identical(self, small_csd, stays):
         expected = _sequential_oracle(small_csd, stays)
@@ -741,6 +751,6 @@ class TestServeCLI:
         assert args.func.__name__ == "cmd_serve"
         assert args.max_batch == 64
         assert args.queue_limit == 1024
-        assert args.query_dtype == "float64"
+        assert not hasattr(args, "query_dtype")
         # Batching is self-clocking: there is no follower-wait knob.
         assert not hasattr(args, "max_wait_ms")
