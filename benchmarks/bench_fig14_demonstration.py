@@ -12,19 +12,8 @@ though check-in data never shows them (the Semantic Bias win).
 from collections import Counter
 
 from repro.baselines.registry import Approach
-from repro.data.taxi import week_bucket
+from repro.core.patterns import WEEK_BUCKETS, bucket_patterns, route_label
 from repro.eval.reporting import format_table
-
-BUCKETS = [
-    "weekday-morning", "weekday-afternoon", "weekday-night",
-    "weekend-morning", "weekend-afternoon", "weekend-night",
-]
-
-
-def pattern_bucket(pattern):
-    """Majority week-bucket over the pattern's first-position group."""
-    votes = Counter(week_bucket(sp.t) for sp in pattern.groups[0])
-    return votes.most_common(1)[0][0]
 
 
 def mine(runner, bench_config):
@@ -38,13 +27,11 @@ def test_fig14_demonstration(benchmark, workload, runner, bench_config):
     assert patterns
 
     # (a)-(f): patterns per time-of-week bucket.
-    by_bucket = {b: [] for b in BUCKETS}
-    for p in patterns:
-        by_bucket.setdefault(pattern_bucket(p), []).append(p)
+    by_bucket = bucket_patterns(patterns)
     rows = []
-    for bucket in BUCKETS:
+    for bucket in WEEK_BUCKETS:
         members = by_bucket[bucket]
-        top = Counter(" -> ".join(p.items) for p in members).most_common(2)
+        top = Counter(route_label(p) for p in members).most_common(2)
         rows.append(
             (bucket, len(members), "; ".join(f"{t} ({c})" for t, c in top))
         )
@@ -71,14 +58,14 @@ def test_fig14_demonstration(benchmark, workload, runner, bench_config):
     print(f"\nFigure 14(g) — airport: {len(airport_patterns)} patterns, "
           f"coverage {airport_cov}")
     for p in airport_patterns[:5]:
-        print(f"  {' -> '.join(p.items)} (support {p.support})")
+        print(f"  {route_label(p)} (support {p.support})")
 
     # (h) hospital case study: the Semantic Bias win.
     hospital_patterns = venue_patterns(hospital)
     print(f"\nFigure 14(h) — children's hospital: "
           f"{len(hospital_patterns)} patterns")
     for p in hospital_patterns[:5]:
-        print(f"  {' -> '.join(p.items)} (support {p.support})")
+        print(f"  {route_label(p)} (support {p.support})")
 
     # Shape assertions.
     weekday_am = by_bucket["weekday-morning"]

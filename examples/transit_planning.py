@@ -13,7 +13,6 @@ Run:  python examples/transit_planning.py
 """
 
 import math
-from collections import Counter
 
 from repro import (
     CityModel,
@@ -23,7 +22,7 @@ from repro import (
     PervasiveMiner,
     ShanghaiTaxiSimulator,
 )
-from repro.data.taxi import week_bucket
+from repro.core.patterns import pattern_time_bucket, route_label
 
 
 def _scaled(value: int) -> int:
@@ -56,16 +55,12 @@ def main() -> None:
         ax, ay = proj.to_meters(a.lon, a.lat)
         bx, by = proj.to_meters(b.lon, b.lat)
         length_km = math.hypot(bx - ax, by - ay) / 1000.0
-        # Majority vote over the member trips' actual departure times —
-        # the representative's averaged timestamp blurs across days.
-        votes = Counter(week_bucket(sp.t) for sp in pattern.groups[0])
-        bucket = votes.most_common(1)[0][0]
         corridors.append(
             {
-                "route": " -> ".join(pattern.items),
+                "route": route_label(pattern),
                 "support": pattern.support,
                 "length_km": length_km,
-                "bucket": bucket,
+                "bucket": pattern_time_bucket(pattern),
                 # Demand-km: riders times distance, the planner's score.
                 "score": pattern.support * length_km,
             }

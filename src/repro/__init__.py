@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.core.patterns import (
     bucket_patterns,
-    patterns_near,
     rank_patterns,
     route_label,
 )
@@ -48,7 +47,6 @@ from repro.data import (
     TaxiDataset,
     Trajectory,
 )
-from repro.data.validation import validate_dataset
 
 __version__ = "1.0.0"
 
@@ -75,9 +73,7 @@ __all__ = [
     "build_csd",
     "counterpart_cluster",
     "detect_stay_points",
-    "patterns_near",
     "rank_patterns",
     "route_label",
-    "validate_dataset",
     "__version__",
 ]

@@ -48,10 +48,6 @@ class Approach:
     def name(self) -> str:
         return f"{self.recognizer}-{self.extractor}"
 
-    @property
-    def is_csd_based(self) -> bool:
-        return self.recognizer == "CSD"
-
 
 #: All six approaches, CSD-based first (the Figure 9 grouping).
 APPROACHES: List[Approach] = [

@@ -12,6 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.geo.distance import pairwise_distances
 from repro.geo.index import GridIndex
 from repro.types import Float64Array, IndexArray, MetersArray, MetersXY
 
@@ -78,7 +79,5 @@ def estimate_bandwidth(xy: MetersArray, quantile: float = 0.3) -> float:
         raise ValueError("quantile must be in (0, 1]")
     if n < 2:
         return 1.0
-    delta = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((delta ** 2).sum(axis=2))
     iu = np.triu_indices(n, k=1)
-    return max(float(np.quantile(dist[iu], quantile)), 1.0)
+    return max(float(np.quantile(pairwise_distances(pts)[iu], quantile)), 1.0)

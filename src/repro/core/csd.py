@@ -19,7 +19,6 @@ from repro.data.poi import POI, poi_lonlat_array
 from repro.data.trajectory import SemanticProperty
 from repro.geo.index import GridIndex
 from repro.geo.projection import LocalProjection
-from repro.geo.stats import spatial_variance
 from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
 
 UNASSIGNED = -1
@@ -166,14 +165,6 @@ class CitySemanticDiagram:
                 out[i] = 0.0
             else:
                 out[i] = max(u.semantic_distribution.values())
-        return out
-
-    @array_contract(ret=ArraySpec(dtype="float64", ndim=1, finite=True))
-    def unit_variances(self) -> Float64Array:
-        """Spatial variance (Eq. 1) per unit, square metres."""
-        out = np.empty(len(self.units), dtype=np.float64)
-        for i, u in enumerate(self.units):
-            out[i] = spatial_variance(self.poi_xy[u.poi_indices])
         return out
 
     def describe(self) -> Dict[str, float]:

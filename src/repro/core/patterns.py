@@ -2,7 +2,7 @@
 
 Algorithm 4 emits one pattern per surviving counterpart set; downstream
 applications (Section 6's demonstrations, the example scripts) need to
-rank, bucket, deduplicate and locate them.  These helpers operate purely
+rank, bucket and summarise them.  These helpers operate purely
 on :class:`~repro.core.extraction.FineGrainedPattern` objects.
 """
 
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.extraction import FineGrainedPattern
 from repro.data.taxi import week_bucket
 from repro.geo.projection import LocalProjection
-from repro.types import LonLat, MetersArray
+from repro.types import LonLat
 
 #: The six Figure 14(a-f) buckets in display order.
 WEEK_BUCKETS = (
@@ -61,13 +61,6 @@ def rank_patterns(
     raise ValueError(f"unknown ranking key {by!r}")
 
 
-def pattern_length_histogram(
-    patterns: Sequence[FineGrainedPattern],
-) -> Dict[int, int]:
-    """Pattern count per length (2-stop, 3-stop, ...)."""
-    return dict(sorted(Counter(len(p) for p in patterns).items()))
-
-
 def route_label(pattern: FineGrainedPattern) -> str:
     """Human-readable route string, e.g. ``Residence -> Office``."""
     return " -> ".join(pattern.items)
@@ -108,84 +101,3 @@ def summarize(
             )
         )
     return out
-
-
-def patterns_near(
-    patterns: Sequence[FineGrainedPattern],
-    lon: float,
-    lat: float,
-    radius_m: float,
-    projection: LocalProjection,
-) -> List[FineGrainedPattern]:
-    """Patterns with any representative within ``radius_m`` of a point.
-
-    The Figure 14(g)/(h) case-study query (airport, hospital).
-    """
-    if radius_m <= 0:
-        raise ValueError("radius_m must be positive")
-    cx, cy = projection.to_meters(lon, lat)
-    hits: List[FineGrainedPattern] = []
-    for p in patterns:
-        for rep in p.representatives:
-            x, y = projection.to_meters(rep.lon, rep.lat)
-            if (x - cx) ** 2 + (y - cy) ** 2 <= radius_m ** 2:
-                hits.append(p)
-                break
-    return hits
-
-
-def deduplicate_subsumed(
-    patterns: Sequence[FineGrainedPattern],
-    projection: LocalProjection,
-    radius_m: float = 50.0,
-) -> List[FineGrainedPattern]:
-    """Drop patterns subsumed by a longer pattern at the same venues.
-
-    Algorithm 4 refines every frequent tag sequence independently, so a
-    3-stop pattern's 2-stop prefixes often reappear as separate
-    patterns anchored at the same representatives.  A pattern is
-    subsumed when another pattern has (i) strictly more stops, (ii) its
-    item sequence as a subsequence, and (iii) matching representatives
-    within ``radius_m`` position by position.
-    """
-    kept: List[FineGrainedPattern] = []
-    ranked = rank_patterns(patterns, by="length")
-
-    def rep_xy(p: FineGrainedPattern) -> MetersArray:
-        return projection.to_meters_array(
-            [(sp.lon, sp.lat) for sp in p.representatives]
-        )
-
-    kept_xy: List[MetersArray] = []
-    for p in ranked:
-        xy = rep_xy(p)
-        subsumed = False
-        for q, qxy in zip(kept, kept_xy):
-            if len(q) <= len(p):
-                continue
-            if _is_spatial_subsequence(p.items, xy, q.items, qxy, radius_m):
-                subsumed = True
-                break
-        if not subsumed:
-            kept.append(p)
-            kept_xy.append(xy)
-    return kept
-
-
-def _is_spatial_subsequence(
-    items: Tuple[str, ...],
-    xy: MetersArray,
-    host_items: Tuple[str, ...],
-    host_xy: MetersArray,
-    radius_m: float,
-) -> bool:
-    """Ordered match of (item, position) pairs into the host pattern."""
-    j = 0
-    for i in range(len(host_items)):
-        if j == len(items):
-            break
-        same_item = host_items[i] == items[j]
-        d2 = ((host_xy[i] - xy[j]) ** 2).sum()
-        if same_item and d2 <= radius_m ** 2:
-            j += 1
-    return j == len(items)

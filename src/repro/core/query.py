@@ -17,12 +17,10 @@ support-weighted forecast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.extraction import FineGrainedPattern
-from repro.data.trajectory import SemanticProperty, SemanticTrajectory, StayPoint
+from repro.data.trajectory import SemanticProperty, SemanticTrajectory
 from repro.geo.projection import LocalProjection
 from repro.types import Float64Array, MetersArray
 
@@ -38,10 +36,6 @@ class PatternMatch:
     def is_complete(self) -> bool:
         """True when the observation already covers the whole pattern."""
         return len(self.matched_positions) == len(self.pattern)
-
-    def remaining_items(self) -> Tuple[str, ...]:
-        """The pattern's continuation after the matched prefix."""
-        return self.pattern.items[len(self.matched_positions):]
 
 
 @dataclass(frozen=True)

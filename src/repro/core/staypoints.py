@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import StayPointConfig
-from repro.data.trajectory import SemanticTrajectory, StayPoint, Trajectory
+from repro.data.trajectory import StayPoint, Trajectory
 from repro.geo.distance import equirectangular_distance
 
 
@@ -69,12 +69,3 @@ def detect_stay_points(
         else:
             i += 1
     return stays
-
-
-def to_semantic_trajectory(
-    trajectory: Trajectory, config: Optional[StayPointConfig] = None
-) -> SemanticTrajectory:
-    """``SemanticTrajectory(T)`` of Algorithm 3 line 3 (semantics empty)."""
-    return SemanticTrajectory(
-        trajectory.traj_id, detect_stay_points(trajectory, config)
-    )

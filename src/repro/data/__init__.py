@@ -21,7 +21,6 @@ from repro.data.categories import (
     MAJOR_CATEGORIES,
     MINOR_CATEGORIES,
     category_distribution,
-    major_of_minor,
 )
 from repro.data.city import CityModel, CityBlock, Skyscraper
 from repro.data.checkins import CheckinSimulator, CityCheckinProfile
@@ -53,5 +52,4 @@ __all__ = [
     "TaxiTrip",
     "Trajectory",
     "category_distribution",
-    "major_of_minor",
 ]

@@ -118,21 +118,6 @@ def _validate_taxonomy() -> None:
 
 _validate_taxonomy()
 
-#: Reverse map minor -> major, e.g. "Noodle House" -> "Restaurant".
-_MINOR_TO_MAJOR: Dict[str, str] = {
-    minor: major
-    for major, minors in MINOR_CATEGORIES.items()
-    for minor in minors
-}
-
-
-def major_of_minor(minor: str) -> str:
-    """Major category of a minor category name.
-
-    Raises ``KeyError`` for unknown minors so typos fail loudly.
-    """
-    return _MINOR_TO_MAJOR[minor]
-
 
 def category_distribution() -> Dict[str, float]:
     """Major-category probabilities normalised from Table 3 counts."""

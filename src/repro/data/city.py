@@ -231,17 +231,6 @@ class CityModel:
     def venues(self) -> Dict[str, CityBlock]:
         return {b.venue: b for b in self.blocks if b.venue is not None}
 
-    def block_at(self, x: float, y: float) -> Optional[CityBlock]:
-        """Block whose buildable square contains ``(x, y)``, if any."""
-        half_city = self.extent_m / 2.0
-        gx = int((x + half_city) // self.block_size_m)
-        gy = int((y + half_city) // self.block_size_m)
-        n_side = int(self.extent_m // self.block_size_m)
-        if not (0 <= gx < n_side and 0 <= gy < n_side):
-            return None
-        block = self.blocks[gy * n_side + gx]
-        return block if block.contains(x, y) else None
-
 
 def _draw_zone_category(ring: float, rng: np.random.Generator) -> str:
     """Sample a block category for the given normalised ring distance."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.csd import CitySemanticDiagram
 from repro.core.extraction import FineGrainedPattern
 from repro.core.patterns import pattern_time_bucket, route_label
-from repro.ioutil import strict_json_dump, strict_json_load
+from repro.ioutil import strict_json_dump
 from repro.types import Float64Array, LonLatArray
 
 PathLike = Union[str, Path]
@@ -126,17 +126,3 @@ def write_geojson(path: PathLike, collection: dict) -> None:
     if collection.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     strict_json_dump(path, collection, indent=2)
-
-
-def read_geojson(path: PathLike) -> dict:
-    """Read back a FeatureCollection written by :func:`write_geojson`.
-
-    Raises :class:`repro.ioutil.TornArtifactError` naming the file on
-    truncated or invalid JSON.
-    """
-    collection = strict_json_load(path)
-    if not isinstance(collection, dict) or (
-        collection.get("type") != "FeatureCollection"
-    ):
-        raise ValueError(f"{path} is not a GeoJSON FeatureCollection")
-    return collection

@@ -94,13 +94,6 @@ class TaxiDataset:
             out.append(trip.dropoff)
         return out
 
-    def single_trip_trajectories(self) -> List[SemanticTrajectory]:
-        """One two-point semantic trajectory per journey (80% of data)."""
-        return [
-            SemanticTrajectory(trip.trip_id, [trip.pickup, trip.dropoff])
-            for trip in self.trips
-        ]
-
     def linked_trajectories(
         self, min_points: int = 3
     ) -> List[SemanticTrajectory]:

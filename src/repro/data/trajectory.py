@@ -103,10 +103,6 @@ class SemanticTrajectory:
             raise IndexError(f"Pt^{k} out of range for length {len(self)}")
         return self.stay_points[k - 1]
 
-    def semantic_sequence(self) -> Tuple[SemanticProperty, ...]:
-        """The sequence of semantic properties along the trajectory."""
-        return tuple(sp.semantics for sp in self.stay_points)
-
     def is_time_ordered(self) -> bool:
         sps = self.stay_points
         return all(sps[i].t <= sps[i + 1].t for i in range(len(sps) - 1))

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.extraction import FineGrainedPattern
 from repro.data.trajectory import SemanticProperty, SemanticTrajectory, StayPoint
 from repro.geo.projection import LocalProjection
+from repro.geo.stats import mean_pairwise_distance
 from repro.types import Float64Array, IndexArray
 
 
@@ -40,17 +41,12 @@ def pattern_spatial_sparsity(
     """Equations 9-10: average within-group pairwise distance, metres."""
     if not pattern.groups:
         return 0.0
-    per_group: List[float] = []
-    for group in pattern.groups:
-        xy = projection.to_meters_array([(sp.lon, sp.lat) for sp in group])
-        n = len(xy)
-        if n < 2:
-            per_group.append(0.0)
-            continue
-        delta = xy[:, None, :] - xy[None, :, :]
-        dist = np.sqrt((delta ** 2).sum(axis=2))
-        iu = np.triu_indices(n, k=1)
-        per_group.append(float(dist[iu].mean()))
+    per_group = [
+        mean_pairwise_distance(
+            projection.to_meters_array([(sp.lon, sp.lat) for sp in group])
+        )
+        for group in pattern.groups
+    ]
     return float(np.mean(per_group))
 
 

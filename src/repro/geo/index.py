@@ -90,11 +90,6 @@ class GridIndex:
         view.flags.writeable = False
         return view
 
-    @property
-    def n_occupied_cells(self) -> int:
-        """Number of grid cells holding at least one point."""
-        return self._n_cells
-
     @array_contract(ret=ArraySpec(dtype="int64", ndim=1))
     def query_radius(self, x: float, y: float, radius: float) -> IndexArray:
         """Indices of points within ``radius`` metres of ``(x, y)``.
@@ -253,30 +248,3 @@ class GridIndex:
     def count_within(self, x: float, y: float, radius: float) -> int:
         """Number of indexed points within ``radius`` of ``(x, y)``."""
         return int(len(self.query_radius(x, y, radius)))
-
-    @array_contract(ret=ArraySpec(dtype="int64", ndim=1))
-    def nearest(self, x: float, y: float, k: int = 1) -> IndexArray:
-        """Indices of the ``k`` nearest points, closest first.
-
-        Searches expanding rings of grid cells, stopping once the best
-        ``k`` candidates are provably closer than any unexplored cell.
-        Returns fewer than ``k`` indices when the index is smaller.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        n = len(self._xy)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        k = min(k, n)
-        for span in range(1, max(2, int(np.sqrt(self._n_cells)) + 2)):
-            radius = span * self._cell
-            hits = self.query_radius(x, y, radius)
-            if len(hits) >= k:
-                # Exact: every point within `radius` is closer than any
-                # unexplored point outside it.
-                d2 = ((self._xy[hits] - (x, y)) ** 2).sum(axis=1)
-                return hits[np.argsort(d2, kind="stable")[:k]]
-        # Sparser than any ring we tried: brute force the remainder.
-        d2 = ((self._xy - (x, y)) ** 2).sum(axis=1)
-        # argsort yields platform intp; the index contract is int64.
-        return np.argsort(d2, kind="stable")[:k].astype(np.int64, copy=False)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geo.distance import pairwise_distances
 from repro.types import Float64Array, MetersArray
 
 #: Floor on the mean radius used by :func:`spatial_density`, in metres.
@@ -51,14 +52,11 @@ def mean_pairwise_distance(xy: MetersArray) -> float:
 
     Returns 0.0 for groups of fewer than two points.
     """
-    pts = np.asarray(xy, dtype=float)
-    n = len(pts)
+    n = len(xy)
     if n < 2:
         return 0.0
-    delta = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((delta ** 2).sum(axis=2))
     iu = np.triu_indices(n, k=1)
-    return float(dist[iu].mean())
+    return float(pairwise_distances(xy)[iu].mean())
 
 
 def spatial_density(xy: MetersArray) -> float:

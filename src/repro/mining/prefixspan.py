@@ -203,13 +203,6 @@ class WindowedPrefixSpan:
     def __len__(self) -> int:
         return len(self._sequences)
 
-    def sequence_ids(self) -> List[int]:
-        """Live sequence ids, sorted."""
-        return sorted(self._sequences)
-
-    def sequence(self, seq_id: int) -> Tuple[Item, ...]:
-        return self._sequences[seq_id]
-
     # -- updates ---------------------------------------------------------
 
     def add_many(self, new: Mapping[int, Sequence[Item]]) -> None:

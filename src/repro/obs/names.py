@@ -21,7 +21,7 @@ literal here, use the same literal at the call site, and document it in
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 __all__ = [
     "COUNTERS",
@@ -32,7 +32,6 @@ __all__ = [
     "SPAN_NAMES",
     "METRIC_NAMES",
     "DOCUMENTED_NAMES",
-    "metric_kind",
 ]
 
 #: Monotone event counts.
@@ -176,20 +175,3 @@ METRIC_NAMES: FrozenSet[str] = COUNTERS | GAUGES | HISTOGRAMS | TIMERS
 
 #: Every name ``docs/OBSERVABILITY.md`` must list (RPL010).
 DOCUMENTED_NAMES: FrozenSet[str] = METRIC_NAMES | SPAN_NAMES
-
-
-def metric_kind(name: str) -> Optional[str]:
-    """The registered kind of ``name`` (``"counter"``, ``"gauge"``,
-    ``"histogram"``, ``"timer"``, ``"span"``), or ``None`` if the name
-    is not registered anywhere."""
-    if name in COUNTERS:
-        return "counter"
-    if name in GAUGES:
-        return "gauge"
-    if name in HISTOGRAMS:
-        return "histogram"
-    if name in TIMERS:
-        return "timer"
-    if name in SPAN_LABELS or name in SPAN_NAMES:
-        return "span"
-    return None

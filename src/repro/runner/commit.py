@@ -39,16 +39,19 @@ from repro.obs import get_registry
 
 T = TypeVar("T")
 
+#: Retries of a failed artifact write before its ``OSError`` propagates.
+MAX_RETRIES = 3
+#: Sleep before the first retry, in seconds; doubled before each next one.
+BACKOFF_S = 0.05
+
 
 def retry_with_backoff(
     operation: Callable[[], T],
-    max_retries: int = 3,
-    backoff_s: float = 0.05,
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
     """Run ``operation``, retrying ``OSError`` with exponential backoff.
 
-    Attempts ``max_retries + 1`` times total, sleeping ``backoff_s *
+    Attempts ``MAX_RETRIES + 1`` times total, sleeping ``BACKOFF_S *
     2**attempt`` between attempts; the last failure propagates.  Only
     ``OSError`` (transient I/O) is retried —
     :class:`~repro.ioutil.SimulatedCrash` and everything else escape
@@ -56,17 +59,15 @@ def retry_with_backoff(
     retry increments the ``pipeline.runner.checkpoint.retries`` counter
     on the :mod:`repro.obs` registry.
     """
-    if max_retries < 0:
-        raise ValueError("max_retries must be non-negative")
     attempt = 0
     while True:
         try:
             return operation()
         except OSError:
-            if attempt >= max_retries:
+            if attempt >= MAX_RETRIES:
                 raise
             get_registry().counter("pipeline.runner.checkpoint.retries").inc()
-            sleep(backoff_s * (2.0 ** attempt))
+            sleep(BACKOFF_S * (2.0 ** attempt))
             attempt += 1
 
 

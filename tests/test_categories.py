@@ -7,7 +7,6 @@ from repro.data.categories import (
     MAJOR_CATEGORIES,
     MINOR_CATEGORIES,
     category_distribution,
-    major_of_minor,
 )
 
 
@@ -41,15 +40,6 @@ class TestTaxonomyShape:
 
 
 class TestLookups:
-    def test_major_of_minor(self):
-        assert major_of_minor("Noodle House") == "Restaurant"
-        assert major_of_minor("Metro Station") == "Traffic Stations"
-        assert major_of_minor("Children's Hospital") == "Medical Service"
-
-    def test_major_of_minor_unknown_raises(self):
-        with pytest.raises(KeyError):
-            major_of_minor("Space Elevator")
-
     def test_distribution_sums_to_one(self):
         dist = category_distribution()
         assert sum(dist.values()) == pytest.approx(1.0)

@@ -69,19 +69,6 @@ class TestBlockGeometry:
             x, y = block.sample_point(rng)
             assert block.contains(x, y)
 
-    def test_block_at(self, small_city):
-        block = small_city.blocks[5]
-        assert small_city.block_at(block.cx, block.cy) is block
-
-    def test_block_at_road_is_none(self, small_city):
-        # Midway between two block centres lies on a road.
-        b = small_city.blocks[0]
-        edge_x = b.cx + small_city.block_size_m / 2
-        assert small_city.block_at(edge_x, b.cy) is None
-
-    def test_block_at_outside_city(self, small_city):
-        assert small_city.block_at(1e7, 1e7) is None
-
 
 class TestPlazas:
     def test_plazas_deterministic_and_cached(self, small_city):

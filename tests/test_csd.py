@@ -73,7 +73,5 @@ class TestSemanticUnit:
 
     def test_unit_stats_on_real_csd(self, small_csd):
         sizes = small_csd.unit_sizes()
-        variances = small_csd.unit_variances()
         assert len(sizes) == small_csd.n_units
         assert np.all(sizes >= 1)
-        assert np.all(variances >= 0)

@@ -26,7 +26,6 @@ class TestGeoEdges:
         xy = np.tile([5.0, 5.0], (10, 1))
         idx = GridIndex(xy, cell_size=10)
         assert len(idx.query_radius(5, 5, 1)) == 10
-        assert len(idx.nearest(5, 5, k=3)) == 3
 
     def test_index_zero_radius_query(self):
         xy = np.array([[0.0, 0.0], [1.0, 0.0]])

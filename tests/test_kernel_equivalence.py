@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cluster.meanshift import estimate_bandwidth
 from repro.cluster.optics import (
     MAX_EPS_M,
     OpticsResult,
@@ -33,6 +34,7 @@ from repro.core.constructor import (
     semantic_units,
 )
 from repro.core.csd import UNASSIGNED, SemanticUnit
+from repro.core.extraction import FineGrainedPattern
 from repro.core.merging import (
     _UnionFind,
     cosine_similarity,
@@ -52,9 +54,11 @@ from repro.core.recognition import CSDRecognizer, vote_stays
 from repro.data.persistence import save_csd
 from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
+from repro.eval.metrics import pattern_spatial_sparsity
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
-from repro.geo.stats import medoid_index
+from repro.geo.projection import LocalProjection
+from repro.geo.stats import mean_pairwise_distance, medoid_index
 
 MAJORS = [
     "Restaurant",
@@ -877,6 +881,103 @@ class TestConstructorEquivalence:
             assert (tmp_path / "kernel" / name).read_bytes() == (
                 tmp_path / "oracle" / name
             ).read_bytes()
+
+
+# -- Eq. 9 pairwise-distance oracles ----------------------------------------
+#
+# The inline distance-matrix bodies of the three Eq. 9 call sites, kept
+# verbatim as the reference for ``repro.geo.distance.pairwise_distances``.
+
+
+def mean_pairwise_distance_oracle(xy):
+    """The inline ``geo.stats.mean_pairwise_distance``."""
+    pts = np.asarray(xy, dtype=float)
+    n = len(pts)
+    if n < 2:
+        return 0.0
+    delta = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((delta ** 2).sum(axis=2))
+    iu = np.triu_indices(n, k=1)
+    return float(dist[iu].mean())
+
+
+def pattern_spatial_sparsity_oracle(pattern, projection):
+    """The inline ``eval.metrics.pattern_spatial_sparsity``."""
+    if not pattern.groups:
+        return 0.0
+    per_group = []
+    for group in pattern.groups:
+        xy = projection.to_meters_array([(sp.lon, sp.lat) for sp in group])
+        n = len(xy)
+        if n < 2:
+            per_group.append(0.0)
+            continue
+        delta = xy[:, None, :] - xy[None, :, :]
+        dist = np.sqrt((delta ** 2).sum(axis=2))
+        iu = np.triu_indices(n, k=1)
+        per_group.append(float(dist[iu].mean()))
+    return float(np.mean(per_group))
+
+
+def estimate_bandwidth_oracle(xy, quantile=0.3):
+    """The inline ``cluster.meanshift.estimate_bandwidth``."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError("quantile must be in (0, 1]")
+    if n < 2:
+        return 1.0
+    delta = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((delta ** 2).sum(axis=2))
+    iu = np.triu_indices(n, k=1)
+    return max(float(np.quantile(dist[iu], quantile)), 1.0)
+
+
+GROUP_SIZES = (0, 1, 2, 17, 200)
+
+
+def random_group(rng, n):
+    """``n`` points scattered over a venue-sized patch, metres."""
+    return rng.normal(0.0, 60.0, size=(n, 2)) + rng.uniform(-3e3, 3e3, 2)
+
+
+class TestPairwiseDistanceEquivalence:
+    @pytest.mark.parametrize("n", GROUP_SIZES)
+    def test_mean_pairwise_distance(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            xy = random_group(rng, n)
+            assert mean_pairwise_distance(xy) == mean_pairwise_distance_oracle(xy)
+
+    @pytest.mark.parametrize("n", GROUP_SIZES)
+    def test_estimate_bandwidth(self, n):
+        rng = np.random.default_rng(100 + n)
+        for quantile in (0.1, 0.3, 1.0):
+            xy = random_group(rng, n)
+            assert estimate_bandwidth(xy, quantile) == estimate_bandwidth_oracle(
+                xy, quantile
+            )
+
+    @pytest.mark.parametrize("n", GROUP_SIZES)
+    def test_pattern_spatial_sparsity(self, n):
+        rng = np.random.default_rng(200 + n)
+        proj = LocalProjection(121.47, 31.2)
+
+        def group(size):
+            lonlat = proj.to_lonlat_array(random_group(rng, size))
+            return [StayPoint(lon, lat, 0.0) for lon, lat in lonlat]
+
+        single = FineGrainedPattern(
+            items=("A",), representatives=[], member_ids=[], groups=[group(n)]
+        )
+        mixed = FineGrainedPattern(
+            items=tuple("ABCDEF"), representatives=[], member_ids=[],
+            groups=[group(n)] + [group(size) for size in GROUP_SIZES],
+        )
+        for pattern in (single, mixed):
+            assert pattern_spatial_sparsity(
+                pattern, proj
+            ) == pattern_spatial_sparsity_oracle(pattern, proj)
 
 
 _BUILD_SMALL_CSD = """

@@ -291,16 +291,6 @@ class TestNamesRegistry:
         )
         assert names.DOCUMENTED_NAMES == names.METRIC_NAMES | names.SPAN_NAMES
 
-    def test_metric_kind_lookup(self):
-        from repro.obs import names
-
-        assert names.metric_kind("contracts.checks") == "counter"
-        assert names.metric_kind("incremental.staleness") == "gauge"
-        assert names.metric_kind("recognition.batch_latency_s") == "histogram"
-        assert names.metric_kind("constructor.popularity") == "timer"
-        assert names.metric_kind("pipeline.runner") == "span"
-        assert names.metric_kind("no.such.metric") is None
-
 
 class TestThreadSafety:
     """Concurrent mutation hammer: totals must be exact, not racy.

@@ -6,10 +6,7 @@ from repro.core.extraction import FineGrainedPattern
 from repro.core.patterns import (
     WEEK_BUCKETS,
     bucket_patterns,
-    deduplicate_subsumed,
-    pattern_length_histogram,
     pattern_time_bucket,
-    patterns_near,
     rank_patterns,
     route_label,
     summarize,
@@ -86,14 +83,6 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_patterns([], by="magic")
 
-    def test_length_histogram(self):
-        ps = [
-            make_pattern(["A", "B"], [0, 1000]),
-            make_pattern(["A", "B"], [0, 1000]),
-            make_pattern(["A", "B", "C"], [0, 1000, 2000]),
-        ]
-        assert pattern_length_histogram(ps) == {2: 2, 3: 1}
-
     def test_route_label(self):
         p = make_pattern(["Office", "Home"], [0, 1000])
         assert route_label(p) == "Office -> Home"
@@ -128,44 +117,3 @@ class TestSummaries:
         )
         (row,) = summarize([p], proj)
         assert row.span_m == pytest.approx(3000.0, rel=1e-9)
-
-
-class TestSpatialQueries:
-    def test_patterns_near_hits(self):
-        p = make_pattern(["A", "B"], [0, 5000])
-        hits = patterns_near([p], 0.0, 0.0, 200.0, PROJ)
-        assert hits == [p]
-
-    def test_patterns_near_misses(self):
-        p = make_pattern(["A", "B"], [3000, 5000])
-        assert patterns_near([p], 0.0, 0.0, 200.0, PROJ) == []
-
-    def test_patterns_near_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            patterns_near([], 0.0, 0.0, 0.0, PROJ)
-
-
-class TestDeduplication:
-    def test_prefix_subsumed_by_longer(self):
-        long = make_pattern(["A", "B", "C"], [0, 1000, 2000], support=8)
-        prefix = make_pattern(["A", "B"], [0, 1000], support=10)
-        kept = deduplicate_subsumed([long, prefix], PROJ)
-        assert kept == [long]
-
-    def test_distinct_venues_kept(self):
-        long = make_pattern(["A", "B", "C"], [0, 1000, 2000])
-        other = make_pattern(["A", "B"], [5000, 6000])
-        kept = deduplicate_subsumed([long, other], PROJ)
-        assert set(map(id, kept)) == {id(long), id(other)}
-
-    def test_gapped_subsequence_subsumed(self):
-        long = make_pattern(["A", "X", "B"], [0, 500, 1000])
-        sub = make_pattern(["A", "B"], [0, 1000])
-        kept = deduplicate_subsumed([long, sub], PROJ)
-        assert kept == [long]
-
-    def test_same_items_different_place_kept(self):
-        a = make_pattern(["A", "B", "C"], [0, 1000, 2000])
-        b = make_pattern(["A", "B"], [0, 9000])
-        kept = deduplicate_subsumed([a, b], PROJ)
-        assert len(kept) == 2

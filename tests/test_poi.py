@@ -7,8 +7,8 @@ import pytest
 
 from repro.data.categories import (
     MAJOR_CATEGORIES,
+    MINOR_CATEGORIES,
     category_distribution,
-    major_of_minor,
 )
 from repro.data.city import CityModel
 from repro.data.poi import POI, POIGenerator, poi_lonlat_array
@@ -45,7 +45,7 @@ class TestGenerator:
 
     def test_minor_consistent_with_major(self, small_pois):
         for poi in small_pois[:500]:
-            assert major_of_minor(poi.minor) == poi.major
+            assert poi.minor in MINOR_CATEGORIES[poi.major]
 
     def test_unique_ids(self, small_pois):
         ids = [p.poi_id for p in small_pois]

@@ -60,7 +60,6 @@ class TestMatching:
         assert [m.pattern.items for m in matches] == [
             ("Office", "Shop", "Home")
         ]
-        assert matches[0].remaining_items() == ("Home",)
 
     def test_complete_match_flag(self, matcher):
         matches = matcher.match(

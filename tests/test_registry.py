@@ -21,10 +21,6 @@ class TestRegistry:
             "ROI-PM", "ROI-Splitter", "ROI-SDBSCAN",
         }
 
-    def test_csd_based_flag(self):
-        assert Approach("CSD", "PM").is_csd_based
-        assert not Approach("ROI", "PM").is_csd_based
-
     def test_lookup_by_name(self):
         a = approach_by_name("ROI-Splitter")
         assert a.recognizer == "ROI" and a.extractor == "Splitter"

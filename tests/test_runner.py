@@ -348,10 +348,8 @@ class TestRetry:
                 raise failures.pop()
             return "done"
 
-        assert retry_with_backoff(
-            op, max_retries=3, backoff_s=0.01, sleep=naps.append
-        ) == "done"
-        assert naps == [0.01, 0.02, 0.04]
+        assert retry_with_backoff(op, sleep=naps.append) == "done"
+        assert naps == [0.05, 0.1, 0.2]
 
     def test_persistent_failure_raises_after_budget(self, tmp_path):
         attempts = []
@@ -361,10 +359,8 @@ class TestRetry:
             raise OSError("injected persistent failure")
 
         with pytest.raises(OSError, match="injected"):
-            retry_with_backoff(
-                op, max_retries=2, backoff_s=0.0, sleep=lambda s: None
-            )
-        assert len(attempts) == 3  # 1 try + 2 retries
+            retry_with_backoff(op, sleep=lambda s: None)
+        assert len(attempts) == 4  # 1 try + MAX_RETRIES retries
 
     def test_simulated_crash_is_not_retried(self, tmp_path):
         attempts = []
@@ -374,7 +370,7 @@ class TestRetry:
             raise SimulatedCrash("p")
 
         with pytest.raises(SimulatedCrash):
-            retry_with_backoff(op, max_retries=5, sleep=lambda s: None)
+            retry_with_backoff(op, sleep=lambda s: None)
         assert len(attempts) == 1
 
 

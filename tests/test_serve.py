@@ -444,6 +444,11 @@ def http_server(small_csd):
         service.close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+        leaked = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-serve")
+        ]
+        assert not leaked, f"threads alive after shutdown: {leaked}"
 
 
 def _get(base, path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import StayPointConfig
-from repro.core.staypoints import detect_stay_points, to_semantic_trajectory
+from repro.core.staypoints import detect_stay_points
 from repro.data.trajectory import GPSPoint, Trajectory
 
 #: ~1 m in degrees of longitude at the equator-ish latitudes used here.
@@ -66,15 +66,6 @@ class TestDetection:
     def test_empty_trajectory(self):
         assert detect_stay_points(Trajectory(0, [])) == []
 
-    def test_to_semantic_trajectory_keeps_id(self):
-        traj = track([(0.0, 1800.0, 10)])
-        traj.traj_id = 42
-        st = to_semantic_trajectory(
-            traj, StayPointConfig(theta_d_m=200.0, theta_t_s=1200.0)
-        )
-        assert st.traj_id == 42
-        assert len(st) == 1
-
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             StayPointConfig(theta_d_m=0.0)
@@ -118,4 +109,4 @@ class TestTimestampValidation:
     def test_to_semantic_trajectory_propagates_validation(self):
         pts = [GPSPoint(0.0, 0.0, 10.0), GPSPoint(0.0, 0.0, 5.0)]
         with pytest.raises(ValueError, match="out of order"):
-            to_semantic_trajectory(Trajectory(3, pts))
+            detect_stay_points(Trajectory(3, pts))

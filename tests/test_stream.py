@@ -751,24 +751,33 @@ class TestStreamCLI:
         from repro.cli import main
 
         trips_path, pois_path, csd_path = stream_run_files
+
+        def argv(run_dir):
+            return [
+                "stream",
+                "--trips", str(trips_path),
+                "--csd", str(csd_path),
+                "--pois", str(pois_path),
+                "--run-dir", str(run_dir),
+                "--epoch-trips", "500",
+                "--poi-batch", "100",
+                "--window-epochs", "3",
+                "--staleness-threshold", "0.01",
+                "--support", "8",
+            ]
+
         run_dir = tmp_path / "run"
-        argv = [
-            "stream",
-            "--trips", str(trips_path),
-            "--csd", str(csd_path),
-            "--pois", str(pois_path),
-            "--run-dir", str(run_dir),
-            "--epoch-trips", "500",
-            "--poi-batch", "100",
-            "--window-epochs", "3",
-            "--staleness-threshold", "0.01",
-            "--support", "8",
-            "--max-epochs", "2",
-        ]
-        assert main(argv) == 0
+        assert main(argv(run_dir) + ["--max-epochs", "2"]) == 0
         assert (run_dir / STREAM_MANIFEST_NAME).exists()
         out = capsys.readouterr().out
         assert "epoch 0:" in out
         # And the resume leg picks up where the first invocation ended.
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv(run_dir) + ["--resume"]) == 0
         assert "stream [resumed]:" in capsys.readouterr().out
+        # The two legs commit the manifest one uninterrupted invocation
+        # commits: same diagram, cursors and live-window epoch digests.
+        reference = tmp_path / "reference"
+        assert main(argv(reference)) == 0
+        assert (run_dir / STREAM_MANIFEST_NAME).read_bytes() == (
+            reference / STREAM_MANIFEST_NAME
+        ).read_bytes()

@@ -97,11 +97,6 @@ class TestDerivedViews:
     def test_stay_points_count(self, small_taxi):
         assert len(small_taxi.stay_points()) == 2 * len(small_taxi.trips)
 
-    def test_single_trip_trajectories(self, small_taxi):
-        singles = small_taxi.single_trip_trajectories()
-        assert len(singles) == len(small_taxi.trips)
-        assert all(len(st) == 2 for st in singles)
-
     def test_linked_trajectories_have_min_points(self, small_taxi):
         linked = small_taxi.linked_trajectories(min_points=3)
         assert linked

@@ -66,16 +66,6 @@ class TestSemanticTrajectory:
         st = _st([(1, 1, 10.0), (2, 2, 20.0)])
         assert st[0].t == 10.0
 
-    def test_semantic_sequence(self):
-        st = SemanticTrajectory(
-            0,
-            [
-                StayPoint(0, 0, 0, frozenset({"A"})),
-                StayPoint(0, 0, 1, frozenset({"B"})),
-            ],
-        )
-        assert st.semantic_sequence() == (frozenset({"A"}), frozenset({"B"}))
-
 
 class TestTagHelpers:
     def test_dominant_tag_empty(self):
