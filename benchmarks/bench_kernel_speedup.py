@@ -7,8 +7,11 @@ Times the hottest pipeline stages on the standard bench workload
 * popularity (Eq. 3): per-POI ``query_radius`` loop vs. the vectorised
   ``compute_popularity`` (one CSR batch query + ``np.bincount``);
 * recognition (Algorithm 3): per-stay-point dict voting vs.
-  ``CSDRecognizer.recognize_points`` (one CSR batch query +
+  ``CSDRecognizer.recognize_points`` (one cell-window table query +
   ``np.bincount`` over ``(stay, unit)`` pairs);
+* recognition at serving batch sizes: ``vote_stays`` on 1-stay and
+  64-stay calls against the grid-query vote it replaced
+  (``tests/test_kernel_equivalence.py::vote_stays_oracle``);
 * OPTICS (Algorithm 4 line 6): the seed heap walk
   (``tests/test_kernel_equivalence.py::optics_seed_oracle``) vs.
   ``repro.cluster.optics.optics`` on every call one
@@ -60,6 +63,7 @@ from tests.test_kernel_equivalence import (
     merge_units_oracle,
     optics_seed_oracle,
     purify_loop_oracle,
+    vote_stays_oracle,
 )
 
 
@@ -214,6 +218,43 @@ def main(argv=None):
         f"speedup x{rec_speedup:.1f}  identical={rec_equal}"
     )
 
+    # Algorithm 3's vote at the batch sizes a serving daemon sees: one
+    # stay per call (a cache-missing request) and 64-stay blocks.
+    stay_xy_rec = recognizer.project_stays(stays)
+    singles = stay_xy_rec[: 300 if args.fast else 3000]
+
+    def vote_blocks(vote, xy, size):
+        return [vote(xy[s : s + size]) for s in range(0, len(xy), size)]
+
+    def kernel(xy):
+        return vote_stays(csd, recognizer.table, xy)
+
+    def oracle(xy):
+        return vote_stays_oracle(csd, xy, config.r3sigma_m)
+
+    small_rows = {}
+    small_equal = True
+    for label, xy, size in (("one_stay", singles, 1), ("block64", stay_xy_rec, 64)):
+        want, t_oracle = timed(vote_blocks, oracle, xy, size)
+        got, t_kernel = timed(vote_blocks, kernel, xy, size)
+        small_equal &= all(
+            g.dtype == w.dtype and np.array_equal(g, w)
+            for got_call, want_call in zip(got, want)
+            for g, w in zip(got_call, want_call)
+        )
+        calls = len(want)
+        small_rows[label] = {
+            "calls": calls,
+            "oracle_us": round(t_oracle / calls * 1e6, 2),
+            "kernel_us": round(t_kernel / calls * 1e6, 2),
+            "ratio": round(t_kernel / t_oracle, 3),
+        }
+        print(
+            f"vote {label}: {calls} calls  oracle {t_oracle / calls * 1e6:.1f}us  "
+            f"kernel {t_kernel / calls * 1e6:.1f}us  "
+            f"ratio {t_kernel / t_oracle:.2f}  identical={small_equal}"
+        )
+
     # Algorithm 4 line 6 at the end-to-end bench's support and rho; the
     # fast corpus is too short for support 20 to leave any pattern.
     mining_config = MiningConfig(support=2 if args.fast else 20, rho=0.001)
@@ -252,7 +293,7 @@ def main(argv=None):
     )
     want_final, t_merge_oracle = timed(merge_units_oracle, *merge_args)
     final, t_merge = timed(merge_units, *merge_args)
-    votes = vote_stays(csd, recognizer.project_stays(stays), config.r3sigma_m)
+    votes = vote_stays(csd, recognizer.table, stay_xy_rec)
     want_props, t_asm_oracle = timed(
         assemble_semantics_oracle, recognizer, *votes
     )
@@ -326,6 +367,11 @@ def main(argv=None):
             "speedup": round(rec_speedup, 2),
             "identical": bool(rec_equal),
         },
+        "recognition_small_batch": {
+            **small_rows,
+            "table_entries": len(recognizer.table),
+            "identical": bool(small_equal),
+        },
         "optics": {
             "calls": len(calls),
             "points": opt_points,
@@ -361,7 +407,8 @@ def main(argv=None):
         write_report_json(args.metrics_json, metrics)
         print(f"wrote metrics snapshot {args.metrics_json}")
     if not (
-        pop_ok and rec_equal and opt_equal and rec_obs == rec_batch
+        pop_ok and rec_equal and small_equal and opt_equal
+        and rec_obs == rec_batch
         and all(same for _, _, same in constructor_rows.values())
     ):
         raise SystemExit("batched results diverged from the loop reference")

@@ -9,7 +9,7 @@ on small inputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.data.trajectory import SemanticTrajectory, StayPoint
 from repro.geo.distance import equirectangular_distance

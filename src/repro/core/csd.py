@@ -14,12 +14,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.contracts import ArraySpec, CSRSpec, array_contract
+from repro.contracts import ArraySpec, array_contract
 from repro.data.poi import POI, poi_lonlat_array
 from repro.data.trajectory import SemanticProperty
 from repro.geo.index import GridIndex
 from repro.geo.projection import LocalProjection
-from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
+from repro.types import Float64Array, IndexArray, MetersArray
 
 UNASSIGNED = -1
 
@@ -110,18 +110,6 @@ class CitySemanticDiagram:
     def range_query(self, x: float, y: float, radius: float) -> IndexArray:
         """POI indices within ``radius`` metres of ``(x, y)`` (metres)."""
         return self._index.query_radius(x, y, radius)
-
-    @array_contract(
-        xy=ArraySpec(dtype="float64", cols=2, coerced=True),
-        ret=CSRSpec(centers="xy"),
-    )
-    def range_query_many(self, xy: MetersArray, radius: float) -> CSRQuery:
-        """Batched :meth:`range_query` over ``(m, 2)`` centres.
-
-        Returns CSR ``(indices, offsets)`` — see
-        :meth:`repro.geo.index.GridIndex.query_radius_many`.
-        """
-        return self._index.query_radius_many(xy, radius)
 
     def poi_tags(self) -> List[str]:
         """All POI tags at this diagram's granularity (cached)."""

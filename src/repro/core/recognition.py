@@ -8,16 +8,23 @@ rather than by single best POI — is what makes recognition robust to
 GPS noise and to semantically complex areas.
 
 Recognition is embarrassingly batchable: :meth:`CSDRecognizer.
-recognize_points` projects the whole stay-point corpus at once, runs a
-single CSR range query over the POI grid, and resolves every vote with
-``np.bincount`` over ``(stay, unit)`` pairs.  The scalar
-:meth:`CSDRecognizer.recognize_point` is a single-point wrapper over
-the same kernel, so both paths are exactly equivalent.
+recognize_points` projects the whole stay-point corpus at once, reads
+every stay's in-range POIs from the recognizer's
+:class:`~repro.geo.index.CellWindowTable`, and resolves every vote with
+``np.bincount`` over ``(stay, unit)`` pairs.  The table is built once
+per recognizer, that is per diagram and ``R_3sigma``: cells of edge
+``R_3sigma``, and for each cell the unit-assigned POIs of its 3×3
+window, ascending.  A stay's candidates are then one contiguous slice,
+already in the order the votes must add up in, so a call sorts nothing
+but its ``(stay, unit)`` pairs; that keeps the one-stay calls of a
+serving daemon cheap.  The scalar :meth:`CSDRecognizer.recognize_point`
+is a single-point wrapper over the same kernel, so both paths are
+exactly equivalent.
 
 The voting kernel itself is split out as :func:`vote_stays`, a pure
-array function over the CSD.  Votes for different stay points never
-interact, so recognising a corpus in slices is bit-identical to one
-big batch: ``recognize_points`` votes in blocks of
+array function over the CSD and its table.  Votes for different stay
+points never interact, so recognising a corpus in slices is
+bit-identical to one big batch: ``recognize_points`` votes in blocks of
 :data:`RECOGNITION_BLOCK` stays, which bounds its memory on any corpus.
 :func:`attach_semantics` re-splits the flat results into trajectories
 for every caller that flattens first.
@@ -39,6 +46,7 @@ from repro.data.trajectory import (
     StayPoint,
 )
 from repro.geo.distance import gaussian_coefficients
+from repro.geo.index import CellWindowTable
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.types import IndexArray, MetersArray
 
@@ -58,16 +66,18 @@ RECOGNITION_BLOCK = 8192
 )
 def vote_stays(
     source: CitySemanticDiagram,
+    table: CellWindowTable,
     xy: MetersArray,
-    r3sigma_m: float,
 ) -> Tuple[IndexArray, IndexArray, IndexArray]:
     """The numeric half of Algorithm 3 over projected stay coordinates.
 
-    Runs one batched range query over ``source``'s POI grid,
-    accumulates popularity-weighted votes per ``(stay, unit)`` pair
-    with ``np.bincount`` (sequential in hit order, so totals match a
-    per-point left-to-right sum bit for bit), and breaks vote ties on
-    the smaller unit id.
+    ``table`` holds ``source``'s unit-assigned POIs at radius
+    ``R_3sigma``.  Its query gives each stay's in-range POIs in
+    ascending order with their squared distances.  One stable sort
+    groups the hits by ``(stay, unit)`` pair, and ``np.bincount`` adds
+    each pair's popularity-weighted votes in hit order, so totals match
+    a per-point left-to-right sum bit for bit.  Vote ties go to the
+    smaller unit id.
 
     Returns ``(winner_of, win_stay, win_poi)``: the winning unit id per
     stay (``UNASSIGNED`` where no unit-assigned POI is in range), plus
@@ -75,40 +85,38 @@ def vote_stays(
     — everything the semantic assembly step needs.
     """
     pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    n = len(pts)
-    winner_of = np.full(n, UNASSIGNED, dtype=np.int64)
-    no_pairs = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return winner_of, no_pairs, no_pairs.copy()
-    hit_idx, offsets = source.range_query_many(pts, r3sigma_m)
-    if len(hit_idx) == 0:
-        return winner_of, no_pairs, no_pairs.copy()
-    stay_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    winner_of = np.full(len(pts), UNASSIGNED, dtype=np.int64)
+    hit_idx, stay_of, d2 = table.query(pts)
+    if not len(hit_idx):
+        return winner_of, stay_of, hit_idx
     unit_ids = source.unit_of[hit_idx]
-    keep = unit_ids != UNASSIGNED
-    if not keep.any():
-        return winner_of, no_pairs, no_pairs.copy()
-    hit_idx = hit_idx[keep]
-    stay_of = stay_of[keep]
-    unit_ids = unit_ids[keep]
-    d = np.sqrt(((source.poi_xy[hit_idx] - pts[stay_of]) ** 2).sum(axis=1))
-    scores = source.popularity[hit_idx] * gaussian_coefficients(d, r3sigma_m)
+    scores = source.popularity[hit_idx] * gaussian_coefficients(
+        np.sqrt(d2), table.radius
+    )
     reg = get_registry()
     if reg.enabled:
         reg.counter("recognition.votes.cast").inc(int(len(scores)))
-    # Vote totals per (stay, unit) pair without per-point dicts.
+    # Vote totals per (stay, unit) pair.  Hits arrive grouped by stay,
+    # and the stable sort keeps each pair's hits in hit order.
     n_units = max(source.n_units, 1)
-    pair = stay_of.astype(np.int64) * n_units + unit_ids
-    upair, inverse = np.unique(pair, return_inverse=True)
-    votes = np.bincount(inverse, weights=scores)
-    vstay = upair // n_units
-    vunit = upair % n_units
-    # Winner per stay: highest vote, ties to the smaller unit id.
-    order = np.lexsort((vunit, -votes, vstay))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = vstay[order][1:] != vstay[order][:-1]
-    win_rows = order[first]
-    winner_of[vstay[win_rows]] = vunit[win_rows]
+    pair = stay_of * n_units + unit_ids
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    new_pair = np.ones(len(pair), dtype=bool)
+    new_pair[1:] = pair[1:] != pair[:-1]
+    votes = np.bincount(np.cumsum(new_pair) - 1, weights=scores[order])
+    first_hit = order[new_pair]
+    vstay = stay_of[first_hit]
+    vunit = unit_ids[first_hit]
+    # Winner per stay: the smallest unit id among its pairs holding
+    # the stay's highest vote.
+    new_stay = np.ones(len(vstay), dtype=bool)
+    new_stay[1:] = vstay[1:] != vstay[:-1]
+    heads = np.flatnonzero(new_stay)
+    best = np.maximum.reduceat(votes, heads)[np.cumsum(new_stay) - 1]
+    winner_of[vstay[heads]] = np.minimum.reduceat(
+        np.where(votes == best, vunit, n_units), heads
+    )
     winning = winner_of[stay_of] == unit_ids
     return winner_of, stay_of[winning], hit_idx[winning]
 
@@ -200,6 +208,11 @@ class CSDRecognizer:
         self.r3sigma_m = r3sigma_m
         self.min_tag_share = min_tag_share
         self._tables = _TagTables(csd, min_tag_share)
+        #: Algorithm 3's fixed-radius neighbour table: the diagram's
+        #: unit-assigned POIs at radius ``r3sigma_m``.
+        self.table = CellWindowTable(
+            csd.poi_xy, r3sigma_m, np.flatnonzero(csd.unit_of != UNASSIGNED)
+        )
 
     def recognize_point(self, sp: StayPoint) -> SemanticProperty:
         """Semantic property of one stay point (Algorithm 3 lines 5-11).
@@ -263,7 +276,7 @@ class CSDRecognizer:
             xy = self.project_stays(
                 stay_points[start : start + RECOGNITION_BLOCK]
             )
-            winner_of, win_stay, win_poi = vote_stays(self.csd, xy, self.r3sigma_m)
+            winner_of, win_stay, win_poi = vote_stays(self.csd, self.table, xy)
             out.extend(self.assemble_semantics(winner_of, win_stay, win_poi))
         return out
 

@@ -112,7 +112,10 @@ class QuarantinedRow:
 
 
 #: Sink signature for malformed records (see :class:`repro.runner.Quarantine`).
-BadRowSink = Callable[[QuarantinedRow], None]
+#: A sink returns ``False`` for a row it drops unreported (a resumed
+#: stream re-reading its committed prefix); ``ingest.quarantined`` does
+#: not count that row.
+BadRowSink = Callable[[QuarantinedRow], Optional[bool]]
 
 
 class MalformedRowError(ValueError):
@@ -192,10 +195,15 @@ def _records(
                 record = parse(*pick(row))
             except ValueError as exc:
                 bad = QuarantinedRow(row_number, str(exc), ",".join(row))
-                n_quarantined.inc()
                 if on_bad_row is None:
+                    n_quarantined.inc()
                     raise MalformedRowError(path, bad) from None
-                on_bad_row(bad)
+                reported = True
+                try:
+                    reported = on_bad_row(bad) is not False
+                finally:  # a sink that raises has reported the row
+                    if reported:
+                        n_quarantined.inc()
                 continue
             yield record
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.city import CityBlock, CityModel
+from repro.data.city import CityModel
 from repro.data.trajectory import SemanticTrajectory, StayPoint
 from repro.types import Float64Array, MetersXY
 

@@ -12,7 +12,7 @@ nearest-POI baseline on the same diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

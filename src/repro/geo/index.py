@@ -13,19 +13,25 @@ any cell to its contiguous slice of the sorted order with binary
 search.  That makes the batched :meth:`GridIndex.query_radius_many`
 pure numpy — every centre's ``(2*span+1)^2`` cell window is expanded,
 located, and distance-filtered with broadcasting, no per-centre Python
-loop — which is what lets popularity, recognition, clustering, and
-merging run at hardware speed instead of interpreter speed.
+loop — which is what lets popularity, clustering, and merging run at
+hardware speed instead of interpreter speed.
+
+Recognition asks many small queries of one radius against one fixed
+point set, so it reads a :class:`CellWindowTable` instead: each
+cell's whole 3×3 window stored as one sorted slice, built once, so a
+query neither searches per window column nor sorts its hits.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
 from repro.contracts import ArraySpec, CSRSpec, array_contract
 from repro.obs import get_registry
-from repro.types import CSRQuery, IndexArray, MetersArray
+from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
 
 #: Cap on candidate window cells (batch path) or pairwise distances
 #: (brute path) materialised per chunk; bounds peak query memory.
@@ -248,3 +254,127 @@ class GridIndex:
     def count_within(self, x: float, y: float, radius: float) -> int:
         """Number of indexed points within ``radius`` of ``(x, y)``."""
         return int(len(self.query_radius(x, y, radius)))
+
+
+class CellWindowTable:
+    """Fixed-radius neighbour table over a grid of cells of edge ``radius``.
+
+    Every point within ``radius`` of a centre lies in the 3×3 window of
+    cells around the centre's cell, so the table stores, for each cell
+    whose window holds a member point, that window's member indices
+    sorted ascending, in CSR form.  A query then reads one contiguous
+    slice per centre: no per-call sort, and each centre's hits come out
+    in ascending index order.  Only occupied windows get a row, so the
+    table holds nine entries per member however sparse the extent.
+
+    Parameters
+    ----------
+    xy:
+        ``(n, 2)`` array of point coordinates in metres.
+    radius:
+        The one query radius, also the cell edge, in metres.
+    members:
+        Distinct indices of the points the table returns; the others
+        are never hits.
+    """
+
+    @array_contract(
+        xy=ArraySpec(dtype="float64", cols=2, coerced=True),
+        members=ArraySpec(dtype="int64", ndim=1, coerced=True),
+    )
+    def __init__(
+        self, xy: MetersArray, radius: float, members: IndexArray
+    ) -> None:
+        if not 0.0 < radius < math.inf:  # also rejects NaN
+            raise ValueError("radius must be positive and finite")
+        pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        idx = np.asarray(members, dtype=np.int64)
+        self.radius = float(radius)
+        self._xs = np.ascontiguousarray(pts[:, 0], dtype=np.float64)
+        self._ys = np.ascontiguousarray(pts[:, 1], dtype=np.float64)
+        g = np.floor(pts[idx] / self.radius).astype(np.int64)
+        # The extent reaches two cells past the members on every side:
+        # its border cells lie in no window, so a centre clamped onto
+        # the border (from outside the extent, or NaN) finds no row.
+        if len(idx):
+            lo, hi = g.min(axis=0) - 2, g.max(axis=0) + 2
+        else:
+            lo = hi = np.zeros(2, dtype=np.int64)
+        self._lo = lo
+        self._clamp = (lo.astype(np.float64), hi.astype(np.float64))
+        self._ny = int(hi[1] - lo[1]) + 1
+        n_cells = (int(hi[0] - lo[0]) + 1) * self._ny
+        n = max(len(pts), 1)
+        if n_cells * n >= 2**63:
+            raise ValueError("radius too small for the points' extent")
+        self._weights = np.array([self._ny, 1], dtype=np.int64)
+        own = (g - lo) @ self._weights
+        step = np.array([-1, 0, 1], dtype=np.int64)
+        around = (step[:, None] * self._ny + step[None, :]).reshape(-1)
+        # One sort of the fused (cell, point) keys groups each window
+        # and orders its points ascending; every key is unique.  The
+        # keys are built and split in place, which keeps the build's
+        # peak memory at about twice what the table holds.
+        key = own[:, None] + around[None, :]
+        key *= n
+        key += idx[:, None]
+        key = key.reshape(-1)
+        key.sort()
+        cell = key // n
+        self.entries = np.remainder(key, n, out=key)
+        first = np.ones(len(cell), dtype=bool)
+        first[1:] = cell[1:] != cell[:-1]
+        starts = np.flatnonzero(first)
+        self._cells = cell[starts]
+        self._offsets = np.append(starts, len(cell))
+
+    def __len__(self) -> int:
+        """Stored entries: nine per member."""
+        return len(self.entries)
+
+    @array_contract(
+        centers=ArraySpec(dtype="float64", cols=2, coerced=True),
+        ret=(
+            ArraySpec(dtype="int64", ndim=1, item=0),
+            ArraySpec(dtype="int64", ndim=1, item=1),
+            ArraySpec(dtype="float64", ndim=1, item=2),
+        ),
+    )
+    def query(
+        self, centers: MetersArray
+    ) -> Tuple[IndexArray, IndexArray, Float64Array]:
+        """Member points within ``radius`` of each centre.
+
+        Returns ``(hits, center_of, d2)``: the hit indices, grouped by
+        centre in ascending centre order and ascending index order
+        within a centre, each hit's centre, and its squared distance
+        ``dx*dx + dy*dy`` as the radius filter computed it.
+        """
+        ctr = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        m = len(ctr)
+        # fmax/fmin clamp NaN too: it lands on the lower border.
+        lo, hi = self._clamp
+        g = np.fmin(np.fmax(np.floor(ctr / self.radius), lo), hi)
+        code = (g.astype(np.int64) - self._lo) @ self._weights
+        # A cell without a row gets an empty slice.
+        starts = self._offsets[np.searchsorted(self._cells, code)]
+        ends = self._offsets[np.searchsorted(self._cells, code, side="right")]
+        lengths = ends - starts
+        total = int(lengths.sum())
+        pos = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - np.cumsum(lengths) + lengths, lengths
+        )
+        cand = self.entries[pos]
+        cid = np.repeat(np.arange(m, dtype=np.int64), lengths)
+        dx = self._xs[cand] - ctr[:, 0][cid]
+        dy = self._ys[cand] - ctr[:, 1][cid]
+        d2 = dx * dx + dy * dy
+        keep = d2 <= self.radius * self.radius
+        hits = cand[keep]
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("geo.index.queries").inc(1)
+            reg.counter("geo.index.centers").inc(m)
+            reg.counter("geo.index.candidates").inc(total)
+            reg.counter("geo.index.hits").inc(int(len(hits)))
+        return hits, cid[keep], d2[keep]

@@ -11,7 +11,7 @@ the 15-100 m thresholds used by the paper.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -394,16 +394,17 @@ class StreamRunner:
 
         Malformed rows in the skipped prefix were quarantined by the
         original run; re-reporting them would duplicate quarantine
-        entries, so the sink is gated on the cursor.
+        entries and recount them in ``ingest.quarantined``, so the sink
+        is gated on the cursor.
         """
         skipping = skip_valid > 0
 
-        def guarded_sink(row: QuarantinedRow) -> None:
+        def guarded_sink(row: QuarantinedRow) -> Optional[bool]:
             if skipping:
-                return
+                return False
             if self.on_bad_row is None:
                 raise MalformedRowError(self.trips_path, row)
-            self.on_bad_row(row)
+            return self.on_bad_row(row)
 
         stream = iter_trips(self.trips_path, on_bad_row=guarded_sink)
         for _ in range(skip_valid):

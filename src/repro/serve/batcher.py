@@ -1,8 +1,9 @@
 """Admission queue that micro-batches single-point recognition.
 
-The batched ``recognize_points`` kernel amortises projection, the CSR
-range query, and bincount voting over the whole batch — roughly 8x the
-scalar path per point on the standard workload (``BENCH_kernel.json``).
+The batched ``recognize_points`` kernel amortises projection, the
+cell-window lookup, and bincount voting over the whole batch — roughly
+8x the scalar path per point on the standard workload
+(``BENCH_kernel.json``).
 A naive threaded server would throw that away: every concurrent request
 would run its own one-point batch.  The :class:`MicroBatcher` instead
 funnels all single-point requests through one bounded queue; a single

@@ -1,10 +1,10 @@
-"""Unit and property tests for repro.geo.index.GridIndex."""
+"""Unit and property tests for repro.geo.index: GridIndex and CellWindowTable."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geo.index import GridIndex
+from repro.geo.index import CellWindowTable, GridIndex
 
 
 def brute_force(xy, x, y, r):
@@ -192,3 +192,51 @@ class TestBatchedCSR:
         got = idx.query_radius_many(centers, 45.0)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestCellWindowTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 150),
+        m=st.integers(0, 40),
+        radius=st.sampled_from([0.5, 7.0, 25.0, 100.0]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_grid_index_restricted_to_members(self, n, m, radius, seed):
+        rng = np.random.default_rng(seed)
+        xy = np.round(rng.uniform(-200, 200, (n, 2)), 1)
+        members = np.flatnonzero(rng.random(n) < 0.7)
+        centers = np.round(rng.uniform(-260, 260, (m, 2)), 1)
+        hits, center_of, d2 = CellWindowTable(xy, radius, members).query(centers)
+        want, offsets = GridIndex(xy, cell_size=radius).query_radius_many(
+            centers, radius
+        )
+        want_center = np.repeat(np.arange(m), np.diff(offsets))
+        keep = np.isin(want, members)
+        assert hits.tolist() == want[keep].tolist()
+        assert center_of.tolist() == want_center[keep].tolist()
+        dx = xy[hits, 0] - centers[center_of, 0]
+        dy = xy[hits, 1] - centers[center_of, 1]
+        assert np.array_equal(d2, dx * dx + dy * dy)
+
+    def test_no_members(self):
+        table = CellWindowTable(np.ones((3, 2)), 10.0, np.empty(0, dtype=np.int64))
+        hits, center_of, d2 = table.query(np.ones((2, 2)))
+        assert len(table) == 0
+        assert len(hits) == len(center_of) == len(d2) == 0
+
+    def test_non_finite_centres_have_no_hits(self):
+        table = CellWindowTable(np.zeros((1, 2)), 10.0, np.array([0]))
+        centers = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
+        assert len(table.query(centers)[0]) == 0
+        assert table.query(np.zeros((1, 2)))[0].tolist() == [0]
+
+    def test_size_follows_members_not_extent(self):
+        xy = np.array([[0.0, 0.0], [60_000.0, 60_000.0], [5.0, 5.0]])
+        table = CellWindowTable(xy, 1.0, np.array([0, 1]))
+        assert len(table) == 18
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_radius(self, bad):
+        with pytest.raises(ValueError, match="radius"):
+            CellWindowTable(np.zeros((1, 2)), bad, np.array([0]))

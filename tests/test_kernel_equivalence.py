@@ -33,7 +33,7 @@ from repro.core.constructor import (
     popularity_based_clustering,
     semantic_units,
 )
-from repro.core.csd import UNASSIGNED, SemanticUnit
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit
 from repro.core.extraction import FineGrainedPattern
 from repro.core.merging import (
     _UnionFind,
@@ -50,7 +50,7 @@ from repro.core.purification import (
     purify,
     semantic_distributions,
 )
-from repro.core.recognition import CSDRecognizer, vote_stays
+from repro.core.recognition import RECOGNITION_BLOCK, CSDRecognizer, vote_stays
 from repro.data.persistence import save_csd
 from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
@@ -121,6 +121,52 @@ def recognize_point_oracle(recognizer, sp):
     }
     tags.add(unit.dominant_tag())
     return frozenset(tags)
+
+
+def vote_stays_oracle(source, xy, r3sigma_m):
+    """The grid-query ``vote_stays``: one ``GridIndex`` range query,
+    then ``np.unique`` and a three-key ``lexsort`` over the hit list.
+
+    Kept verbatim but for its first query line: the diagram method it
+    called, ``range_query_many``, delegated to ``source._index``.
+    """
+    pts = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    winner_of = np.full(n, UNASSIGNED, dtype=np.int64)
+    no_pairs = np.empty(0, dtype=np.int64)
+    if n == 0:
+        return winner_of, no_pairs, no_pairs.copy()
+    hit_idx, offsets = source._index.query_radius_many(pts, r3sigma_m)
+    if len(hit_idx) == 0:
+        return winner_of, no_pairs, no_pairs.copy()
+    stay_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    unit_ids = source.unit_of[hit_idx]
+    keep = unit_ids != UNASSIGNED
+    if not keep.any():
+        return winner_of, no_pairs, no_pairs.copy()
+    hit_idx = hit_idx[keep]
+    stay_of = stay_of[keep]
+    unit_ids = unit_ids[keep]
+    d = np.sqrt(((source.poi_xy[hit_idx] - pts[stay_of]) ** 2).sum(axis=1))
+    scores = source.popularity[hit_idx] * gaussian_coefficients(d, r3sigma_m)
+    reg = obs.get_registry()
+    if reg.enabled:
+        reg.counter("recognition.votes.cast").inc(int(len(scores)))
+    # Vote totals per (stay, unit) pair without per-point dicts.
+    n_units = max(source.n_units, 1)
+    pair = stay_of.astype(np.int64) * n_units + unit_ids
+    upair, inverse = np.unique(pair, return_inverse=True)
+    votes = np.bincount(inverse, weights=scores)
+    vstay = upair // n_units
+    vunit = upair % n_units
+    # Winner per stay: highest vote, ties to the smaller unit id.
+    order = np.lexsort((vunit, -votes, vstay))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = vstay[order][1:] != vstay[order][:-1]
+    win_rows = order[first]
+    winner_of[vstay[win_rows]] = vunit[win_rows]
+    winning = winner_of[stay_of] == unit_ids
+    return winner_of, stay_of[winning], hit_idx[winning]
 
 
 def optics_seed_oracle(xy, min_pts, max_eps=np.inf):
@@ -294,6 +340,160 @@ class TestRecognitionEquivalence:
         out = recognizer.recognize(trajs)
         flat = [sp.semantics for st in out for sp in st.stay_points]
         assert flat == recognizer.recognize_points(corpus)
+
+
+BATCH_SIZES = (1, 2, 37, RECOGNITION_BLOCK)
+
+
+def assert_votes_identical(source, xy, r3sigma_m):
+    """``vote_stays`` equals its oracle in every block of every batch
+    size: same arrays, same dtypes."""
+    table = CSDRecognizer(source, r3sigma_m).table
+    for size in BATCH_SIZES:
+        for start in range(0, max(len(xy), 1), size):
+            block = xy[start : start + size]
+            got = vote_stays(source, table, block)
+            want = vote_stays_oracle(source, block, r3sigma_m)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+
+
+def flat_diagram(poi_xy, popularity, unit_of):
+    """A diagram over bare arrays: the vote reads only positions,
+    popularity and unit ids; every unit is one ``Shop`` POI's worth."""
+    n = len(poi_xy)
+    n_units = int(max(np.max(unit_of, initial=-1) + 1, 0))
+    pois = [POI(i, 121.47, 31.23, "Shop & Market", "Generic") for i in range(n)]
+    units = [
+        SemanticUnit(u, [], (0.0, 0.0), {"Shop & Market": 1.0})
+        for u in range(n_units)
+    ]
+    return CitySemanticDiagram(
+        pois, LocalProjection(121.47, 31.23), np.asarray(poi_xy, dtype=float),
+        np.asarray(popularity, dtype=float), units,
+        np.asarray(unit_of, dtype=np.int64),
+    )
+
+
+def random_flat_diagram(rng, n, extent, n_units):
+    """POIs on a 1 m lattice (exact distances, ties) with popularity in
+    a few values, a quarter of them ``UNASSIGNED``."""
+    xy = np.round(rng.uniform(-extent, extent, (n, 2)))
+    pop = rng.choice([0.0, 0.5, 1.0, 2.0], n)
+    unit_of = rng.integers(0, n_units, n)
+    unit_of[rng.random(n) < 0.25] = UNASSIGNED
+    return flat_diagram(xy, pop, unit_of)
+
+
+class TestVoteStaysEquivalence:
+    """The cell-window kernel against the grid-query oracle, exactly."""
+
+    def test_small_workload(self, small_csd, small_csd_config, flat_stays):
+        recognizer = CSDRecognizer(small_csd, small_csd_config.r3sigma_m)
+        xy = recognizer.project_stays(flat_stays[:3000])
+        assert_votes_identical(small_csd, xy, small_csd_config.r3sigma_m)
+
+    def test_random_csd_corpus(self, random_csd, corpus):
+        xy = CSDRecognizer(random_csd, 100.0).project_stays(corpus)
+        assert_votes_identical(random_csd, xy, 100.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_diagrams(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        r = float(rng.choice([25.0, 100.0, 150.0]))
+        source = random_flat_diagram(rng, int(rng.integers(1, 600)), 800.0, 7)
+        near = source.poi_xy[rng.integers(0, source.n_pois, 200)]
+        xy = np.concatenate([
+            near + np.round(rng.normal(0.0, r / 2, near.shape)),
+            rng.uniform(-1000.0, 1000.0, (100, 2)),  # some beyond every POI
+            r * rng.integers(-8, 8, (50, 2)),  # on cell corners
+            np.stack(  # on vertical cell edges
+                [r * rng.integers(-8, 8, 50), rng.uniform(-800.0, 800.0, 50)],
+                axis=1,
+            ),
+        ])
+        assert_votes_identical(source, xy, r)
+
+    def test_empty_batch_and_no_units(self):
+        rng = np.random.default_rng(5)
+        source = random_flat_diagram(rng, 50, 300.0, 3)
+        assert_votes_identical(source, np.empty((0, 2)), 100.0)
+        bare = flat_diagram(source.poi_xy, source.popularity, np.full(50, UNASSIGNED))
+        assert bare.n_units == 0
+        assert_votes_identical(bare, source.poi_xy, 100.0)
+
+    def test_stays_outside_bounding_box(self):
+        source = flat_diagram([[0.0, 0.0], [50.0, 0.0]], [1.0, 1.0], [0, 1])
+        far = np.array([
+            [1e6, 1e6], [-1e6, 0.0], [0.0, -250.0], [350.0, 0.0],
+            [np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0],
+        ])
+        assert_votes_identical(source, far, 100.0)
+        winner_of, win_stay, _ = vote_stays(
+            source, CSDRecognizer(source, 100.0).table, far
+        )
+        assert (winner_of == UNASSIGNED).all() and not len(win_stay)
+
+    def test_pois_at_exactly_the_radius(self):
+        # (100, 0) and (60, 80) are exactly 100 m from the origin; the
+        # radius filter is inclusive, so both vote.
+        source = flat_diagram(
+            [[100.0, 0.0], [60.0, 80.0], [100.0, 1.0]], [1.0, 1.0, 5.0], [0, 1, 2]
+        )
+        stays = np.array([[0.0, 0.0], [200.0, 0.0], [100.0, 100.0]])
+        assert_votes_identical(source, stays, 100.0)
+        table = CSDRecognizer(source, 100.0).table
+        _, win_stay, win_poi = vote_stays(source, table, stays[:1])
+        hits, _, d2 = table.query(stays[:1])
+        assert hits.tolist() == [0, 1] and d2.tolist() == [1e4, 1e4]
+        assert win_stay.tolist() == [0] and win_poi.tolist() == [0]
+
+    def test_stays_on_cell_edges(self):
+        # Cells are 100 m wide: stays on edges and corners must still
+        # see POIs one cell over on every side.
+        source = flat_diagram(
+            [[-99.0, 0.0], [199.0, 0.0], [100.0, -99.0], [100.0, 199.0]],
+            [1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3],
+        )
+        stays = np.array(
+            [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0], [-0.0, 50.0]]
+        )
+        assert_votes_identical(source, stays, 100.0)
+
+    def test_windows_of_only_unassigned_pois(self):
+        source = flat_diagram(
+            [[0.0, 0.0], [10.0, 0.0], [5000.0, 0.0]], [9.0, 9.0, 1.0],
+            [UNASSIGNED, UNASSIGNED, 0],
+        )
+        stays = np.array([[1.0, 1.0], [5000.0, 10.0]])
+        assert_votes_identical(source, stays, 100.0)
+        winner_of, _, _ = vote_stays(source, CSDRecognizer(source, 100.0).table, stays)
+        assert winner_of.tolist() == [UNASSIGNED, 0]
+
+    def test_exact_vote_ties_go_to_the_smaller_unit(self):
+        # Mirror-image POIs of equal popularity: equal votes per unit.
+        source = flat_diagram(
+            [[30.0, 40.0], [-30.0, -40.0], [40.0, -30.0], [0.0, 90.0]],
+            [2.0, 2.0, 2.0, 0.0], [5, 2, 7, 1],
+        )
+        stays = np.zeros((1, 2))
+        assert_votes_identical(source, stays, 100.0)
+        winner_of, win_stay, win_poi = vote_stays(
+            source, CSDRecognizer(source, 100.0).table, stays
+        )
+        assert winner_of.tolist() == [2] and win_poi.tolist() == [1]
+
+    def test_one_metre_radius_over_60_km(self):
+        # A bounding-box table would hold 3.6e9 cells; the table holds
+        # nine entries per unit-assigned POI and no more.
+        rng = np.random.default_rng(11)
+        source = random_flat_diagram(rng, 2000, 30_000.0, 40)
+        table = CSDRecognizer(source, 1.0).table
+        members = int((source.unit_of != UNASSIGNED).sum())
+        assert len(table) == 9 * members
+        near = source.poi_xy + rng.uniform(-1.0, 1.0, source.poi_xy.shape)
+        assert_votes_identical(source, np.concatenate([near, source.poi_xy]), 1.0)
 
 
 def assert_optics_identical(pts, min_pts, max_eps):
@@ -829,7 +1029,7 @@ class TestAssemblyEquivalence:
             small_csd, small_csd_config.r3sigma_m, min_tag_share=share
         )
         votes = vote_stays(
-            small_csd, recognizer.project_stays(flat_stays), recognizer.r3sigma_m
+            small_csd, recognizer.table, recognizer.project_stays(flat_stays)
         )
         got = recognizer.assemble_semantics(*votes)
         want = assemble_semantics_oracle(recognizer, *votes)
@@ -843,7 +1043,7 @@ class TestAssemblyEquivalence:
         recognizer = CSDRecognizer(random_csd, 100.0)
         for sp in corpus:
             votes = vote_stays(
-                random_csd, recognizer.project_stays([sp]), recognizer.r3sigma_m
+                random_csd, recognizer.table, recognizer.project_stays([sp])
             )
             got = recognizer.assemble_semantics(*votes)
             assert got == assemble_semantics_oracle(recognizer, *votes)

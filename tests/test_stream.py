@@ -570,6 +570,46 @@ class TestStreamRunner:
         ).run()
         assert len(seen) == 2  # early row NOT re-reported, late row once
 
+    def test_resume_counts_only_rows_it_reports(
+        self, tmp_path, stream_inputs, small_taxi
+    ):
+        """``ingest.quarantined`` of a resumed leg counts the rows that
+        leg quarantines, not the committed prefix's rows it skips."""
+        base_csd, _ = stream_inputs
+        trips_path = tmp_path / "trips.csv"
+        write_trips(trips_path, small_taxi.trips[:1200])
+        lines = trips_path.read_text().splitlines()
+        lines.insert(5, "not,a,valid,trip,row")  # epoch 0 (committed)
+        lines.insert(len(lines) - 3, "also,broken")  # read on resume
+        trips_path.write_text("\n".join(lines) + "\n")
+        csd_path = tmp_path / "base.json"
+        save_csd(csd_path, base_csd)
+        quarantine_csv = tmp_path / "run" / "quarantine.csv"
+
+        def leg(resume, max_epochs=None):
+            reg = MetricsRegistry(enabled=True)
+            old = obs.set_registry(reg)
+            try:
+                with Quarantine(quarantine_csv) as quarantine:
+                    StreamRunner(
+                        tmp_path / "run",
+                        trips_path,
+                        base_csd_path=csd_path,
+                        mining_config=MiningConfig(support=8, rho=0.001),
+                        resume=resume,
+                        on_bad_row=quarantine.sink("trips"),
+                        **dict(RUNNER_KW, epoch_trips=400),
+                    ).run(max_epochs=max_epochs)
+            finally:
+                obs.set_registry(old)
+            return reg.snapshot()["counters"]["ingest.quarantined"]
+
+        def quarantined_rows():
+            return quarantine_csv.read_text().count("\n") - 1  # header
+
+        assert leg(resume=False, max_epochs=1) == quarantined_rows() == 1
+        assert leg(resume=True) == quarantined_rows() - 1 == 1
+
     def test_crash_resume_quarantines_each_row_once(
         self, tmp_path, stream_inputs, small_taxi
     ):
