@@ -19,7 +19,11 @@ Times the hottest pipeline stages on the standard bench workload
 * the constructor's steps on the workload's own inputs — Algorithm 1
   clustering, Algorithm 2 purification and the Eq. 6-8 merge — and
   recognition's semantic assembly, each against its per-POI loop
-  oracle from ``tests/test_kernel_equivalence.py``.
+  oracle from ``tests/test_kernel_equivalence.py``;
+* the stream's diagram refresh: ``IncrementalCSD.diagram()`` after one
+  51-POI ``add_pois`` batch (the ``stream-epochs`` batch size), which
+  rebuilds only the units that gained a member, against the full
+  rebuild of every unit (``tests/test_incremental.py::diagram_oracle``).
 
 Every comparison also verifies the results are identical, then writes
 the measurements to ``BENCH_kernel.json`` at the repo root.  Run with
@@ -48,15 +52,19 @@ from repro.cluster.optics import MAX_EPS_M, optics
 from repro.core import extraction
 from repro.core.config import MiningConfig
 from repro.core.constructor import popularity_based_clustering
+from repro.core.incremental import IncrementalCSD
 from repro.core.merging import merge_units
 from repro.core.popularity import compute_popularity
 from repro.core.purification import purify
 from repro.core.recognition import CSDRecognizer, vote_stays
+from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS
 from repro.eval.experiments import make_workload
 from repro.eval.reporting import write_report_json
 from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import GridIndex
+from tests.conftest import diagram_key
+from tests.test_incremental import diagram_oracle, unit_key
 from tests.test_kernel_equivalence import (
     assemble_semantics_oracle,
     clustering_frontier_oracle,
@@ -150,6 +158,24 @@ def timed(fn, *args, repeat=3, **kwargs):
     for _ in range(repeat):
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - t0)
+    return result, best
+
+
+#: POIs per batch of the stream-epochs workload.
+STREAM_BATCH = 51
+
+
+def time_stream_diagram(csd, config, batch, build, repeat=5):
+    """Best-of-``repeat`` time of ``build(updater)`` on a fresh updater
+    that has just absorbed ``batch``; returns (last result, seconds)."""
+    best = float("inf")
+    result = None
+    for _ in range(repeat):
+        updater = IncrementalCSD(csd, config.merge_radius_m, config.merge_cos)
+        updater.add_pois(batch)
+        t0 = time.perf_counter()
+        result = build(updater)
         best = min(best, time.perf_counter() - t0)
     return result, best
 
@@ -319,6 +345,32 @@ def main(argv=None):
             f"speedup x{t_oracle / t_kernel:.1f}  identical={same}"
         )
 
+    # The stream's diagram refresh after one POI batch: copies of POIs
+    # spread over the city, 1 m east of their originals, so most join
+    # the original's unit.
+    step = max(1, len(workload.pois) // STREAM_BATCH)
+    batch = [
+        POI(10**7 + k, p.lon + 1e-5, p.lat, p.major, p.minor, p.name)
+        for k, p in enumerate(workload.pois[::step][:STREAM_BATCH])
+    ]
+    stream_kernel, t_stream = time_stream_diagram(
+        csd, config, batch, IncrementalCSD.diagram
+    )
+    stream_oracle, t_stream_oracle = time_stream_diagram(
+        csd, config, batch, diagram_oracle
+    )
+    stream_equal = unit_key(stream_kernel.units) == unit_key(
+        stream_oracle.units
+    ) and diagram_key(stream_kernel) == diagram_key(stream_oracle)
+    stream_rebuilt = sum(
+        a is not b for a, b in zip(stream_kernel.units, csd.units)
+    )
+    print(
+        f"stream diagram: {stream_rebuilt}/{csd.n_units} units rebuilt  "
+        f"oracle {t_stream_oracle * 1e3:.2f}ms  kernel {t_stream * 1e3:.2f}ms  "
+        f"speedup x{t_stream_oracle / t_stream:.1f}  identical={stream_equal}"
+    )
+
     # Observability: time the registry-disabled and registry-enabled
     # paths as one freshly-warmed back-to-back pair.  Comparing against
     # the *earlier* t_rec_batch measurement used to report a negative
@@ -390,6 +442,15 @@ def main(argv=None):
             }
             for name, (t_oracle, t_kernel, same) in constructor_rows.items()
         },
+        "stream_diagram": {
+            "batch_pois": len(batch),
+            "units": csd.n_units,
+            "units_rebuilt": stream_rebuilt,
+            "oracle_ms": round(t_stream_oracle * 1e3, 3),
+            "kernel_ms": round(t_stream * 1e3, 3),
+            "speedup": round(t_stream_oracle / t_stream, 2),
+            "identical": bool(stream_equal),
+        },
         "csd_build_s": round(t_build, 4),
         "observability": {
             "recognition_disabled_s": round(t_rec_disabled, 4),
@@ -407,7 +468,7 @@ def main(argv=None):
         write_report_json(args.metrics_json, metrics)
         print(f"wrote metrics snapshot {args.metrics_json}")
     if not (
-        pop_ok and rec_equal and small_equal and opt_equal
+        pop_ok and rec_equal and small_equal and opt_equal and stream_equal
         and rec_obs == rec_batch
         and all(same for _, _, same in constructor_rows.values())
     ):

@@ -10,6 +10,7 @@ recognizer needs: circular range search over POIs and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,8 +98,17 @@ class CitySemanticDiagram:
         self.units = units
         self.unit_of = np.asarray(unit_of, dtype=np.int64)
         self.tag_level = tag_level
-        self._index = GridIndex(self.poi_xy, cell_size=100.0)
+        self._grid: Optional[GridIndex] = None
         self._poi_tags: Optional[List[str]] = None
+
+    @property
+    def _index(self) -> GridIndex:
+        """The 100 m POI grid behind :meth:`range_query`, built on first
+        use: recognition reads its own cell-window table, so a diagram
+        that is only recognised against never needs it."""
+        if self._grid is None:
+            self._grid = GridIndex(self.poi_xy, cell_size=100.0)
+        return self._grid
 
     def poi_tag(self, poi_index: int) -> str:
         """The semantic tag of a POI at this diagram's granularity."""
@@ -114,7 +124,8 @@ class CitySemanticDiagram:
     def poi_tags(self) -> List[str]:
         """All POI tags at this diagram's granularity (cached)."""
         if self._poi_tags is None:
-            self._poi_tags = [self.poi_tag(i) for i in range(len(self.pois))]
+            # ``tag_level`` names the POI field (checked in __init__).
+            self._poi_tags = list(map(attrgetter(self.tag_level), self.pois))
         return self._poi_tags
 
     def find_semantic_unit(self, poi_index: int) -> int:

@@ -26,26 +26,37 @@ The updater reuses the package's kernels rather than keeping its own:
 per-POI state is three plain float64/int64 arrays, each grown by one
 ``np.concatenate`` per :meth:`add_pois` batch; a batch's merge-radius
 neighbourhoods come from one :class:`~repro.geo.index.GridIndex` query;
-unit tag distributions come from
-:func:`~repro.core.merging.unit_distributions`, the offline merge's own;
-and :meth:`diagram` builds its units with
+and unit records are built by
 :func:`~repro.core.constructor.semantic_units`, as ``build_csd`` does.
 
-The updater never mutates the input diagram; :meth:`diagram` returns a
-fresh :class:`CitySemanticDiagram` view after each batch.
+A diagram change costs what changed.  Beside each unit's membership
+list the updater keeps its :class:`~repro.core.csd.SemanticUnit`
+record, seeded from the base diagram's units.  A unit that gains a
+member and every unit a repair creates lose their record; a clean unit
+a repair renumbers keeps its record under the new id.  :meth:`diagram`
+rebuilds only the missing records, in one ``semantic_units`` call, and
+the placement step reads a candidate's Eq. 6 distribution from its
+record (rebuilding it first if it is missing).  The reuse is exact:
+centroids and distributions are per-unit functions of the unit's
+members, popularity and tags, none of which change while the record is
+kept.
+
+The updater never mutates the input diagram or a record it has handed
+out; :meth:`diagram` returns a fresh :class:`CitySemanticDiagram` after
+each batch, sharing the unchanged unit records with earlier ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.contracts import ArraySpec, array_contract
 from repro.core.constructor import semantic_units
-from repro.core.csd import UNASSIGNED, CitySemanticDiagram
-from repro.core.merging import cosine_similarity, merge_units, unit_distribution
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram, SemanticUnit
+from repro.core.merging import cosine_similarity, merge_units
 from repro.core.purification import purify
 from repro.data.poi import POI
 from repro.geo.index import GridIndex
@@ -112,6 +123,9 @@ class IncrementalCSD:
         self._members: List[List[int]] = [
             list(u.poi_indices) for u in base.units
         ]
+        #: Each unit's record as :meth:`diagram` returns it, or ``None``
+        #: once its membership changed and the record must be rebuilt.
+        self._units: List[Optional[SemanticUnit]] = list(base.units)
         self._n_added = 0
         #: Online-pending POI indices (base leftovers are the offline
         #: algorithm's business and stay out of the repair scope).
@@ -187,6 +201,7 @@ class IncrementalCSD:
             else:
                 self._unit_of[i] = unit_id
                 self._members[unit_id].append(i)
+                self._units[unit_id] = None
             out.append(unit_id)
         self._publish_gauges()
         return out
@@ -221,12 +236,32 @@ class IncrementalCSD:
     ) -> int:
         """Nearest candidate unit whose distribution accepts the tag."""
         for _d2, unit_id in candidates:
-            distribution = unit_distribution(
-                self._members[unit_id], self._tags, self._popularity
-            )
+            distribution = self._unit(unit_id).semantic_distribution
             if cosine_similarity({tag: 1.0}, distribution) >= self.merge_cos:
                 return unit_id
         return UNASSIGNED
+
+    def _unit(self, unit_id: int) -> SemanticUnit:
+        """The current record of one unit, rebuilt if it is missing."""
+        unit = self._units[unit_id]
+        if unit is None:
+            self._rebuild_units([unit_id])
+            unit = self._units[unit_id]
+            assert unit is not None
+        return unit
+
+    def _rebuild_units(self, unit_ids: Sequence[int]) -> None:
+        """Rebuild the records of ``unit_ids`` from their members with
+        one :func:`semantic_units` call (which numbers its output from
+        0, so each record takes its unit's id afterwards)."""
+        fresh = semantic_units(
+            [self._members[u] for u in unit_ids],
+            self._xy,
+            self._tags,
+            self._popularity,
+        )
+        for unit_id, unit in zip(unit_ids, fresh):
+            self._units[unit_id] = replace(unit, unit_id=unit_id)
 
     def restore_online_state(
         self,
@@ -331,6 +366,13 @@ class IncrementalCSD:
                 new_members.append(list(members))
             absorbed = tuple(i for i in pend if unit_of[i] != UNASSIGNED)
             self._members = new_members
+            # Clean units keep their records under their new ids (a new
+            # object when the id moved: earlier diagrams hold the old
+            # one); the repaired units' records are built on demand.
+            self._units = [
+                _renumbered(self._units[u], unit_id)
+                for unit_id, u in enumerate(keep_ids)
+            ] + [None] * len(final)
             self._pending.difference_update(absorbed)
             self._dirty.clear()
         reg.counter("incremental.repairs").inc(1)
@@ -366,19 +408,36 @@ class IncrementalCSD:
         return self.staleness() > threshold
 
     def diagram(self) -> CitySemanticDiagram:
-        """Materialise the updated diagram (units rebuilt from members).
+        """Materialise the updated diagram.
 
-        The per-POI arrays are copies, so the returned diagram does not
-        change when the updater absorbs or repairs afterwards.
+        Only the units whose membership changed since their record was
+        last built are rebuilt; the rest are the records an earlier
+        diagram (or the base) already holds.  The per-POI arrays are
+        copies and no record is ever modified, so the returned diagram
+        does not change when the updater absorbs or repairs afterwards.
         """
-        popularity = self._popularity.copy()
-        xy_all = self._xy.copy()
+        stale = [u for u, unit in enumerate(self._units) if unit is None]
+        if stale:
+            self._rebuild_units(stale)
+        units: List[SemanticUnit] = [u for u in self._units if u is not None]
         return CitySemanticDiagram(
             pois=list(self._pois),
             projection=self.base.projection,
-            poi_xy=xy_all,
-            popularity=popularity,
-            units=semantic_units(self._members, xy_all, self._tags, popularity),
+            poi_xy=self._xy.copy(),
+            popularity=self._popularity.copy(),
+            units=units,
             unit_of=self._unit_of.copy(),
             tag_level=self.base.tag_level,
         )
+
+
+def _renumbered(
+    unit: Optional[SemanticUnit], unit_id: int
+) -> Optional[SemanticUnit]:
+    """``unit`` under ``unit_id``: the same record when the id is
+    unchanged, a copy sharing its fields otherwise."""
+    if unit is None or unit.unit_id == unit_id:
+        return unit
+    return SemanticUnit(
+        unit_id, unit.poi_indices, unit.centroid_xy, unit.semantic_distribution
+    )

@@ -140,16 +140,6 @@ def unit_distributions(
     return out
 
 
-@array_contract(
-    popularity=ArraySpec(dtype="float64", ndim=1, finite=True, same_length_as="tags")
-)
-def unit_distribution(
-    members: Sequence[int], tags: Sequence[str], popularity: Float64Array
-) -> Dict[str, float]:
-    """:func:`unit_distributions` of one unit."""
-    return unit_distributions([members], tags, popularity)[0]
-
-
 def cosine_similarity(p: Dict[str, float], q: Dict[str, float]) -> float:
     """Cosine of two tag distributions (Equations 7-8).
 

@@ -46,12 +46,6 @@ class CityCheckinProfile:
         total = sum(w for w, _s in self.topics.values())
         return {t: w / total for t, (w, _s) in self.topics.items()}
 
-    def expected_observed(self) -> Dict[str, float]:
-        """Expected check-in ratio per topic: share-weighted activity."""
-        raw = {t: w * s for t, (w, s) in self.topics.items()}
-        total = sum(raw.values())
-        return {t: v / total for t, v in raw.items()}
-
 
 def _profile(name: str, rows: List[Tuple[str, float, str]]) -> CityCheckinProfile:
     """Build a profile from (topic, target observed %, share class) rows.

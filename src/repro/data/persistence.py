@@ -2,13 +2,16 @@
 
 Construction cost grows with POIs x stay points, while the diagram
 itself is small; a downstream deployment builds the CSD offline and
-serves recognition from the loaded artifact.  The format (version 2,
-stdlib JSON) is a document carrying popularity, unit membership and
-the projection anchor, plus the POI table in content-addressed segment
-files (``pois-<sha256>.json``) beside it, listed in order — everything
+serves recognition from the loaded artifact.  The format (version 3,
+stdlib JSON) is a document carrying unit membership and the projection
+anchor, plus the POI table — each row a POI with its popularity — in
+content-addressed segment files (``pois-<sha256>.json``) beside it,
+listed in order: everything
 :class:`~repro.core.csd.CitySemanticDiagram` needs to reconstruct
-itself exactly.  Saving a diagram that only grew by appended POIs
-writes one segment for them and a new document.
+itself exactly.  A POI's popularity is fixed once it is written (the
+batch build scores every POI once; the stream enters new POIs at 0.0
+and never re-scores them), so saving a diagram that only grew by
+appended POIs writes one segment for them and a new document.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.geo.projection import LocalProjection
 PathLike = Union[str, Path]
 
 #: Format marker; a document of any other version is refused.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,12 @@ def save_csd(
 
     ``committed`` are segments already beside ``path`` that hold the
     first POIs of ``csd`` — what an earlier save of a diagram this one
-    extends returned.  Only the POIs after them are written, as one new
-    segment (none if there are none); a plain ``save_csd(path, csd)``
-    writes the whole table as one segment.
+    extends returned.  They fix those POIs' rows *and their popularity*:
+    only the POIs after them are written, as one new segment of
+    ``[poi_id, lon, lat, major, minor, name, popularity]`` rows (none if
+    there are none), so a diagram that re-scored a committed POI must be
+    saved without ``committed``.  A plain ``save_csd(path, csd)`` writes
+    the whole table as one segment.
 
     A NaN/inf popularity raises ``ValueError`` naming the first
     offending POI index before anything is written (Python would emit
@@ -95,8 +101,10 @@ def save_csd(
     if covered < csd.n_pois:
         segment_data = strict_json_dumps(
             [
-                [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name]
-                for p in csd.pois[covered:]
+                [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name, pop]
+                for p, pop in zip(
+                    csd.pois[covered:], popularity[covered:].tolist()
+                )
             ]
         ).encode("utf-8")
         sha = hashlib.sha256(segment_data).hexdigest()
@@ -114,7 +122,6 @@ def save_csd(
             {"file": seg.file, "sha256": seg.sha256, "count": seg.count}
             for seg in segments
         ],
-        "popularity": csd.popularity.tolist(),
         "unit_of": csd.unit_of.tolist(),
         "units": [
             {
@@ -176,12 +183,14 @@ def read_csd(
         PoiSegment(str(s["file"]), str(s["sha256"]), int(s["count"]))
         for s in document["poi_segments"]
     ]
+    rows = [
+        row
+        for segment in segments
+        for row in _read_segment(Path(path).parent / segment.file, segment)
+    ]
     pois = [
         POI(int(pid), float(lon), float(lat), major, minor, name)
-        for segment in segments
-        for pid, lon, lat, major, minor, name in _read_segment(
-            Path(path).parent / segment.file, segment
-        )
+        for pid, lon, lat, major, minor, name, _pop in rows
     ]
     poi_xy = projection.to_meters_array([(p.lon, p.lat) for p in pois])
     units = [
@@ -202,7 +211,7 @@ def read_csd(
         pois=pois,
         projection=projection,
         poi_xy=poi_xy,
-        popularity=np.asarray(document["popularity"], dtype=float),
+        popularity=np.array([row[6] for row in rows], dtype=np.float64),
         units=units,
         # np.int64 explicitly: dtype=int is platform-dependent (int32
         # on Windows) and would break the repo-wide int64 index/label

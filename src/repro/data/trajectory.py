@@ -65,12 +65,6 @@ class Trajectory:
     def __iter__(self) -> Iterator[GPSPoint]:
         return iter(self.points)
 
-    def duration(self) -> float:
-        """Seconds between the first and last fix; 0 for short tracks."""
-        if len(self.points) < 2:
-            return 0.0
-        return self.points[-1].t - self.points[0].t
-
     def is_time_ordered(self) -> bool:
         """True when timestamps never decrease along the trajectory."""
         pts = self.points

@@ -1,13 +1,74 @@
 """Tests for incremental CSD maintenance."""
 
+import random
+
 import pytest
 
 from repro.core.config import CSDConfig
-from repro.core.constructor import build_csd
-from repro.core.csd import UNASSIGNED
+from repro.core.constructor import build_csd, semantic_units
+from repro.core.csd import UNASSIGNED, CitySemanticDiagram
 from repro.core.incremental import IncrementalCSD
+from repro.core.merging import cosine_similarity, unit_distributions
+from repro.data.persistence import load_csd, save_csd
 from repro.data.poi import POI
 from repro.data.trajectory import StayPoint
+from tests.conftest import diagram_key
+
+
+def diagram_oracle(updater):
+    """The full rebuild ``IncrementalCSD.diagram`` replaced: every
+    unit's record from its members, with one ``semantic_units`` call."""
+    popularity = updater._popularity.copy()
+    xy_all = updater._xy.copy()
+    return CitySemanticDiagram(
+        pois=list(updater._pois),
+        projection=updater.base.projection,
+        poi_xy=xy_all,
+        popularity=popularity,
+        units=semantic_units(
+            updater._members, xy_all, updater._tags, popularity
+        ),
+        unit_of=updater._unit_of.copy(),
+        tag_level=updater.base.tag_level,
+    )
+
+
+class PlacementOracle(IncrementalCSD):
+    """Places each POI on distributions recomputed from the members, as
+    the updater did before it kept unit records."""
+
+    def _find_compatible_unit(self, candidates, tag):
+        for _d2, unit_id in candidates:
+            distribution = unit_distributions(
+                [self._members[unit_id]], self._tags, self._popularity
+            )[0]
+            if cosine_similarity({tag: 1.0}, distribution) >= self.merge_cos:
+                return unit_id
+        return UNASSIGNED
+
+
+def unit_key(units):
+    """Every field of every unit, distribution items in their order."""
+    return [
+        (
+            u.unit_id,
+            list(u.poi_indices),
+            tuple(u.centroid_xy),
+            list(u.semantic_distribution.items()),
+        )
+        for u in units
+    ]
+
+
+def fresh_units(csd):
+    """The units a ``semantic_units`` call over ``csd``'s own
+    membership lists gives."""
+    return semantic_units(
+        [u.poi_indices for u in csd.units],
+        csd.poi_xy,
+        csd.poi_tags(),
+        csd.popularity,
+    )
 
 
 def cluster(lon0, major, minor, count, start_id):
@@ -222,3 +283,114 @@ class TestArrayStateAndRestore:
             updater.restore_online_state([0], [])  # index 0 is assigned
         with pytest.raises(ValueError, match="out of range"):
             updater.restore_online_state([], [999])
+
+
+N_BASE = 2_400
+
+
+@pytest.fixture(scope="module", params=["major", "minor"])
+def stream_setup(request, small_pois, small_trajectories, small_city):
+    """A diagram over the first POIs at one tag level, and the rest of
+    the POIs to stream on top of it."""
+    stays = [sp for st in small_trajectories for sp in st.stay_points]
+    config = CSDConfig(alpha=0.7, semantic_level=request.param)
+    base = build_csd(
+        small_pois[:N_BASE], stays, config, small_city.projection
+    )
+    return base, config, list(small_pois[N_BASE:])
+
+
+def stream_batches(pois, seed):
+    """The held-out POIs, a fifth of them jittered by up to ~20 m and a
+    tenth given another POI's tags (so some stay pending), in seeded
+    random batches of 1-60."""
+    rng = random.Random(seed)
+    moved = []
+    for k, p in enumerate(pois):
+        lon, lat, major, minor = p.lon, p.lat, p.major, p.minor
+        if rng.random() < 0.2:
+            lon += rng.uniform(-2e-4, 2e-4)
+            lat += rng.uniform(-2e-4, 2e-4)
+        if rng.random() < 0.1:
+            other = rng.choice(pois)
+            major, minor = other.major, other.minor
+        moved.append(POI(10**6 + k, lon, lat, major, minor, p.name))
+    batches = []
+    while moved:
+        size = rng.randint(1, 60)
+        batches.append(moved[:size])
+        moved = moved[size:]
+    return batches
+
+
+class TestUnitRecords:
+    """``diagram()`` rebuilds only the units whose membership changed;
+    every diagram must equal the full rebuild."""
+
+    def test_base_units_equal_a_fresh_recomputation(
+        self, stream_setup, tmp_path
+    ):
+        """Seeding the records from ``base.units`` is exact for a built
+        diagram and for a saved and reloaded one."""
+        base, _config, _rest = stream_setup
+        assert unit_key(base.units) == unit_key(fresh_units(base))
+        save_csd(tmp_path / "csd.json", base)
+        loaded = load_csd(tmp_path / "csd.json")
+        assert unit_key(loaded.units) == unit_key(base.units)
+        assert unit_key(loaded.units) == unit_key(fresh_units(loaded))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_diagram_equals_the_full_rebuild(
+        self, stream_setup, seed, tmp_path
+    ):
+        """Random batches with repairs interleaved and one resume from a
+        saved diagram: placements and repairs match an updater that
+        recomputes every distribution, and every diagram matches the
+        full rebuild field by field."""
+        base, config, rest = stream_setup
+        rng = random.Random(100 + seed)
+        batches = stream_batches(rest, seed)
+        resume_at = len(batches) // 2
+        updater = IncrementalCSD(
+            base, config.merge_radius_m, config.merge_cos
+        )
+        oracle = PlacementOracle(
+            base, config.merge_radius_m, config.merge_cos
+        )
+        taken = []
+        repairs = 0
+        for step, batch in enumerate(batches):
+            if step == resume_at:
+                # Resume from the saved diagram as the stream runner
+                # does; the reloaded records must carry on exactly.
+                path = tmp_path / "csd.json"
+                save_csd(path, updater.diagram())
+                resumed = IncrementalCSD(
+                    load_csd(path), config.merge_radius_m, config.merge_cos
+                )
+                resumed.restore_online_state(
+                    updater.pending_indices(),
+                    updater.dirty_units(),
+                    updater.n_added,
+                )
+                assert diagram_key(resumed.diagram()) == diagram_key(
+                    updater.diagram()
+                )
+                updater = resumed
+            assert updater.add_pois(batch) == oracle.add_pois(batch)
+            if rng.random() < 0.4 and updater.dirty_units():
+                report = updater.repair(config.v_min_m2, config.r3sigma_m)
+                assert report == oracle.repair(
+                    config.v_min_m2, config.r3sigma_m
+                )
+                repairs += report.repaired
+            diagram = updater.diagram()
+            want = diagram_oracle(oracle)
+            assert unit_key(diagram.units) == unit_key(want.units)
+            assert diagram_key(diagram) == diagram_key(want)
+            taken.append((diagram, unit_key(diagram.units)))
+        assert repairs >= 3 and len(batches) >= 8
+        # Later add_pois and repair calls never touch a diagram already
+        # handed out, although successive diagrams share unit records.
+        for diagram, key in taken:
+            assert unit_key(diagram.units) == key

@@ -6,19 +6,19 @@ import pytest
 from repro.core.merging import (
     cosine_similarity,
     merge_units,
-    unit_distribution,
+    unit_distributions,
 )
 
 
 class TestDistribution:
     def test_popularity_weighted(self):
         pop = np.array([3.0, 1.0])
-        dist = unit_distribution([0, 1], ["A", "B"], pop)
+        dist = unit_distributions([[0, 1]], ["A", "B"], pop)[0]
         assert dist["A"] == pytest.approx(0.75, abs=1e-6)
         assert dist["B"] == pytest.approx(0.25, abs=1e-6)
 
     def test_zero_popularity_floor(self):
-        dist = unit_distribution([0, 1], ["A", "B"], np.zeros(2))
+        dist = unit_distributions([[0, 1]], ["A", "B"], np.zeros(2))[0]
         assert dist["A"] == pytest.approx(0.5)
 
 

@@ -59,8 +59,9 @@ class TestRoundTrip:
 
 
 class TestPoiSegments:
-    """Format 2: the POI table lives in content-addressed segment files
-    the diagram document lists in order."""
+    """Format 3: the POI table, popularity included, lives in
+    content-addressed segment files the diagram document lists in
+    order."""
 
     @staticmethod
     def _grown(small_csd, tmp_path):
@@ -89,7 +90,55 @@ class TestPoiSegments:
         assert segments[0].file == f"pois-{segments[0].sha256}.json"
         document = json.loads(path.read_text())
         assert "pois" not in document
-        assert document["format_version"] == 2
+        assert document["format_version"] == 3
+
+    def test_popularity_lives_in_the_segment_rows(self, small_csd, tmp_path):
+        path = tmp_path / "csd.json"
+        segments = save_csd(path, small_csd)
+        assert "popularity" not in json.loads(path.read_text())
+        rows = json.loads((tmp_path / segments[0].file).read_text())
+        assert [row[:6] for row in rows] == [
+            [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name]
+            for p in small_csd.pois
+        ]
+        assert [row[6] for row in rows] == small_csd.popularity.tolist()
+        loaded = load_csd(path)
+        assert loaded.popularity.dtype == np.float64
+        assert np.array_equal(loaded.popularity, small_csd.popularity)
+
+    def test_extending_save_writes_only_new_rows(self, small_csd, tmp_path):
+        """An extending save's one new segment holds just the appended
+        POIs and their popularity; the load rebuilds the exact array."""
+        path = tmp_path / "csd.json"
+        committed = save_csd(path, small_csd)
+        grown = copy.copy(small_csd)
+        extra = [
+            POI(10**6 + k, p.lon + 1e-4, p.lat, p.major, p.minor, f"new{k}")
+            for k, p in enumerate(small_csd.pois[:3])
+        ]
+        extra_popularity = [0.0, 2.5, 1.0 / 3.0]
+        grown.pois = small_csd.pois + extra
+        grown.poi_xy = np.vstack(
+            [small_csd.poi_xy, small_csd.projection.to_meters_array(
+                [(p.lon, p.lat) for p in extra]
+            )]
+        )
+        grown.popularity = np.concatenate(
+            [small_csd.popularity, extra_popularity]
+        )
+        grown.unit_of = np.concatenate(
+            [small_csd.unit_of, np.full(3, UNASSIGNED, dtype=np.int64)]
+        )
+        segments = save_csd(path, grown, committed)
+        assert segments[:1] == committed and len(segments) == 2
+        rows = json.loads((tmp_path / segments[1].file).read_text())
+        assert rows == [
+            [p.poi_id, p.lon, p.lat, p.major, p.minor, p.name, pop]
+            for p, pop in zip(extra, extra_popularity)
+        ]
+        loaded = load_csd(path)
+        assert np.array_equal(loaded.popularity, grown.popularity)
+        assert loaded.pois == grown.pois
 
     def test_several_segments_load_like_one(self, small_csd, tmp_path):
         path, segments, final = self._grown(small_csd, tmp_path)
@@ -148,6 +197,25 @@ class TestPoiSegments:
             load_csd(path)
         assert "re-save" in str(err.value)
 
+    def test_format_2_document_refused_with_resave_hint(
+        self, small_csd, tmp_path
+    ):
+        """Format 2 kept popularity in the document and six-column
+        segment rows; it is refused, not misread."""
+        path = tmp_path / "csd.json"
+        segments = save_csd(path, small_csd)
+        document = json.loads(path.read_text())
+        document["format_version"] = 2
+        document["popularity"] = small_csd.popularity.tolist()
+        rows = json.loads((tmp_path / segments[0].file).read_text())
+        (tmp_path / segments[0].file).write_text(
+            json.dumps([row[:6] for row in rows])
+        )
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="version 2") as err:
+            load_csd(path)
+        assert "re-save" in str(err.value)
+
 
 class TestDtypeContract:
     def test_round_trip_pins_int64_unit_of(self, small_csd, tmp_path):
@@ -177,6 +245,7 @@ class TestNonFinitePopularity:
         with pytest.raises(ValueError, match="POI index 3"):
             save_csd(path, corrupted)
         assert not path.exists(), "no partial file on rejection"
+        assert list(tmp_path.iterdir()) == [], "no segment either"
 
     def test_first_offender_named(self, small_csd, tmp_path):
         corrupted = copy.copy(small_csd)
@@ -185,6 +254,25 @@ class TestNonFinitePopularity:
         corrupted.popularity[1] = float("-inf")
         with pytest.raises(ValueError, match="POI index 1"):
             save_csd(tmp_path / "csd.json", corrupted)
+
+    def test_rejected_in_an_extending_save(self, small_csd, tmp_path):
+        """A NaN among the POIs an extending save would write is named
+        before the new segment or document exists."""
+        path = tmp_path / "csd.json"
+        committed = save_csd(path, small_csd)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        updater = IncrementalCSD(small_csd)
+        updater.add_pois(
+            [POI(10**6 + k, 150.0, -30.0, "Industry", "Factory")
+             for k in range(2)]
+        )
+        grown = updater.diagram()
+        grown.popularity[small_csd.n_pois + 1] = float("nan")
+        with pytest.raises(
+            ValueError, match=f"POI index {small_csd.n_pois + 1}"
+        ):
+            save_csd(path, grown, committed)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 class TestPendingPois:

@@ -35,11 +35,6 @@ class TestStayPoint:
 
 
 class TestTrajectory:
-    def test_duration(self):
-        t = Trajectory(1, [GPSPoint(0, 0, 10.0), GPSPoint(0, 0, 25.0)])
-        assert t.duration() == 15.0
-        assert Trajectory(2, [GPSPoint(0, 0, 5.0)]).duration() == 0.0
-
     def test_time_ordering(self):
         good = Trajectory(1, [GPSPoint(0, 0, 1.0), GPSPoint(0, 0, 2.0)])
         bad = Trajectory(2, [GPSPoint(0, 0, 2.0), GPSPoint(0, 0, 1.0)])
