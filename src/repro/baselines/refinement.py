@@ -12,7 +12,7 @@ density threshold ``rho`` are universal across all six approaches; here
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.core.extraction import (
     FineGrainedPattern,
     coarse_patterns,
     matched_columns,
-    projection_for,
     representative_stay_point,
     temporal_occurrences,
 )
@@ -39,7 +38,7 @@ def refine_with_labeler(
     database: Sequence[SemanticTrajectory],
     config: MiningConfig,
     labeler: Labeler,
-    projection: Optional[LocalProjection] = None,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """PrefixSpan + per-position clustering + combination counting.
 
@@ -47,8 +46,6 @@ def refine_with_labeler(
     same cluster label at *every* position; combinations with at least
     ``sigma`` members and mean group density at least ``rho`` survive.
     """
-    if projection is None:
-        projection = projection_for(database)
     out: List[FineGrainedPattern] = []
     for pattern in coarse_patterns(database, config):
         occurrences = temporal_occurrences(

@@ -20,8 +20,9 @@ from repro.core.constructor import build_csd
 from repro.core.csd import CitySemanticDiagram
 from repro.core.extraction import FineGrainedPattern, counterpart_cluster
 from repro.core.recognition import CSDRecognizer
-from repro.data.poi import POI
+from repro.data.poi import POI, poi_lonlat_array
 from repro.data.trajectory import SemanticTrajectory
+from repro.geo.projection import LocalProjection
 from repro.obs import get_registry
 
 RecognizerName = str  # "CSD" | "ROI"
@@ -83,7 +84,7 @@ def run_approach(
     mining_config: Optional[MiningConfig] = None,
     csd: Optional[CitySemanticDiagram] = None,
 ) -> List[FineGrainedPattern]:
-    """Run one approach end to end.
+    """Run one approach end to end in ``mining_projection(pois, csd)``.
 
     A prebuilt ``csd`` skips the constructor of a CSD-based approach.
     """
@@ -91,34 +92,59 @@ def run_approach(
     mining_config = mining_config or MiningConfig()
     reg = get_registry()
     with reg.span("pipeline"):
+        if csd is None and approach.recognizer == "CSD":
+            with reg.span("constructor"):
+                stays = [sp for st in trajectories for sp in st.stay_points]
+                csd = build_csd(pois, stays, csd_config)
         recognized = recognize_for(
             approach.recognizer, pois, trajectories, csd_config, csd
         )
-        extractor = _EXTRACTORS[approach.extractor]
         with reg.span("extraction"):
-            return extractor(recognized, mining_config)
+            return extract(
+                approach, recognized, mining_config,
+                mining_projection(pois, csd),
+            )
+
+
+def extract(
+    approach: Approach,
+    recognized: Sequence[SemanticTrajectory],
+    mining_config: MiningConfig,
+    projection: LocalProjection,
+) -> List[FineGrainedPattern]:
+    """Extraction half of an approach, shared by every entry point."""
+    return _EXTRACTORS[approach.extractor](recognized, mining_config, projection)
+
+
+def mining_projection(
+    pois: Sequence[POI], csd: Optional[CitySemanticDiagram] = None
+) -> LocalProjection:
+    """The metre frame an approach mines in: the diagram's, or without
+    one the POI anchor :func:`build_csd` gives a diagram of ``pois``."""
+    if csd is not None:
+        return csd.projection
+    return LocalProjection.for_points(poi_lonlat_array(pois))
 
 
 def recognize_for(
     recognizer: RecognizerName,
     pois: Sequence[POI],
     trajectories: Sequence[SemanticTrajectory],
-    csd_config: Optional[CSDConfig] = None,
-    csd: Optional[CitySemanticDiagram] = None,
+    csd_config: CSDConfig,
+    csd: Optional[CitySemanticDiagram],
 ) -> List[SemanticTrajectory]:
-    """Recognition half of an approach, reusable across extractors."""
-    csd_config = csd_config or CSDConfig()
-    reg = get_registry()
-    if recognizer == "CSD":
-        if csd is None:
-            with reg.span("constructor"):
-                stays = [sp for st in trajectories for sp in st.stay_points]
-                csd = build_csd(pois, stays, csd_config)
-        with reg.span("recognition"):
+    """Recognition half of an approach, reusable across extractors.
+
+    ``csd`` is the diagram a CSD recognizer reads; the ROI recognizer
+    ignores it.
+    """
+    with get_registry().span("recognition"):
+        if recognizer == "CSD":
+            if csd is None:
+                raise ValueError("the CSD recognizer needs a diagram")
             return CSDRecognizer(
                 csd, csd_config.r3sigma_m
             ).recognize(trajectories)
-    if recognizer == "ROI":
-        with reg.span("recognition"):
+        if recognizer == "ROI":
             return ROIRecognizer(pois).recognize(trajectories)
     raise KeyError(f"unknown recognizer {recognizer!r}")

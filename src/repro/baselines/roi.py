@@ -21,15 +21,15 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.cluster.dbscan import dbscan
+from repro.core.csd import project_pois
 from repro.core.recognition import attach_semantics
-from repro.data.poi import POI, poi_lonlat_array
+from repro.data.poi import POI
 from repro.data.trajectory import (
     NO_SEMANTICS,
     SemanticProperty,
     SemanticTrajectory,
 )
 from repro.geo.index import GridIndex
-from repro.geo.projection import LocalProjection
 from repro.types import Float64Array
 
 
@@ -61,9 +61,7 @@ class ROIRecognizer:
         if min_pts < 1:
             raise ValueError("min_pts must be at least 1")
         self.pois = list(pois)
-        lonlat = poi_lonlat_array(self.pois)
-        self.projection = LocalProjection.for_points(lonlat)
-        self.poi_xy = self.projection.to_meters_array(lonlat)
+        self.projection, self.poi_xy = project_pois(self.pois)
         self.eps_m = eps_m
         self.min_pts = min_pts
         self.overlap_radius_m = overlap_radius_m

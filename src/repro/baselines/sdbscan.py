@@ -9,7 +9,7 @@ OPTICS step does.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.baselines.refinement import refine_with_labeler
 from repro.cluster.dbscan import dbscan
@@ -29,9 +29,8 @@ def _dbscan_labeler(xy: MetersArray, config: MiningConfig) -> IndexArray:
 
 def sdbscan_extract(
     database: Sequence[SemanticTrajectory],
-    config: Optional[MiningConfig] = None,
-    projection: Optional[LocalProjection] = None,
+    config: MiningConfig,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """SDBSCAN over a recognised semantic-trajectory database."""
-    config = config or MiningConfig()
     return refine_with_labeler(database, config, _dbscan_labeler, projection)

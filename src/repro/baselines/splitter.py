@@ -12,7 +12,7 @@ tail in Figure 9.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -86,9 +86,8 @@ def _splitter_labeler(xy: MetersArray, config: MiningConfig) -> IndexArray:
 
 def splitter_extract(
     database: Sequence[SemanticTrajectory],
-    config: Optional[MiningConfig] = None,
-    projection: Optional[LocalProjection] = None,
+    config: MiningConfig,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """Splitter over a recognised semantic-trajectory database."""
-    config = config or MiningConfig()
     return refine_with_labeler(database, config, _splitter_labeler, projection)

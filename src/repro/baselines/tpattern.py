@@ -26,13 +26,17 @@ from repro.core.extraction import (
     FineGrainedPattern,
     Occurrence,
     matched_columns,
-    projection_for,
     representative_stay_point,
 )
 from repro.data.trajectory import SemanticTrajectory
 from repro.geo.projection import LocalProjection
 from repro.mining.prefixspan import prefixspan
 from repro.types import Float64Array, MetersArray
+
+#: Edge of the uniform grid cells, metres, from the projection origin.
+CELL_M = 200.0
+#: Stay points a cell needs to be popular.
+MIN_VISITS = 20
 
 
 @dataclass
@@ -47,8 +51,8 @@ class RegionOfInterest:
 
 def detect_rois(
     stay_xy: MetersArray,
-    cell_m: float = 200.0,
-    min_visits: int = 20,
+    cell_m: float = CELL_M,
+    min_visits: int = MIN_VISITS,
 ) -> Tuple[List[RegionOfInterest], Dict[Tuple[int, int], int]]:
     """Popular-cell ROI detection.
 
@@ -102,39 +106,31 @@ def detect_rois(
 
 def tpattern_extract(
     database: Sequence[SemanticTrajectory],
-    config: Optional[MiningConfig] = None,
-    projection: Optional[LocalProjection] = None,
-    cell_m: float = 200.0,
-    min_visits: int = 20,
+    config: MiningConfig,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """Mine ROI-sequence patterns from (semantics-free) trajectories.
 
     Output items are synthetic ROI labels (``"roi-3"``); groups and
     representatives work like the other extractors so the standard
     metrics apply — semantic consistency is of course degenerate, which
-    is the point of this baseline.
+    is the point of this baseline.  The grid is anchored on
+    ``projection``'s origin, so the patterns depend on the projection.
     """
-    config = config or MiningConfig()
-    if projection is None:
-        projection = projection_for(database)
-
     all_xy = [
         projection.to_meters_array([(sp.lon, sp.lat) for sp in st.stay_points])
         for st in database
     ]
-    stay_xy = np.vstack([xy for xy in all_xy if len(xy)])
-    _rois, roi_of = detect_rois(stay_xy, cell_m, min_visits)
-
-    def cell_key(x: float, y: float) -> Tuple[int, int]:
-        return (int(np.floor(x / cell_m)), int(np.floor(y / cell_m)))
+    # The empty block keeps a corpus without stays well formed: no ROIs.
+    stay_xy = np.vstack([np.empty((0, 2), dtype=np.float64), *all_xy])
+    _rois, roi_of = detect_rois(stay_xy, CELL_M, MIN_VISITS)
 
     sequences: List[List[Optional[str]]] = []
     for xy in all_xy:
-        seq: List[Optional[str]] = []
-        for x, y in xy:
-            roi = roi_of.get(cell_key(float(x), float(y)))
-            seq.append(f"roi-{roi}" if roi is not None else None)
-        sequences.append(seq)
+        rois = [
+            roi_of.get((int(cx), int(cy))) for cx, cy in np.floor(xy / CELL_M)
+        ]
+        sequences.append([None if r is None else f"roi-{r}" for r in rois])
 
     coarse = prefixspan(
         sequences,

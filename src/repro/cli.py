@@ -35,7 +35,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import ioutil, obs
-from repro.baselines.registry import APPROACHES, approach_by_name, run_approach
+from repro.baselines.registry import (
+    APPROACHES, approach_by_name, mining_projection, run_approach,
+)
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
 from repro.core.patterns import summarize
@@ -62,7 +64,6 @@ from repro.data.poi import POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator, trips_to_mining_trajectories
 from repro.eval.metrics import summarize_patterns
 from repro.eval.reporting import format_table
-from repro.geo.projection import LocalProjection
 
 
 def _add_mining_args(parser: argparse.ArgumentParser) -> None:
@@ -146,8 +147,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         approach, pois, trajectories,
         args.csd_config, args.mining_config, csd=csd,
     )
-    lonlat = [(p.lon, p.lat) for p in pois]
-    projection = LocalProjection.for_points(lonlat)
+    projection = mining_projection(pois, csd)
     rows = summarize(patterns, projection)
     print(f"{approach.name}: {len(patterns)} patterns, "
           f"coverage {sum(p.support for p in patterns)}")

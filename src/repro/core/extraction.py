@@ -61,14 +61,11 @@ class FineGrainedPattern:
 
 def counterpart_cluster(
     database: Sequence[SemanticTrajectory],
-    config: Optional[MiningConfig] = None,
-    projection: Optional[LocalProjection] = None,
+    config: MiningConfig,
+    projection: LocalProjection,
 ) -> List[FineGrainedPattern]:
     """Algorithm 4 end to end over a recognised trajectory database."""
-    config = config or MiningConfig()
     reg = get_registry()
-    if projection is None:
-        projection = projection_for(database)
     with reg.timer("extraction.prefixspan"):
         coarse = coarse_patterns(database, config)
     out = refine_patterns(coarse, database, config, projection)
@@ -103,19 +100,6 @@ def refine_patterns(
 
 
 # -- Algorithm 4's front half, which every extractor of Section 5 shares --
-
-
-def projection_for(
-    database: Sequence[SemanticTrajectory],
-) -> LocalProjection:
-    """The local metric projection anchored on ``database``'s stays;
-    raises ``ValueError`` on a database without stay points."""
-    lonlat = [
-        (sp.lon, sp.lat) for st in database for sp in st.stay_points
-    ]
-    if not lonlat:
-        raise ValueError("cannot mine an empty trajectory database")
-    return LocalProjection.for_points(lonlat)
 
 
 def coarse_patterns(

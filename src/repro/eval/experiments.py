@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.registry import APPROACHES, Approach, recognize_for
+from repro.baselines.registry import APPROACHES, Approach, extract, recognize_for
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.constructor import build_csd
 from repro.core.csd import CitySemanticDiagram
 from repro.core.extraction import FineGrainedPattern
-from repro.baselines.registry import _EXTRACTORS
 from repro.data.city import CityModel
 from repro.data.poi import POI, POIGenerator
 from repro.data.taxi import ShanghaiTaxiSimulator, TaxiDataset
@@ -119,8 +118,8 @@ class ApproachRunner:
     def run(
         self, approach: Approach, mining_config: MiningConfig
     ) -> List[FineGrainedPattern]:
-        extractor = _EXTRACTORS[approach.extractor]
-        return extractor(
+        return extract(
+            approach,
             self.recognized(approach.recognizer),
             mining_config,
             self.workload.projection,

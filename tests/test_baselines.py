@@ -10,7 +10,7 @@ from repro.core.config import MiningConfig
 from repro.data.poi import POI
 from repro.data.trajectory import SemanticTrajectory, StayPoint
 
-from tests.test_extraction import planted_database
+from tests.test_extraction import PROJECTION, planted_database
 
 DEG_PER_M = 1.0 / 111_195.0
 
@@ -76,28 +76,32 @@ class TestROIRecognizer:
 class TestBaselineExtractors:
     def test_sdbscan_recovers_planted_pattern(self):
         db = planted_database(25)
-        patterns = sdbscan_extract(db, MiningConfig(support=10, rho=0.0005))
+        patterns = sdbscan_extract(
+            db, MiningConfig(support=10, rho=0.0005), PROJECTION
+        )
         assert len(patterns) == 1
         assert patterns[0].items == ("Office", "Home")
         assert patterns[0].support == 25
 
     def test_splitter_recovers_planted_pattern(self):
         db = planted_database(25)
-        patterns = splitter_extract(db, MiningConfig(support=10, rho=0.0005))
+        patterns = splitter_extract(
+            db, MiningConfig(support=10, rho=0.0005), PROJECTION
+        )
         assert len(patterns) == 1
         assert patterns[0].support == 25
 
     def test_extractors_respect_support(self):
         db = planted_database(8)
         cfg = MiningConfig(support=10, rho=0.0)
-        assert sdbscan_extract(db, cfg) == []
-        assert splitter_extract(db, cfg) == []
+        assert sdbscan_extract(db, cfg, PROJECTION) == []
+        assert splitter_extract(db, cfg, PROJECTION) == []
 
     def test_extractors_respect_rho(self):
         db = planted_database(25, jitter_m=800.0)
         cfg = MiningConfig(support=10, rho=0.002)
-        assert sdbscan_extract(db, cfg) == []
-        assert splitter_extract(db, cfg) == []
+        assert sdbscan_extract(db, cfg, PROJECTION) == []
+        assert splitter_extract(db, cfg, PROJECTION) == []
 
     def test_splitter_separates_two_venues(self):
         a = planted_database(15, seed=3)
@@ -108,6 +112,8 @@ class TestBaselineExtractors:
             ])
             for st in planted_database(15, seed=4)
         ]
-        patterns = splitter_extract(a + b, MiningConfig(support=10, rho=0.0005))
+        patterns = splitter_extract(
+            a + b, MiningConfig(support=10, rho=0.0005), PROJECTION
+        )
         assert len(patterns) == 2
         assert sorted(p.support for p in patterns) == [15, 15]

@@ -83,6 +83,20 @@ class TestMine:
         lines = table.read_text().splitlines()
         assert lines[0].startswith("route,support")
 
+    @pytest.mark.parametrize("approach", ["CSD-PM", "ROI-TPattern"])
+    def test_empty_trips_mine_nothing(
+        self, data_dir, tmp_path, capsys, approach
+    ):
+        trips = tmp_path / "trips.csv"
+        header = (data_dir / "trips.csv").read_text().splitlines()[0]
+        trips.write_text(header + "\n")
+        rc = main([
+            "mine", "--pois", str(data_dir / "pois.csv"),
+            "--trips", str(trips), "--approach", approach,
+        ])
+        assert rc == 0
+        assert f"{approach}: 0 patterns" in capsys.readouterr().out
+
     def test_unknown_approach_fails(self, data_dir, capsys):
         rc = main([
             "mine", "--pois", str(data_dir / "pois.csv"),

@@ -11,6 +11,7 @@ from repro.data.poi import POI
 from repro.data.trajectory import SemanticTrajectory, StayPoint
 from repro.geo.distance import haversine_distance
 from repro.geo.index import GridIndex
+from repro.geo.projection import LocalProjection
 from repro.mining.prefixspan import prefixspan
 
 DEG_PER_M = 1.0 / 111_195.0
@@ -74,14 +75,14 @@ class TestContainmentEdges:
 
 class TestExtractionEdges:
     def test_min_length_filters_short_patterns(self):
-        from tests.test_extraction import planted_database
+        from tests.test_extraction import PROJECTION, planted_database
 
         db = planted_database(20)
         config = MiningConfig(
             support=10, rho=0.0, min_length=3, max_length=5
         )
         # Only two-stop structure exists; min_length=3 finds nothing.
-        assert counterpart_cluster(db, config) == []
+        assert counterpart_cluster(db, config, PROJECTION) == []
 
     def test_all_unrecognised_stays_yield_nothing(self):
         db = [
@@ -91,7 +92,10 @@ class TestExtractionEdges:
             ])
             for i in range(30)
         ]
-        assert counterpart_cluster(db, MiningConfig(support=10)) == []
+        projection = LocalProjection(121.47, 31.23)
+        assert counterpart_cluster(
+            db, MiningConfig(support=10), projection
+        ) == []
 
 
 class TestIOEdges:

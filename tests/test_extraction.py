@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines.sdbscan import sdbscan_extract
+from repro.baselines.splitter import splitter_extract
+from repro.baselines.tpattern import tpattern_extract
 from repro.core.config import MiningConfig
 from repro.core.extraction import (
     _temporal_occurrence,
@@ -10,8 +13,11 @@ from repro.core.extraction import (
     representative_stay_point,
 )
 from repro.data.trajectory import SemanticTrajectory, StayPoint
+from repro.geo.projection import LocalProjection
 
 DEG_PER_M = 1.0 / 111_195.0
+#: The metre frame of the planted corpora, anchored at their first venue.
+PROJECTION = LocalProjection(0.0, 0.0)
 
 
 def planted_database(
@@ -45,7 +51,7 @@ def config(**kw):
 class TestPlantedPattern:
     def test_recovers_planted_pattern(self):
         db = planted_database(30)
-        patterns = counterpart_cluster(db, config())
+        patterns = counterpart_cluster(db, config(), PROJECTION)
         assert len(patterns) == 1
         p = patterns[0]
         assert p.items == ("Office", "Home")
@@ -55,16 +61,18 @@ class TestPlantedPattern:
 
     def test_support_threshold_filters(self):
         db = planted_database(8)
-        assert counterpart_cluster(db, config(support=10)) == []
+        assert counterpart_cluster(db, config(support=10), PROJECTION) == []
 
     def test_temporal_constraint_filters(self):
         db = planted_database(30, gap_minutes=120.0)
-        assert counterpart_cluster(db, config(delta_t_s=3600.0)) == []
+        assert counterpart_cluster(
+            db, config(delta_t_s=3600.0), PROJECTION
+        ) == []
 
     def test_density_threshold_filters(self):
         # Very loose venue (jitter 500 m) fails rho = 0.002 m^-2.
         db = planted_database(30, jitter_m=500.0)
-        assert counterpart_cluster(db, config(rho=0.002)) == []
+        assert counterpart_cluster(db, config(rho=0.002), PROJECTION) == []
 
     def test_two_distinct_venues_two_patterns(self):
         a = planted_database(20, seed=1)
@@ -75,18 +83,26 @@ class TestPlantedPattern:
             ])
             for st in planted_database(20, seed=2)
         ]
-        patterns = counterpart_cluster(a + b, config())
+        patterns = counterpart_cluster(a + b, config(), PROJECTION)
         two_stop = [p for p in patterns if p.items == ("Office", "Home")]
         assert len(two_stop) == 2
         assert sorted(p.support for p in two_stop) == [20, 20]
 
-    def test_empty_database_raises(self):
-        with pytest.raises(ValueError):
-            counterpart_cluster([], config())
+    @pytest.mark.parametrize(
+        "extract",
+        [counterpart_cluster, splitter_extract, sdbscan_extract,
+         tpattern_extract],
+        ids=["PM", "Splitter", "SDBSCAN", "TPattern"],
+    )
+    @pytest.mark.parametrize(
+        "database", [[], [SemanticTrajectory(0, [])]], ids=["empty", "no-stays"]
+    )
+    def test_corpus_without_stays_mines_nothing(self, extract, database):
+        assert extract(database, config(), PROJECTION) == []
 
     def test_representatives_carry_semantics_and_mean_time(self):
         db = planted_database(15)
-        p = counterpart_cluster(db, config())[0]
+        p = counterpart_cluster(db, config(), PROJECTION)[0]
         assert p.representatives[0].semantics == {"Office"}
         mean_t = np.mean([g.t for g in p.groups[0]])
         assert p.representatives[0].t == pytest.approx(mean_t)

@@ -24,17 +24,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import tpattern
 from repro.baselines.sdbscan import sdbscan_extract
 from repro.baselines.splitter import splitter_extract
 from repro.baselines.tpattern import detect_rois, tpattern_extract
 from repro.core.config import MiningConfig
-from repro.core.extraction import counterpart_cluster, projection_for
+from repro.core.extraction import counterpart_cluster
 from repro.data.trajectory import SemanticTrajectory, StayPoint, dominant_tag
+from repro.geo.projection import LocalProjection
 from repro.geo.stats import spatial_density
 
 DEG_PER_M = 1.0 / 111_195.0
 VENUE_TAGS = ("Home", "Office", "Gym", "Cafe", "Shop")
-TPATTERN_CELL_M = 200.0
+#: The venue grid's metre frame, anchored at its first venue.
+PROJECTION = LocalProjection(0.0, 0.0)
+#: Popular-cell threshold small enough for these 15-40 trajectory corpora.
 TPATTERN_MIN_VISITS = 5
 
 
@@ -92,12 +96,10 @@ configs = st.builds(
 def tpattern_labels(database):
     """The ROI label TPattern gives each stay point, by identity."""
     stays = [sp for traj in database for sp in traj]
-    xy = projection_for(database).to_meters_array(
-        [(sp.lon, sp.lat) for sp in stays]
-    )
-    _rois, roi_of = detect_rois(xy, TPATTERN_CELL_M, TPATTERN_MIN_VISITS)
+    xy = PROJECTION.to_meters_array([(sp.lon, sp.lat) for sp in stays])
+    _rois, roi_of = detect_rois(xy, tpattern.CELL_M, TPATTERN_MIN_VISITS)
     labels = {}
-    for sp, cell in zip(stays, np.floor(xy / TPATTERN_CELL_M).astype(int)):
+    for sp, cell in zip(stays, np.floor(xy / tpattern.CELL_M).astype(int)):
         roi = roi_of.get((int(cell[0]), int(cell[1])))
         labels[id(sp)] = None if roi is None else f"roi-{roi}"
     return labels
@@ -123,13 +125,20 @@ def check_definitions(patterns, database, config, item_of):
             assert all(gap <= config.delta_t_s for gap in gaps)
 
 
-def group_densities(pattern, projection):
+def group_densities(pattern):
     return [
         spatial_density(
-            projection.to_meters_array([(sp.lon, sp.lat) for sp in group])
+            PROJECTION.to_meters_array([(sp.lon, sp.lat) for sp in group])
         )
         for group in pattern.groups
     ]
+
+
+def mine_tpattern(database, config):
+    """TPattern at the corpora's popular-cell threshold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tpattern, "MIN_VISITS", TPATTERN_MIN_VISITS)
+        return tpattern_extract(database, config, PROJECTION)
 
 
 def by_tag(stay):
@@ -140,12 +149,11 @@ class TestExtractorDefinitions:
     @settings(max_examples=25, deadline=None)
     @given(corpora, configs)
     def test_pm(self, database, config):
-        patterns = counterpart_cluster(database, config)
+        patterns = counterpart_cluster(database, config, PROJECTION)
         check_definitions(patterns, database, config, by_tag)
-        projection = projection_for(database)
         members_by_coarse = defaultdict(list)
         for p in patterns:
-            assert group_densities(p, projection)[-1] >= config.rho
+            assert group_densities(p)[-1] >= config.rho
             members_by_coarse[p.items].extend(p.member_ids)
         for members in members_by_coarse.values():
             assert len(members) == len(set(members))
@@ -160,29 +168,24 @@ class TestExtractorDefinitions:
             seed=17, n_trajs=30, n_venues=3, jitter_m=30.0
         )
         config = MiningConfig(support=3, rho=1e-3, max_length=3)
-        projection = projection_for(database)
-        patterns = counterpart_cluster(database, config)
+        patterns = counterpart_cluster(database, config, PROJECTION)
         assert patterns
         for p in patterns:
-            assert min(group_densities(p, projection)) >= config.rho
+            assert min(group_densities(p)) >= config.rho
 
     @pytest.mark.parametrize("extract", [splitter_extract, sdbscan_extract])
     @settings(max_examples=15, deadline=None)
     @given(database=corpora, config=configs)
     def test_combination_baselines(self, extract, database, config):
-        patterns = extract(database, config)
+        patterns = extract(database, config, PROJECTION)
         check_definitions(patterns, database, config, by_tag)
-        projection = projection_for(database)
         for p in patterns:
-            assert np.mean(group_densities(p, projection)) >= config.rho
+            assert np.mean(group_densities(p)) >= config.rho
 
     @settings(max_examples=15, deadline=None)
     @given(corpora, configs)
     def test_tpattern(self, database, config):
-        patterns = tpattern_extract(
-            database, config,
-            cell_m=TPATTERN_CELL_M, min_visits=TPATTERN_MIN_VISITS,
-        )
+        patterns = mine_tpattern(database, config)
         labels = tpattern_labels(database)
         check_definitions(
             patterns, database, config, lambda stay: labels[id(stay)]
@@ -196,12 +199,9 @@ class TestExtractorDefinitions:
         )
         config = MiningConfig(support=3, rho=1e-4, max_length=3)
         for patterns in (
-            counterpart_cluster(database, config),
-            splitter_extract(database, config),
-            sdbscan_extract(database, config),
-            tpattern_extract(
-                database, config,
-                cell_m=TPATTERN_CELL_M, min_visits=TPATTERN_MIN_VISITS,
-            ),
+            counterpart_cluster(database, config, PROJECTION),
+            splitter_extract(database, config, PROJECTION),
+            sdbscan_extract(database, config, PROJECTION),
+            mine_tpattern(database, config),
         ):
             assert patterns

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import PervasiveMiner
+from repro.baselines.registry import APPROACHES, approach_by_name, run_approach
 from repro.core.config import CSDConfig, MiningConfig
 from repro.data.io import (
     read_semantic_trajectories,
@@ -10,6 +11,7 @@ from repro.data.io import (
 )
 from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import dominant_tag
+from repro.eval.experiments import ApproachRunner, make_workload
 from repro.eval.metrics import (
     pattern_semantic_consistency,
     pattern_spatial_sparsity,
@@ -86,6 +88,19 @@ class TestEndToEnd:
         assert back[0].stay_points == mining_result.recognized[0].stay_points
 
 
+#: Every name ``approach_by_name`` resolves: the six of Section 5 plus
+#: the TPattern extractor behind either recognizer.
+APPROACH_NAMES = [a.name for a in APPROACHES] + ["CSD-TPattern", "ROI-TPattern"]
+
+
+@pytest.fixture(scope="module")
+def approach_runner():
+    """A corpus small enough for all eight approaches in a few seconds."""
+    return ApproachRunner(make_workload(
+        n_pois=1_500, n_passengers=40, days=3, extent_m=3_000.0, seed=3
+    ))
+
+
 def semantics_of(trajectories):
     return [
         (st.traj_id, [sp.semantics for sp in st.stay_points])
@@ -130,3 +145,17 @@ class TestOneAnswer:
         assert any(served), "the corpus must recognise some stays"
         assert fine_key(engine.fine_patterns()) == fine_key(batch.patterns)
         assert batch.patterns, "the fixture must emit fine-grained patterns"
+
+    @pytest.mark.parametrize("name", APPROACH_NAMES)
+    def test_run_approach_agrees_with_runner(self, approach_runner, name):
+        """``run_approach`` and ``ApproachRunner.run`` mine one approach
+        in the same metre frame, so they emit the same patterns."""
+        approach = approach_by_name(name)
+        mining = MiningConfig(support=6, rho=0.0005)
+        workload = approach_runner.workload
+        expected = approach_runner.run(approach, mining)
+        assert expected, "the corpus must emit fine-grained patterns"
+        assert run_approach(
+            approach, workload.pois, workload.trajectories,
+            workload.csd_config, mining, csd=approach_runner.csd,
+        ) == expected

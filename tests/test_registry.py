@@ -9,7 +9,7 @@ from repro.baselines.registry import (
     recognize_for,
     run_approach,
 )
-from repro.core.config import MiningConfig
+from repro.core.config import CSDConfig
 
 
 class TestRegistry:
@@ -38,7 +38,9 @@ class TestRegistry:
 
     def test_unknown_recognizer_raises(self, small_pois, small_trajectories):
         with pytest.raises(KeyError):
-            recognize_for("XYZ", small_pois, small_trajectories[:5])
+            recognize_for(
+                "XYZ", small_pois, small_trajectories[:5], CSDConfig(), None
+            )
 
 
 class TestRunApproach:

