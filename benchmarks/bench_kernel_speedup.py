@@ -5,10 +5,11 @@ Times the hottest pipeline stages on the standard bench workload
 (12k POIs, 250 passengers x 7 days — DESIGN.md section 3):
 
 * popularity (Eq. 3): per-POI ``query_radius`` loop vs. the vectorised
-  ``compute_popularity`` (one CSR batch query + ``np.bincount``);
+  ``compute_popularity`` (one CSR batch query + ``np.bincount`` per
+  block of ``repro.geo.index.PAIR_BUDGET`` candidates);
 * recognition (Algorithm 3): per-stay-point dict voting vs.
   ``CSDRecognizer.recognize_points`` (one cell-window table query +
-  ``np.bincount`` over ``(stay, unit)`` pairs);
+  ``np.bincount`` over ``(stay, unit)`` pairs per block);
 * recognition at serving batch sizes: ``vote_stays`` on 1-stay and
   64-stay calls against the grid-query vote it replaced
   (``tests/test_kernel_equivalence.py::vote_stays_oracle``);

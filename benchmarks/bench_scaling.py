@@ -6,8 +6,14 @@ Sweeps ``n_pois`` at constant POI density (the city extent grows with
 
 * ``build_s`` — full CSD construction (popularity, vectorised
   Algorithm 1 clustering, purification, merging);
+* ``build_peak_rss_mb`` — how far ``build_csd`` raises the process's
+  peak RSS (``ru_maxrss``) above the peak the setup left;
 * ``recognize_s`` — batched Algorithm 3 (``recognize_points``) over a
   synthetic stay corpus, best of two runs.
+
+Each size runs in a child process of its own, so no size inherits the
+heap or the peak RSS of another.  In ``--fast`` mode (the CI smoke) the
+bench fails when a build adds more than :data:`BUILD_RSS_CEILING_MB`.
 
 The stay corpus is synthesised directly (POI positions + GPS-like
 Gaussian noise, inverse-projected to lon/lat) instead of running the
@@ -25,8 +31,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import os
+import resource
+import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +60,19 @@ FAST_SIZES = (12_000, 50_000)
 #: point recognition batch within laptop memory.
 STAYS_PER_POI = 3
 MAX_STAYS = 600_000
+
+#: Most RSS a ``--fast`` build may add.  The constructor works in
+#: blocks of ``repro.geo.index.PAIR_BUDGET`` candidate pairs, so its
+#: transient memory stays far below this (23–26 MB at 50k POIs on a
+#: 2-vCPU Linux host, where one batch of all pairs added 404 MB).
+BUILD_RSS_CEILING_MB = 100.0
+
+
+def peak_rss_mb():
+    """This process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def synth_stays(csd_city, poi_xy, n_stays, seed):
@@ -76,9 +99,11 @@ def bench_size(n_pois, seed=7, repeat=2):
     stays = synth_stays(city, poi_xy, n_stays, seed + 11)
     t_setup = time.perf_counter() - t0
 
+    rss_before = peak_rss_mb()
     t0 = time.perf_counter()
     csd = build_csd(pois, stays, config, city.projection)
     t_build = time.perf_counter() - t0
+    build_rss = peak_rss_mb() - rss_before
 
     recognizer = CSDRecognizer(csd, config.r3sigma_m)
     best = math.inf
@@ -93,8 +118,16 @@ def bench_size(n_pois, seed=7, repeat=2):
         "n_units": csd.n_units,
         "setup_s": round(t_setup, 4),
         "build_s": round(t_build, 4),
+        "build_peak_rss_mb": round(build_rss, 1),
         "recognize_s": round(best, 4),
     }
+
+
+def bench_size_in_child(n_pois):
+    """:func:`bench_size` in a fresh (spawned) child process."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(bench_size, n_pois).result()
 
 
 def main(argv=None):
@@ -114,11 +147,12 @@ def main(argv=None):
     results = []
     for n_pois in sizes:
         print(f"-- n_pois={n_pois}")
-        r = bench_size(n_pois)
+        r = bench_size_in_child(n_pois)
         results.append(r)
         print(
-            f"   build {r['build_s']:.3f}s  units {r['n_units']}  "
-            f"stays {r['n_stays']}  recognize {r['recognize_s']:.3f}s"
+            f"   build {r['build_s']:.3f}s  +{r['build_peak_rss_mb']:.1f} MB  "
+            f"units {r['n_units']}  stays {r['n_stays']}  "
+            f"recognize {r['recognize_s']:.3f}s"
         )
 
     report = {
@@ -130,11 +164,26 @@ def main(argv=None):
     print(f"wrote {args.out}")
 
     rows = [
-        (r["n_pois"], r["n_stays"], r["build_s"], r["recognize_s"])
+        (r["n_pois"], r["n_stays"], r["build_s"], r["build_peak_rss_mb"],
+         r["recognize_s"])
         for r in results
     ]
-    print("\nScaling — wall seconds")
-    print(format_table(["n_pois", "n_stays", "build", "recognize"], rows))
+    print("\nScaling — wall seconds, build peak RSS growth in MB")
+    print(format_table(
+        ["n_pois", "n_stays", "build", "build MB", "recognize"], rows
+    ))
+    if args.fast:
+        over = [
+            r for r in results if r["build_peak_rss_mb"] > BUILD_RSS_CEILING_MB
+        ]
+        for r in over:
+            print(
+                f"FAIL: the {r['n_pois']}-POI build added "
+                f"{r['build_peak_rss_mb']:.1f} MB, over the "
+                f"{BUILD_RSS_CEILING_MB:.0f} MB ceiling"
+            )
+        if over:
+            raise SystemExit(1)
     return report
 
 

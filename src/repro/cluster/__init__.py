@@ -15,11 +15,10 @@ point).
 
 from repro.cluster.dbscan import dbscan
 from repro.cluster.meanshift import mean_shift
-from repro.cluster.optics import optics, extract_dbscan_clustering
+from repro.cluster.optics import optics
 
 __all__ = [
     "dbscan",
-    "extract_dbscan_clustering",
     "mean_shift",
     "optics",
 ]

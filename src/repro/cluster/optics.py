@@ -5,14 +5,10 @@ configuration of distance threshold": it starts from a default maximum
 distance and the support threshold as the minimum cluster size, computes
 the reachability ordering, and then picks a distance cut with
 sufficiently high density.  We implement the classic ordering pass plus
-two extractions from its reachability plot:
-
-- :func:`extract_valley_clusters` — the per-cluster adaptive cut the
-  miner uses (through :func:`optics_auto_clusters`): the plot is split
-  at dominant peaks until every valley is one cluster;
-- :func:`extract_dbscan_clustering` — the standard DBSCAN-equivalent cut
-  at a caller-supplied ``eps'``, which the tests use to check the
-  ordering against an independent DBSCAN.
+the per-cluster adaptive cut the miner uses,
+:func:`extract_valley_clusters` (through :func:`optics_auto_clusters`):
+the reachability plot is split at dominant peaks until every valley is
+one cluster.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.index import GridIndex
+from repro.geo.index import GridIndex, pair_blocks
 from repro.types import Float64Array, IndexArray, MetersArray
 
 _INF = np.inf
@@ -108,16 +104,11 @@ def optics(xy: MetersArray, min_pts: int, max_eps: float = _INF) -> OpticsResult
     return OpticsResult(ordering, reach, core)
 
 
-#: Neighbour pairs whose distances are computed per chunk; bounds the
-#: gather/difference temporaries of :func:`_pair_distances`.
-_PAIR_CHUNK = 65_536
-
-
 def _pair_distances(
     pts: MetersArray, nbrs: IndexArray, offsets: IndexArray
 ) -> Float64Array:
     """Distance of every CSR pair ``(i, nbrs[p])``, one block of centres
-    at a time.
+    holding at most :data:`~repro.geo.index.PAIR_BUDGET` pairs at a time.
 
     Per element this is the per-point ``sqrt(((pts[nb] - pts[i]) **
     2).sum(axis=1))`` (square, add the two axes, root), so every
@@ -126,12 +117,7 @@ def _pair_distances(
     xs = np.ascontiguousarray(pts[:, 0], dtype=np.float64)
     ys = np.ascontiguousarray(pts[:, 1], dtype=np.float64)
     out = np.empty(len(nbrs), dtype=np.float64)
-    n = len(offsets) - 1
-    c0 = 0
-    while c0 < n:
-        # Centres [c0, c1) hold at most _PAIR_CHUNK pairs, or are one centre.
-        end = np.searchsorted(offsets, offsets[c0] + _PAIR_CHUNK, side="right")
-        c1 = max(c0 + 1, int(end) - 1)
+    for c0, c1 in pair_blocks(np.diff(offsets)):
         lo, hi = offsets[c0], offsets[c1]
         owner = np.repeat(
             np.arange(c0, c1, dtype=np.int64), np.diff(offsets[c0 : c1 + 1])
@@ -143,33 +129,7 @@ def _pair_distances(
         dy *= dy
         dx += dy
         out[lo:hi] = np.sqrt(dx)
-        c0 = c1
     return out
-
-
-def extract_dbscan_clustering(
-    result: OpticsResult, eps_prime: float, min_pts: int
-) -> IndexArray:
-    """DBSCAN-equivalent labels from an OPTICS ordering at ``eps_prime``.
-
-    Walks the ordering: a reachability jump above ``eps_prime`` either
-    starts a new cluster (if the point is core at ``eps_prime``) or marks
-    noise.  ``min_pts`` only matters through the recorded core distances.
-    """
-    del min_pts  # core distances already encode it; kept for API clarity
-    n = len(result)
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster_id = -1
-    for idx in result.ordering:
-        if result.reachability[idx] > eps_prime:
-            if result.core_distance[idx] <= eps_prime:
-                cluster_id += 1
-                labels[idx] = cluster_id
-            else:
-                labels[idx] = -1
-        else:
-            labels[idx] = cluster_id
-    return labels
 
 
 def extract_valley_clusters(

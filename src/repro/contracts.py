@@ -13,7 +13,7 @@ at the function boundary::
         ret=ArraySpec(dtype="float64", ndim=1, finite=True,
                       same_length_as="poi_xy"),
     )
-    def compute_popularity(poi_xy, stay_xy, r3sigma, stay_index=None):
+    def compute_popularity(poi_xy, stay_xy, r3sigma):
         ...
 
 By default the decorator is a **zero-overhead no-op**: it attaches the

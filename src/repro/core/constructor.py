@@ -31,7 +31,7 @@ from repro.core.popularity import compute_popularity
 from repro.core.purification import purify
 from repro.data.poi import POI
 from repro.data.trajectory import StayPoint
-from repro.geo.index import GridIndex
+from repro.geo.index import GridIndex, pair_blocks
 from repro.geo.projection import LocalProjection
 from repro.obs import get_registry
 from repro.types import BoolArray, Float64Array, IndexArray, MetersArray
@@ -101,15 +101,28 @@ def popularity_based_clustering(
         )
 
     # A seed's first frontier is its own prefetched neighbourhood, so
-    # its test runs once over every CSR pair, leaving each seed's
-    # compatible neighbours as a CSR of their own.  Seeds with none (a
-    # sixth of the POIs at 12k) then skip the BFS entirely.
-    pair_seed = np.repeat(np.arange(n, dtype=np.int64), np.diff(nbr_off))
-    # Each neighbourhood holds its own centre, which passes trivially.
-    pair_ok = seed_compatible(pair_seed, nbr_idx) & (nbr_idx != pair_seed)
-    ok_idx = nbr_idx[pair_ok]
+    # its test runs once over every CSR pair, one block of pairs at a
+    # time, leaving each seed's compatible neighbours as a CSR of their
+    # own.  Seeds with none (a sixth of the POIs at 12k) then skip the
+    # BFS entirely.
+    ok_parts = []
+    ok_count = np.empty(n, dtype=np.int64)
+    # reprolint: allow-loop -- memory blocking over seeds.
+    for start, stop in pair_blocks(np.diff(nbr_off)):
+        cand = nbr_idx[nbr_off[start] : nbr_off[stop]]
+        pair_seed = np.repeat(
+            np.arange(start, stop, dtype=np.int64),
+            np.diff(nbr_off[start : stop + 1]),
+        )
+        # Each neighbourhood holds its own centre, which passes trivially.
+        pair_ok = seed_compatible(pair_seed, cand) & (cand != pair_seed)
+        ok_parts.append(cand[pair_ok])
+        ok_count[start:stop] = np.bincount(
+            pair_seed[pair_ok] - start, minlength=stop - start
+        )
+    ok_idx = np.concatenate(ok_parts)
     ok_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_seed[pair_ok], minlength=n), out=ok_off[1:])
+    np.cumsum(ok_count, out=ok_off[1:])
     has_compatible = ok_off[1:] > ok_off[:-1]
     remaining = np.ones(n, dtype=bool)
     # Per-seed visited marker without a per-seed O(n) allocation:

@@ -220,18 +220,22 @@ def _nearby_pairs(
         return members[:0], members[:0]
     flat_xy = poi_xy[members]
     index = GridIndex(flat_xy, cell_size=max(radius, 1.0))
-    # One batched self-query yields every within-radius POI pair; the
-    # unit pairs are then a vectorised dedup over the owner labels.
-    nbr_idx, nbr_off = index.query_radius_many(flat_xy, radius)
-    ua = np.repeat(owner, np.diff(nbr_off))
-    ub = owner[nbr_idx]
-    cross = ua != ub
     n_units = int(owner.max()) + 1
-    keys = np.unique(
-        np.minimum(ua[cross], ub[cross]) * n_units
-        + np.maximum(ua[cross], ub[cross])
-    )
-    return keys // n_units, keys % n_units
+    # A batched self-query per block of POIs yields every within-radius
+    # POI pair, once from each end: the radius test is symmetric, so
+    # keeping the end whose unit is the smaller keeps each unit pair.
+    # The unit pairs are then a vectorised dedup over the owner labels,
+    # per block and once more across blocks.
+    keys = [members[:0]]
+    # reprolint: allow-loop -- memory blocking over POIs.
+    for start, stop in index.blocks(flat_xy, radius):
+        nbr_idx, nbr_off = index.query_radius_many(flat_xy[start:stop], radius)
+        ua = np.repeat(owner[start:stop], np.diff(nbr_off))
+        ub = owner[nbr_idx]
+        below = ua < ub
+        keys.append(np.unique(ua[below] * n_units + ub[below]))
+    pairs = np.unique(np.concatenate(keys))
+    return pairs // n_units, pairs % n_units
 
 
 @array_contract(

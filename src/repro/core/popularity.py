@@ -8,8 +8,6 @@ while staying robust to GPS noise.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.contracts import ArraySpec, array_contract
@@ -26,10 +24,7 @@ from repro.types import Float64Array, MetersArray
     ),
 )
 def compute_popularity(
-    poi_xy: MetersArray,
-    stay_xy: MetersArray,
-    r3sigma: float,
-    stay_index: Optional[GridIndex] = None,
+    poi_xy: MetersArray, stay_xy: MetersArray, r3sigma: float
 ) -> Float64Array:
     """Popularity ``pop(p^I)`` for every POI (Eq. 3).
 
@@ -41,8 +36,6 @@ def compute_popularity(
         ``(m, 2)`` stay-point coordinates in metres.
     r3sigma:
         Gaussian 3-sigma radius; stay points beyond it contribute nothing.
-    stay_index:
-        Optional pre-built index over ``stay_xy``.
     """
     pois = np.asarray(poi_xy, dtype=float).reshape(-1, 2)
     stays = np.asarray(stay_xy, dtype=float).reshape(-1, 2)
@@ -51,17 +44,23 @@ def compute_popularity(
     pop = np.zeros(len(pois), dtype=np.float64)
     if len(stays) == 0 or len(pois) == 0:
         return pop
-    if stay_index is None:
-        stay_index = GridIndex(stays, cell_size=r3sigma)
-    if len(stay_index) != len(stays):
-        raise ValueError("stay_index must cover exactly stay_xy")
-    # One batched range query for all POIs, then a single weighted
-    # bincount.  bincount accumulates sequentially in hit order, so the
-    # result is bit-identical to summing each POI's hits left to right.
-    hit_idx, offsets = stay_index.query_radius_many(pois, r3sigma)
-    if len(hit_idx) == 0:
-        return pop
-    poi_of = np.repeat(np.arange(len(pois), dtype=np.int64), np.diff(offsets))
-    d = np.sqrt(((stays[hit_idx] - pois[poi_of]) ** 2).sum(axis=1))
-    weights = gaussian_coefficients(d, r3sigma)
-    return np.bincount(poi_of, weights=weights, minlength=len(pois))
+    index = GridIndex(stays, cell_size=r3sigma)
+    # One batched range query per block of POIs, then one weighted
+    # bincount.  bincount accumulates sequentially in hit order and a
+    # block holds each POI's hits whole, so every POI's sum is the
+    # left-to-right sum of its hits whatever the blocks.
+    # reprolint: allow-loop -- memory blocking over POIs.
+    for start, stop in index.blocks(pois, r3sigma):
+        hit_idx, offsets = index.query_radius_many(pois[start:stop], r3sigma)
+        poi_of = np.repeat(
+            np.arange(stop - start, dtype=np.int64), np.diff(offsets)
+        )
+        d = np.sqrt(
+            ((stays[hit_idx] - pois[start:stop][poi_of]) ** 2).sum(axis=1)
+        )
+        pop[start:stop] = np.bincount(
+            poi_of,
+            weights=gaussian_coefficients(d, r3sigma),
+            minlength=stop - start,
+        )
+    return pop

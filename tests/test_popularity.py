@@ -41,11 +41,3 @@ class TestPopularity:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             compute_popularity(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
-
-    def test_mismatched_index_rejected(self):
-        from repro.geo.index import GridIndex
-
-        stays = np.zeros((5, 2))
-        wrong = GridIndex(stays[:2], cell_size=100)
-        with pytest.raises(ValueError):
-            compute_popularity(np.zeros((1, 2)), stays, 100.0, stay_index=wrong)

@@ -19,13 +19,13 @@ from dataclasses import asdict
 import pytest
 
 from repro import ioutil, obs
-from repro.core import recognition
 from repro.core.config import CSDConfig, MiningConfig
 from repro.core.miner import PervasiveMiner
 from repro.data.io import QuarantinedRow, iter_trips, write_trips
 from repro.data.persistence import read_csd
 from repro.data.taxi import trips_to_mining_trajectories
 from repro.data.trajectory import SemanticTrajectory, StayPoint
+from repro.geo import index as geo_index
 from repro.ioutil import SimulatedCrash, file_sha256
 from repro.obs import MetricsRegistry
 from repro.runner import (
@@ -101,10 +101,11 @@ class TestRunnerEquivalence:
     def test_recognition_block_does_not_change_results(
         self, tmp_path, small_pois, small_trajectories, workload, monkeypatch
     ):
-        """Recognition votes in blocks of ``RECOGNITION_BLOCK`` stays; a
-        block far smaller than the corpus changes nothing."""
+        """Recognition votes in blocks of stays whose candidates fit
+        ``PAIR_BUDGET``; a budget far smaller than the corpus changes
+        nothing."""
         cc, mc, reference = workload
-        monkeypatch.setattr(recognition, "RECOGNITION_BLOCK", 37)
+        monkeypatch.setattr(geo_index, "PAIR_BUDGET", 37)
         result = PipelineRunner(tmp_path / "tiny-blocks", cc, mc).run(
             small_pois, small_trajectories
         )
